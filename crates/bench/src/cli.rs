@@ -117,7 +117,7 @@ COMMANDS:
   fig8       Fig. 8 — power-state sweep @ 63/42 ns DRAM + open-page study
   open-page  flat vs open-page DRAM timing (Full connection)
   ablation   sensitivity studies beyond the paper's figures
-  all        everything above, EXPERIMENTS.md-ready
+  all        everything above, as one report
   sweep      ad-hoc declarative grid over any combination of axes
   trace      single-point deep dive: run one cell with the timeline
              tracer attached (open the file at ui.perfetto.dev)
@@ -548,8 +548,8 @@ fn execute(cmd: Cmd, opts: &Options) -> io::Result<()> {
     ctx.finish()
 }
 
-/// `mot3d all`: every experiment, EXPERIMENTS.md-ready (byte-identical
-/// to the legacy `all` binary).
+/// `mot3d all`: every experiment as one report
+/// (byte-identical to the legacy `all` binary).
 fn all(ctx: &mut Ctx) -> io::Result<()> {
     let scale = ctx.scale;
     eprintln!(

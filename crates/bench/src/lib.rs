@@ -18,15 +18,14 @@
 //! | `mot3d fig8`   | Fig. 8 — EDP across power states @ 63 ns and 42 ns DRAM + open-page study |
 //! | `mot3d open-page` | flat vs open-page DRAM timing (Full connection) |
 //! | `mot3d ablation`  | sensitivity studies beyond the paper's figures |
-//! | `mot3d all`    | everything above, in EXPERIMENTS.md-ready form |
+//! | `mot3d all`    | everything above, as one report |
 //! | `mot3d sweep`  | any ad-hoc grid over the same axes |
 //!
 //! Run lengths scale with `--scale` (fraction of the default
 //! instruction budget; default 0.35 ≈ 560 k instructions per program —
 //! enough to pressure the L2 capacity axis; `--scale tiny` for smoke
 //! runs). Absolute numbers are not expected to match the paper
-//! (different substrate); orderings, winners, and rough factors are
-//! (see `EXPERIMENTS.md`).
+//! (different substrate); orderings, winners, and rough factors are.
 //!
 //! The sweeps shard their independent runs across worker threads
 //! ([`pool`]); `--threads` bounds the worker count (default: available

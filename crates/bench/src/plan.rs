@@ -7,7 +7,7 @@
 //! list per axis plus a length scale and repeat count; [`points`]
 //! expands it to an ordered list of typed [`RunPoint`]s;
 //! [`ExperimentPlan::run_with`] executes the points on the existing
-//! worker-thread pool (each worker reusing clusters through
+//! worker-thread pool (each worker re-targeting its one cluster, see
 //! [`mot3d_sim::runner::ClusterPool`]) and streams one typed
 //! [`RunRecord`] per finished point — in deterministic expansion order,
 //! whatever the thread count — through any number of
@@ -331,11 +331,11 @@ impl ExperimentPlan {
     /// `i` is emitted as soon as all records `≤ i` have completed, so
     /// sinks observe a deterministic stream at any thread count.
     ///
-    /// Returns all records in expansion order. After a long ad-hoc
-    /// sweep, the calling thread's cluster cache is shrunk back to a
-    /// handful of configurations (see
-    /// [`mot3d_sim::shrink_local_pool`]); worker threads are scoped to
-    /// the call, so their caches are freed with them.
+    /// Returns all records in expansion order. Each worker thread runs
+    /// its points on one re-targetable cluster
+    /// ([`mot3d_sim::runner::ClusterPool`]), so memory does not grow
+    /// with the grid; worker threads are scoped to the call and take
+    /// their cluster with them.
     ///
     /// # Errors
     ///
@@ -400,9 +400,6 @@ impl ExperimentPlan {
         for sink in emitter.sinks.iter_mut() {
             sink.finish()?;
         }
-        // Ad-hoc grids can visit many distinct configurations; don't let
-        // the calling thread's cluster cache keep them all alive.
-        mot3d_sim::shrink_local_pool(8);
         Ok(records)
     }
 

@@ -8,9 +8,8 @@
 //! order, and streams per-job completions to an observer as they finish.
 //!
 //! Each worker thread keeps its own thread-local
-//! [`mot3d_sim::runner::ClusterPool`] (via [`mot3d_sim::run_spec`]), so
-//! repeated configurations within a worker reset a cached cluster
-//! instead of rebuilding it.
+//! [`mot3d_sim::runner::ClusterPool`] (via [`mot3d_sim::run_spec`]): one
+//! cluster, re-targeted from cell to cell instead of rebuilt.
 //!
 //! Worker count comes from the `MOT3D_THREADS` environment variable,
 //! defaulting to the machine's available parallelism. Results are

@@ -136,9 +136,16 @@ impl MissBus {
         }
     }
 
-    /// Clears all queues, the in-flight transfer, and the round-robin
-    /// position back to construction time.
-    pub fn reset(&mut self) {
+    /// Back to construction time with `occupancy` cycles per transfer:
+    /// clears all queues (keeping their capacity), the in-flight
+    /// transfer, and the round-robin position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `occupancy == 0`, as [`MissBus::new`] does.
+    pub fn reset(&mut self, occupancy: u64) {
+        assert!(occupancy > 0, "transfers must take at least one cycle");
+        self.occupancy = occupancy;
         self.queues.clear();
         self.rr = 0;
         self.current = None;

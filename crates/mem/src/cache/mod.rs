@@ -217,6 +217,15 @@ pub struct SlotHandle {
 /// per-set `Vec`s, and no operation on the access path — including
 /// victim selection — allocates.
 ///
+/// ## Reuse
+///
+/// A line only ever becomes valid through a fill, so the cache marks
+/// every set that receives one in a fixed bitmap (one bit per set,
+/// sized at construction) and [`SetAssocCache::clear`] restores exactly
+/// the marked sets. Clearing therefore costs what the run touched, not
+/// what the cache holds: a sweep of short runs resets a 64 KB bank in
+/// the time of the few sets each run filled.
+///
 /// # Examples
 ///
 /// ```
@@ -244,6 +253,12 @@ pub struct SetAssocCache<P> {
     /// Per-line payload (directory state for L2), set-major.
     payloads: Box<[P]>,
     replacer: ReplacerTable,
+    /// Bit `set % 64` of word `set / 64` is set iff `set` received a fill
+    /// since construction or the last [`SetAssocCache::clear`]. Every
+    /// other set is still in its construction-time state: only a fill
+    /// validates a line, and replacement state moves only on accesses to
+    /// valid lines.
+    touched: Box<[u64]>,
     stats: CacheStats,
 }
 
@@ -270,6 +285,7 @@ impl<P: Default + Clone> SetAssocCache<P> {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             replacer: ReplacerTable::new(config.policy, sets, ways),
+            touched: vec![0; sets.div_ceil(64)].into_boxed_slice(),
             stats: CacheStats::default(),
         })
     }
@@ -363,6 +379,7 @@ impl<P: Default + Clone> SetAssocCache<P> {
     ) -> (SlotHandle, Option<EvictedLine<P>>) {
         let set = self.set_index(line);
         self.stats.fills += 1;
+        self.touched[set / 64] |= 1 << (set % 64);
         if let Some(slot) = self.find_slot(set, line) {
             self.data[slot] = data;
             if dirty {
@@ -546,14 +563,30 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// Empties the cache and resets replacement state and statistics to
     /// construction time, without reallocating the line arrays. A cleared
     /// cache behaves bit-identically to a freshly built one.
+    ///
+    /// Only the sets filled since the last clear are rewritten (see the
+    /// type-level "Reuse" notes), so the cost follows the work the cache
+    /// did, from a few stores after a short run to one pass over the
+    /// arrays after a run that used every set.
     pub fn clear(&mut self) {
-        self.tags.fill(0);
-        self.flags.fill(0);
-        self.data.fill(0);
-        for p in self.payloads.iter_mut() {
-            *p = P::default();
+        for (word, touched) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(touched);
+            // One run of adjacent touched sets at a time: a cache that
+            // used every set clears in one fill per array and word.
+            while bits != 0 {
+                let first = bits.trailing_zeros() as usize;
+                let len = (bits >> first).trailing_ones() as usize;
+                // The carry of `+ lowest bit` ripples through the run.
+                bits &= bits.wrapping_add(1 << first);
+                let sets = word * 64 + first..word * 64 + first + len;
+                let slots = sets.start * self.ways..sets.end * self.ways;
+                self.tags[slots.clone()].fill(0);
+                self.flags[slots.clone()].fill(0);
+                self.data[slots.clone()].fill(0);
+                self.payloads[slots].fill_with(P::default);
+                self.replacer.reset_sets(sets);
+            }
         }
-        self.replacer.reset();
         self.stats = CacheStats::default();
     }
 

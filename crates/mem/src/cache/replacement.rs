@@ -56,11 +56,19 @@ impl ReplacerTable {
         }
     }
 
-    /// Restores construction-time state without reallocating.
-    pub(crate) fn reset(&mut self) {
-        self.stamps.fill(0);
-        self.clocks.fill(0);
-        self.bits.fill(false);
+    /// Restores the construction-time state of `sets` (the cache clears
+    /// only the sets a run touched).
+    pub(crate) fn reset_sets(&mut self, sets: std::ops::Range<usize>) {
+        match self.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                self.stamps[sets.start * self.ways..sets.end * self.ways].fill(0);
+                self.clocks[sets].fill(0);
+            }
+            ReplacementPolicy::TreePlru => {
+                let nodes = self.ways - 1;
+                self.bits[sets.start * nodes..sets.end * nodes].fill(false);
+            }
+        }
     }
 
     /// Walks the PLRU tree from the root to `way`'s leaf, pointing every
@@ -238,7 +246,7 @@ mod tests {
                     v
                 })
                 .collect();
-            r.reset();
+            r.reset_sets(0..1);
             let replayed: Vec<usize> = (0..4)
                 .map(|_| {
                     let v = r.victim(0, |_| true);

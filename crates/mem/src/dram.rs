@@ -179,9 +179,12 @@ impl Dram {
         (self.next_issue > now).then_some(self.next_issue)
     }
 
-    /// Clears the functional store, the open row, the controller occupancy,
-    /// and all counters back to construction time.
-    pub fn reset(&mut self) {
+    /// Back to construction time under `timing`: clears the functional
+    /// store (keeping its capacity), the open row, the controller
+    /// occupancy, and all counters. Equivalent to
+    /// [`Dram::new`]`(timing, map)` without the allocation.
+    pub fn reset(&mut self, timing: DramTiming) {
+        self.timing = timing;
         self.store.clear();
         self.open_row = None;
         self.next_issue = 0;

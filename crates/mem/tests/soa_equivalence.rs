@@ -229,6 +229,60 @@ fn ev_tuple(ev: &EvictedLine<u32>) -> (u64, u64, bool) {
     (ev.addr.0, ev.data, ev.dirty)
 }
 
+/// Lines the clear test draws from: four per set of [`clear_config`].
+const CLEAR_LINES: u64 = 512;
+
+/// The sets the sparse half of the clear test confines itself to: a run
+/// of neighbours, both edges of a bitmap word, and the last set.
+const FEW_SETS: [u64; 6] = [0, 1, 2, 63, 64, 127];
+
+/// 128 sets × 2 ways: the touched-set bitmap spans two words, and four
+/// candidate lines per set keep every set evicting.
+fn clear_config(policy: ReplacementPolicy) -> CacheConfig {
+    CacheConfig {
+        capacity_bytes: 8 * 1024,
+        line_bytes: 32,
+        associativity: 2,
+        policy,
+        index_shift: 0,
+    }
+}
+
+impl CacheOp {
+    /// The same operation on a line that maps to one of `sets`.
+    fn confined_to(self, sets: &[u64], config: CacheConfig) -> CacheOp {
+        let n = sets.len() as u64;
+        let confine = |l: u64| sets[(l % n) as usize] + config.sets() as u64 * (l / n % 4);
+        match self {
+            CacheOp::Read(l) => CacheOp::Read(confine(l)),
+            CacheOp::Write(l, v) => CacheOp::Write(confine(l), v),
+            CacheOp::Fill(l, v, d) => CacheOp::Fill(confine(l), v, d),
+            CacheOp::Invalidate(l) => CacheOp::Invalidate(confine(l)),
+        }
+    }
+}
+
+/// Everything a caller can observe of one operation.
+#[derive(Debug, PartialEq)]
+enum Observed {
+    Read(Option<u64>),
+    Write(bool),
+    Out(Option<(u64, u64, bool)>),
+}
+
+fn apply(cache: &mut SetAssocCache<u32>, op: CacheOp) -> Observed {
+    match op {
+        CacheOp::Read(l) => Observed::Read(cache.read(LineAddr(l))),
+        CacheOp::Write(l, v) => Observed::Write(cache.write(LineAddr(l), v)),
+        CacheOp::Fill(l, v, d) => {
+            Observed::Out(cache.fill(LineAddr(l), v, d).map(|ev| ev_tuple(&ev)))
+        }
+        CacheOp::Invalidate(l) => {
+            Observed::Out(cache.invalidate(LineAddr(l)).map(|ev| ev_tuple(&ev)))
+        }
+    }
+}
+
 fn check_against_reference(
     policy: ReplacementPolicy,
     ops: &[CacheOp],
@@ -300,43 +354,56 @@ proptest! {
         check_against_reference(ReplacementPolicy::Fifo, &ops)?;
     }
 
-    /// `clear()` is indistinguishable from a fresh cache: the same op
-    /// sequence replays to the same stats and the same residents.
+    /// `clear()` is indistinguishable from a fresh cache, whatever the
+    /// cache did before it and however much of it that touched: a cache
+    /// dirtied by one random sequence (with a `flush_invalidate_all` in
+    /// it) and cleared answers a second, unrelated sequence exactly as a
+    /// new cache does — hits, victims, evicted lines and stats — under
+    /// every replacement policy, after touching a handful of sets and
+    /// after touching all of them.
     #[test]
-    fn cleared_cache_replays_identically(ops in prop::collection::vec(op_strategy(128), 1..200)) {
-        let config = CacheConfig::l1_date16();
-        let mut fresh: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
-        let mut reused: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
-        // Dirty the reused cache with the ops, then clear.
-        for &op in &ops {
-            match op {
-                CacheOp::Read(l) => { reused.read(LineAddr(l)); }
-                CacheOp::Write(l, v) => { reused.write(LineAddr(l), v); }
-                CacheOp::Fill(l, v, d) => { reused.fill(LineAddr(l), v, d); }
-                CacheOp::Invalidate(l) => { reused.invalidate(LineAddr(l)); }
+    fn cleared_cache_replays_identically(
+        dirtying in prop::collection::vec(op_strategy(CLEAR_LINES), 1..300),
+        flush_at in any::<usize>(),
+        replay in prop::collection::vec(op_strategy(CLEAR_LINES), 1..300),
+    ) {
+        let policies =
+            [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Fifo];
+        for policy in policies {
+            for touch_all in [false, true] {
+                let config = clear_config(policy);
+                let mut reused: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
+                if touch_all {
+                    for set in 0..config.sets() as u64 {
+                        reused.fill(LineAddr(set), 1, true);
+                    }
+                }
+                for (i, &op) in dirtying.iter().enumerate() {
+                    if i == flush_at % dirtying.len() {
+                        reused.flush_invalidate_all();
+                    }
+                    let op = if touch_all { op } else { op.confined_to(&FEW_SETS, config) };
+                    apply(&mut reused, op);
+                }
+                reused.clear();
+
+                // Not just equivalent: the very same state, replacement
+                // stamps and touched-set marks included (`Debug` prints
+                // every array).
+                let mut fresh: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
+                prop_assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+                for &op in &replay {
+                    prop_assert_eq!(
+                        apply(&mut reused, op),
+                        apply(&mut fresh, op),
+                        "{:?} after clear, {:?}, touch_all={}",
+                        op,
+                        policy,
+                        touch_all
+                    );
+                }
+                prop_assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
             }
         }
-        reused.clear();
-        for &op in &ops {
-            match op {
-                CacheOp::Read(l) => {
-                    prop_assert_eq!(fresh.read(LineAddr(l)), reused.read(LineAddr(l)));
-                }
-                CacheOp::Write(l, v) => {
-                    prop_assert_eq!(fresh.write(LineAddr(l), v), reused.write(LineAddr(l), v));
-                }
-                CacheOp::Fill(l, v, d) => {
-                    let a = fresh.fill(LineAddr(l), v, d).map(|ev| ev_tuple(&ev));
-                    let b = reused.fill(LineAddr(l), v, d).map(|ev| ev_tuple(&ev));
-                    prop_assert_eq!(a, b);
-                }
-                CacheOp::Invalidate(l) => {
-                    let a = fresh.invalidate(LineAddr(l)).map(|ev| ev_tuple(&ev));
-                    let b = reused.invalidate(LineAddr(l)).map(|ev| ev_tuple(&ev));
-                    prop_assert_eq!(a, b);
-                }
-            }
-        }
-        prop_assert_eq!(fresh.stats(), reused.stats());
     }
 }

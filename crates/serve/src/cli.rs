@@ -129,7 +129,8 @@ OPTIONS:
   --cache-dir <path>     result store, default ~/.cache/mot3d
   --threads <n>          worker threads per submission
                          (deprecated fallback: MOT3D_THREADS)
-  --pool-cap <n>         cluster-cache cap per worker, default 32
+  --pool-cap <n>         deprecated, ignored: every worker keeps exactly
+                         one re-targetable cluster, so nothing to cap
   --accept-limit <n>     exit after n connections (CI smoke tests)
   --fault <spec>         deterministic fault injection (chaos tests):
                          comma-separated <site>@<index> terms with
@@ -248,14 +249,9 @@ fn parse_serve(args: &[String]) -> Result<ServerConfig, UsageError> {
                 })?;
                 config.threads = Some(t);
             }
-            "--pool-cap" => {
-                let c: usize = value.parse().ok().filter(|&c| c > 0).ok_or_else(|| {
-                    bad(format!(
-                        "--pool-cap needs a positive integer, got {value:?}"
-                    ))
-                })?;
-                config.pool_capacity = Some(c);
-            }
+            "--pool-cap" => eprintln!(
+                "note: --pool-cap is deprecated and ignored; every worker keeps one re-targetable cluster"
+            ),
             "--accept-limit" => {
                 let n: u64 = value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
                     bad(format!(
@@ -385,7 +381,11 @@ mod tests {
         assert_eq!(c.addr, "127.0.0.1:0");
         assert_eq!(c.cache_dir, PathBuf::from("/tmp/x"));
         assert_eq!(c.threads, Some(3));
-        assert_eq!(c.pool_capacity, Some(4));
+        assert_eq!(
+            c.pool_capacity,
+            ServerConfig::new("/tmp/x").pool_capacity,
+            "--pool-cap is accepted and ignored"
+        );
         assert_eq!(c.accept_limit, Some(2));
         assert!(!c.faults.is_active(), "no fault flag, no fault plan");
         assert!(parse_serve(&argv("--threads 0")).is_err());

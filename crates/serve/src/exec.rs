@@ -205,7 +205,6 @@ pub struct CachedExecutor {
     fingerprint: Fingerprint,
     inflight: Mutex<FnvHashMap<CacheKey, Arc<Flight>>>,
     threads: Option<usize>,
-    pool_capacity: Option<usize>,
     executed_total: AtomicU64,
     faults: Faults,
 }
@@ -214,22 +213,16 @@ impl CachedExecutor {
     /// An executor over `store` keyed under `fingerprint`.
     ///
     /// `threads` pins the worker count per submission (default: the
-    /// pool's own resolution); `pool_capacity` bounds every worker's
-    /// thread-local [`mot3d_sim::ClusterPool`] — a long-running server
-    /// otherwise accumulates one cached cluster per distinct
-    /// configuration it ever simulates.
-    pub fn new(
-        store: ResultStore,
-        fingerprint: Fingerprint,
-        threads: Option<usize>,
-        pool_capacity: Option<usize>,
-    ) -> Self {
+    /// pool's own resolution). Each worker simulates on its thread's one
+    /// re-targetable cluster ([`mot3d_sim::ClusterPool`]), so a
+    /// long-running server's memory does not grow with the
+    /// configurations it has seen.
+    pub fn new(store: ResultStore, fingerprint: Fingerprint, threads: Option<usize>) -> Self {
         CachedExecutor {
             store: Mutex::new(store),
             fingerprint,
             inflight: Mutex::new(FnvHashMap::default()),
             threads,
-            pool_capacity,
             executed_total: AtomicU64::new(0),
             faults: Faults::none(),
         }
@@ -302,9 +295,6 @@ impl CachedExecutor {
     /// `point`, guarded so a panicking simulator poisons `flight`
     /// instead of stranding its waiters.
     fn attempt(&self, point: &RunPoint, flight: &Flight, attempt: u32) -> Result<Metrics, String> {
-        if let Some(cap) = self.pool_capacity {
-            mot3d_sim::set_local_pool_capacity(Some(cap));
-        }
         self.executed_total.fetch_add(1, Ordering::Relaxed);
         let mut guard = PoisonOnDrop {
             flight,
@@ -509,7 +499,6 @@ mod tests {
             ResultStore::open(&dir).unwrap(),
             Fingerprint::current(),
             Some(2),
-            None,
         );
         let plan = tiny_plan();
         let (cold, first) = record_lines(&exec, &plan);
@@ -531,7 +520,6 @@ mod tests {
             ResultStore::open(&dir).unwrap(),
             Fingerprint::current(),
             Some(2),
-            None,
         );
         let plan = tiny_plan(); // both clients submit the same points
         let (a, b) = std::thread::scope(|scope| {
@@ -559,7 +547,6 @@ mod tests {
             ResultStore::open(&dir).unwrap(),
             Fingerprint::current(),
             Some(1),
-            Some(2),
         );
         let plan = tiny_plan();
         let err = exec
@@ -580,7 +567,6 @@ mod tests {
             ResultStore::open(&dir).unwrap(),
             Fingerprint::current(),
             Some(1),
-            None,
         );
         let empty = ExperimentPlan::new("empty").splash([]);
         let err = exec.run_plan(&empty, |_| Ok(())).unwrap_err();
@@ -596,7 +582,6 @@ mod tests {
             ResultStore::open(&dir).unwrap(),
             Fingerprint::current(),
             Some(1),
-            None,
         );
         // The very first execution fails; the streaming loop takes the
         // poisoned flight over and the re-run succeeds.
@@ -625,7 +610,6 @@ mod tests {
             ResultStore::open(&dir).unwrap(),
             Fingerprint::current(),
             Some(1),
-            None,
         );
         let plan = tiny_plan();
         let n = plan.len() as u64;
@@ -664,7 +648,6 @@ mod tests {
             ResultStore::open(&dir).unwrap(),
             Fingerprint::current(),
             Some(1),
-            None,
         );
         let plan = tiny_plan();
         let n = plan.len() as u64;

@@ -49,7 +49,12 @@ pub struct ServerConfig {
     pub cache_dir: PathBuf,
     /// Worker threads per submission (`None`: the pool decides).
     pub threads: Option<usize>,
-    /// Cap on each worker's thread-local cluster cache.
+    /// Vestigial: nothing in this crate reads it. It capped each worker's
+    /// per-configuration cluster cache; a worker now keeps exactly one
+    /// re-targetable cluster ([`mot3d_sim::ClusterPool`]). The field and
+    /// its `Some(32)` default stay while `benchmark/` reads them to size
+    /// its staged mirror of that old cache, and go with the `benchmark`
+    /// change that re-mirrors the staged pass.
     pub pool_capacity: Option<usize>,
     /// Exit after this many successfully accepted connections (CI
     /// smoke tests); `None` runs until shut down or killed.
@@ -66,8 +71,8 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// The default configuration over `cache_dir`: loopback port 4016,
-    /// pool-resolved threads, a 32-cluster pool cap, no accept limit,
-    /// 30 s socket deadlines, no fault injection.
+    /// pool-resolved threads, no accept limit, 30 s socket deadlines, no
+    /// fault injection.
     pub fn new(cache_dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             addr: "127.0.0.1:4016".to_string(),
@@ -104,12 +109,7 @@ impl ServerConfig {
     pub fn bind(&self) -> io::Result<BoundServer> {
         let mut store = ResultStore::open(&self.cache_dir)?;
         store.set_faults(self.faults.clone());
-        let mut exec = CachedExecutor::new(
-            store,
-            self.fingerprint.clone(),
-            self.threads,
-            self.pool_capacity,
-        );
+        let mut exec = CachedExecutor::new(store, self.fingerprint.clone(), self.threads);
         exec.set_faults(self.faults.clone());
         Ok(BoundServer {
             listener: TcpListener::bind(&self.addr)?,

@@ -57,7 +57,6 @@ fn cached_replay_of_the_all_grid_is_byte_identical() {
         ResultStore::open(&dir).unwrap(),
         Fingerprint::current(),
         None,
-        Some(16),
     );
     let (cold, cold_hits, cold_exec) = run_all(&exec, &plans);
     // The figures overlap (fig6's Full/200 ns column reappears in
@@ -74,7 +73,6 @@ fn cached_replay_of_the_all_grid_is_byte_identical() {
         ResultStore::open(&dir).unwrap(),
         Fingerprint::current(),
         None,
-        Some(16),
     );
     let (warm, warm_hits, warm_exec) = run_all(&exec, &plans);
     assert_eq!(warm_hits, total, "hit count equals point count");
@@ -89,7 +87,6 @@ fn cached_replay_of_the_all_grid_is_byte_identical() {
         ResultStore::open(&dir).unwrap(),
         Fingerprint::custom("other/1"),
         None,
-        Some(16),
     );
     let first = &plans[..1];
     let (_, fhits, fexec) = run_all(&foreign, first);

@@ -44,7 +44,7 @@ use mot3d_mem::addr::{AddressMap, LineAddr};
 use mot3d_mem::bus::{MissBus, Transfer};
 use mot3d_mem::cache::{CacheConfig, SetAssocCache, SlotHandle};
 use mot3d_mem::coherence::Directory;
-use mot3d_mem::dram::{Dram, DramTiming};
+use mot3d_mem::dram::{Dram, DramKind, DramTiming};
 use mot3d_mem::golden::GoldenMemory;
 use mot3d_mot::latency::MotTimingParams;
 use mot3d_mot::reconfig::MotConfiguration;
@@ -89,10 +89,22 @@ struct CoreState {
     /// Physical core id (grid position); ranks index into `cores`.
     physical: usize,
     stream: CoreStream,
-    l1: SetAssocCache<L1Meta>,
     busy_cycles: u64,
     retired: u64,
     finished_at: Option<u64>,
+}
+
+impl CoreState {
+    /// An active core at cycle zero.
+    fn new(physical: usize, stream: CoreStream) -> Self {
+        CoreState {
+            physical,
+            stream,
+            busy_cycles: 0,
+            retired: 0,
+            finished_at: None,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -245,6 +257,103 @@ impl Interconnect for ClusterNet {
     }
 }
 
+/// Everything about a cluster that its [`SimConfig`] determines — and
+/// nothing that it does not (cache arrays, queues, physical models).
+///
+/// [`Cluster::new`] and [`Cluster::retarget`] both take these parts from
+/// [`Configured::derive`] and destructure them exhaustively, so a part
+/// that starts to depend on the configuration cannot reach one of the
+/// two and miss the other.
+struct Configured {
+    interconnect: ClusterNet,
+    mot_cfg: Option<MotConfiguration>,
+    /// Physical ids of the active cores, in rank order.
+    active_cores: Vec<usize>,
+    physical_to_idx: [usize; TOTAL_CORES],
+    bank_powered: [bool; TOTAL_BANKS],
+    dram_timing: DramTiming,
+    dram_power: DramEnergyModel,
+    bus_occupancy: u64,
+    golden: Option<GoldenMemory>,
+}
+
+impl Configured {
+    /// Checks `config` (against `streams` workload streams) and builds
+    /// its parts. Touches no cluster, so a caller that gets an `Err`
+    /// has changed nothing.
+    fn derive(
+        tech: &Technology,
+        floorplan: &Floorplan,
+        config: &SimConfig,
+        streams: usize,
+    ) -> Result<Self, SimError> {
+        let state = config.power_state;
+        state.check_fits(TOTAL_CORES, TOTAL_BANKS)?;
+        if streams != state.active_cores() {
+            return Err(SimError::StreamCountMismatch {
+                streams,
+                active_cores: state.active_cores(),
+            });
+        }
+
+        let (interconnect, mot_cfg) = match config.interconnect {
+            InterconnectChoice::Mot => {
+                let net = MotNetwork::new(
+                    tech,
+                    floorplan,
+                    MotTopology::date16(),
+                    &MotTimingParams::default(),
+                    state,
+                )?;
+                let cfg = net.configuration().clone();
+                (ClusterNet::Mot(net), Some(cfg))
+            }
+            InterconnectChoice::Noc(kind) => {
+                if state != PowerState::full() {
+                    return Err(SimError::NocNeedsFullState(kind));
+                }
+                (
+                    ClusterNet::Noc(NocNetwork::new(tech, floorplan, kind)),
+                    None,
+                )
+            }
+        };
+
+        let active_cores: Vec<usize> = match &mot_cfg {
+            Some(cfg) => cfg.active_cores(),
+            None => (0..TOTAL_CORES).collect(),
+        };
+        debug_assert_eq!(active_cores.len(), streams);
+        let mut physical_to_idx = [usize::MAX; TOTAL_CORES];
+        for (idx, &physical) in active_cores.iter().enumerate() {
+            physical_to_idx[physical] = idx;
+        }
+
+        let latency = config.dram.latency_cycles();
+        Ok(Configured {
+            interconnect,
+            bank_powered: std::array::from_fn(|b| {
+                mot_cfg.as_ref().is_none_or(|c| c.is_bank_active(b))
+            }),
+            mot_cfg,
+            active_cores,
+            physical_to_idx,
+            dram_timing: if config.dram_open_page {
+                DramTiming::open_page(latency)
+            } else {
+                DramTiming::fixed(latency)
+            },
+            dram_power: match config.dram {
+                DramKind::OffChipDdr3 => DramEnergyModel::off_chip_ddr3(),
+                DramKind::WideIo => DramEnergyModel::wide_io(),
+                DramKind::Weis3d => DramEnergyModel::weis_3d(),
+            },
+            bus_occupancy: config.miss_bus_occupancy,
+            golden: config.check_golden.then(GoldenMemory::new),
+        })
+    }
+}
+
 /// The simulated cluster.
 pub struct Cluster {
     config: SimConfig,
@@ -254,10 +363,15 @@ pub struct Cluster {
     interconnect: ClusterNet,
     mot_cfg: Option<MotConfiguration>,
     cores: Vec<CoreState>,
+    /// `l1s[i]` is the private L1 of active core `i` (`cores[i]`). All
+    /// [`TOTAL_CORES`] arrays exist whatever the power state, so that
+    /// [`Cluster::retarget`] to a wider one allocates nothing; those past
+    /// `cores.len()` belong to gated cores and stay parked, clean.
+    l1s: Vec<SetAssocCache<L1Meta>>,
     /// Core statuses, split out of `CoreState` structure-of-arrays
     /// style: the wake/barrier/issue loops consult every core's status
-    /// each step, and inside `CoreState` (whose stream + L1 span hundreds
-    /// of bytes) each status would be its own cache line. Kept in sync
+    /// each step, and inside `CoreState` (whose stream spans hundreds of
+    /// bytes) each status would be its own cache line. Kept in sync
     /// with the masks below via [`Cluster::set_status`].
     statuses: Vec<CoreStatus>,
     /// Bit `i` set while core `i` is `Ready`.
@@ -341,88 +455,38 @@ impl Cluster {
         let tech = Technology::lp45();
         let floorplan = Floorplan::date16();
         let map = AddressMap::date16();
-        let state = config.power_state;
-        state.check_fits(TOTAL_CORES, TOTAL_BANKS)?;
-        if streams.len() != state.active_cores() {
-            return Err(SimError::StreamCountMismatch {
-                streams: streams.len(),
-                active_cores: state.active_cores(),
-            });
-        }
+        let Configured {
+            interconnect,
+            mot_cfg,
+            active_cores,
+            physical_to_idx,
+            bank_powered,
+            dram_timing,
+            dram_power,
+            bus_occupancy,
+            golden,
+        } = Configured::derive(&tech, &floorplan, &config, streams.len())?;
 
-        let (interconnect, mot_cfg): (ClusterNet, Option<MotConfiguration>) =
-            match config.interconnect {
-                InterconnectChoice::Mot => {
-                    let net = MotNetwork::new(
-                        &tech,
-                        &floorplan,
-                        MotTopology::date16(),
-                        &MotTimingParams::default(),
-                        state,
-                    )?;
-                    let cfg = net.configuration().clone();
-                    (ClusterNet::Mot(net), Some(cfg))
-                }
-                InterconnectChoice::Noc(kind) => {
-                    if state != PowerState::full() {
-                        return Err(SimError::NocNeedsFullState(kind));
-                    }
-                    (
-                        ClusterNet::Noc(NocNetwork::new(&tech, &floorplan, kind)),
-                        None,
-                    )
-                }
-            };
-
-        let physical_cores: Vec<usize> = match &mot_cfg {
-            Some(cfg) => cfg.active_cores(),
-            None => (0..TOTAL_CORES).collect(),
-        };
-        debug_assert_eq!(physical_cores.len(), streams.len());
-
-        let mut physical_to_idx = [usize::MAX; TOTAL_CORES];
-        for (idx, &physical) in physical_cores.iter().enumerate() {
-            physical_to_idx[physical] = idx;
-        }
-
-        let cores: Vec<CoreState> = physical_cores
+        let cores: Vec<CoreState> = active_cores
             .into_iter()
             .zip(streams)
-            .map(|(physical, stream)| {
-                Ok(CoreState {
-                    physical,
-                    stream,
-                    l1: SetAssocCache::new(CacheConfig::l1_date16())?,
-                    busy_cycles: 0,
-                    retired: 0,
-                    finished_at: None,
-                })
-            })
-            .collect::<Result<_, SimError>>()?;
-
-        let banks = (0..TOTAL_BANKS)
-            .map(|b| {
+            .map(|(physical, stream)| CoreState::new(physical, stream))
+            .collect();
+        let l1s = (0..TOTAL_CORES)
+            .map(|_| SetAssocCache::new(CacheConfig::l1_date16()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let banks = bank_powered
+            .into_iter()
+            .map(|powered| {
                 Ok(BankState {
                     cache: SetAssocCache::new(CacheConfig::l2_bank_date16())?,
-                    powered: mot_cfg.as_ref().is_none_or(|c| c.is_bank_active(b)),
+                    powered,
                     free_at: 0,
                     reads: 0,
                     writes: 0,
                 })
             })
             .collect::<Result<Vec<_>, SimError>>()?;
-
-        let dram_timing = if config.dram_open_page {
-            DramTiming::open_page(config.dram.latency_cycles())
-        } else {
-            DramTiming::fixed(config.dram.latency_cycles())
-        };
-
-        let dram_power = match config.dram {
-            mot3d_mem::dram::DramKind::OffChipDdr3 => DramEnergyModel::off_chip_ddr3(),
-            mot3d_mem::dram::DramKind::WideIo => DramEnergyModel::wide_io(),
-            mot3d_mem::dram::DramKind::Weis3d => DramEnergyModel::weis_3d(),
-        };
 
         let l2_model = SramBank::model(&tech, SramConfig::l2_bank_date16())?;
 
@@ -441,12 +505,13 @@ impl Cluster {
             until: vec![0; cores.len()],
             until_min: u64::MAX,
             cores,
+            l1s,
             statuses,
             banks,
             physical_to_idx,
-            bus: MissBus::new(TOTAL_BANKS + TOTAL_CORES, config.miss_bus_occupancy),
+            bus: MissBus::new(TOTAL_BANKS + TOTAL_CORES, bus_occupancy),
             dram: Dram::new(dram_timing, map),
-            golden: config.check_golden.then(GoldenMemory::new),
+            golden,
             txs: GenSlab::new(),
             store_tokens: 0,
             events: TimingWheel::new(),
@@ -466,17 +531,11 @@ impl Cluster {
             l1_model: SramBank::model(&tech, SramConfig::l1_date16())?,
             l2_model,
             core_power: CorePowerModel::cortex_a5_like(),
-            dram_power: DramEnergyModel::off_chip_ddr3(),
+            dram_power,
             l1_reads: 0,
             l1_writes: 0,
             tech,
-        }
-        .with_dram_power(dram_power))
-    }
-
-    fn with_dram_power(mut self, p: DramEnergyModel) -> Self {
-        self.dram_power = p;
-        self
+        })
     }
 
     /// Current cycle.
@@ -620,8 +679,8 @@ impl Cluster {
 
     /// Fills a line into a core's L1, handling the displaced victim.
     fn l1_fill(&mut self, core_idx: usize, line: LineAddr, value: u64, exclusive: bool) {
-        let (slot, evicted) = self.cores[core_idx].l1.fill_slot(line, value, exclusive);
-        self.cores[core_idx].l1.payload_at_mut(slot).exclusive = exclusive;
+        let (slot, evicted) = self.l1s[core_idx].fill_slot(line, value, exclusive);
+        self.l1s[core_idx].payload_at_mut(slot).exclusive = exclusive;
         match evicted {
             Some(ev) if ev.dirty => self.l1_writeback(core_idx, ev.addr, ev.data),
             Some(ev) => {
@@ -637,7 +696,7 @@ impl Cluster {
     fn invalidate_l1(&mut self, physical: usize, line: LineAddr) {
         let idx = self.physical_to_idx[physical];
         if idx != usize::MAX {
-            self.cores[idx].l1.invalidate(line);
+            self.l1s[idx].invalidate(line);
         }
     }
 
@@ -721,8 +780,8 @@ impl Cluster {
                     self.invalidate_l1(owner, tx.line);
                     self.invalidations += 1;
                 } else if self.physical_to_idx[owner] != usize::MAX {
-                    let core = &mut self.cores[self.physical_to_idx[owner]];
-                    if let Some(meta) = core.l1.payload_mut(tx.line) {
+                    let l1 = &mut self.l1s[self.physical_to_idx[owner]];
+                    if let Some(meta) = l1.payload_mut(tx.line) {
                         meta.exclusive = false;
                     }
                 }
@@ -869,9 +928,9 @@ impl Cluster {
                 // The store was performed at the bank; only cache the
                 // line in M state if we still own it.
                 if self.still_registered(physical, tx.line, true) {
-                    if let Some(slot) = self.cores[tx.core_idx].l1.find(tx.line) {
-                        self.cores[tx.core_idx].l1.write_at(slot, tx.value);
-                        self.cores[tx.core_idx].l1.payload_at_mut(slot).exclusive = true;
+                    if let Some(slot) = self.l1s[tx.core_idx].find(tx.line) {
+                        self.l1s[tx.core_idx].write_at(slot, tx.value);
+                        self.l1s[tx.core_idx].payload_at_mut(slot).exclusive = true;
                     } else {
                         // `l1_fill(…, exclusive = true)` marks M state.
                         self.l1_fill(tx.core_idx, tx.line, tx.value, true);
@@ -881,7 +940,7 @@ impl Cluster {
                     // downgraded us). An upgrade's surviving L1 copy is
                     // the *pre-store* image — newer data already lives in
                     // L2 — so it must not serve future hits.
-                    self.cores[tx.core_idx].l1.invalidate(tx.line);
+                    self.l1s[tx.core_idx].invalidate(tx.line);
                 }
             }
             TxKind::L1Writeback => unreachable!("writebacks have no responses"),
@@ -923,7 +982,7 @@ impl Cluster {
                 self.cores[idx].busy_cycles += 1;
                 self.cores[idx].retired += 1;
                 self.l1_reads += 1;
-                if let Some(value) = self.cores[idx].l1.read(line) {
+                if let Some(value) = self.l1s[idx].read(line) {
                     self.l1_hits += 1;
                     if let Some(golden) = &self.golden {
                         assert_eq!(
@@ -949,14 +1008,14 @@ impl Cluster {
                 self.cores[idx].busy_cycles += 1;
                 self.cores[idx].retired += 1;
                 self.l1_writes += 1;
-                match self.cores[idx].l1.find(line) {
-                    Some(slot) if self.cores[idx].l1.payload_at(slot).exclusive => {
+                match self.l1s[idx].find(line) {
+                    Some(slot) if self.l1s[idx].payload_at(slot).exclusive => {
                         // M-state store: 1 cycle; keep L2 architecturally
                         // current (atomic-at-home-node bookkeeping, no
                         // traffic).
                         self.l1_hits += 1;
                         let token = self.fresh_token(idx);
-                        self.cores[idx].l1.write_at(slot, token);
+                        self.l1s[idx].write_at(slot, token);
                         let bank = self.serving_bank(self.map.home_bank(line));
                         let bank_slot = self.banks[bank].cache.find(line);
                         debug_assert!(bank_slot.is_some(), "inclusion violated for {line:?}");
@@ -1304,51 +1363,84 @@ impl Cluster {
         Ok(())
     }
 
-    /// Restores the cluster to its freshly-constructed state in the
-    /// *current* configuration and re-seeds the workload streams — without
-    /// reallocating the caches or re-deriving the physical models, which
-    /// is what makes sweeps (fig6/fig7/fig8, property tests) much cheaper
-    /// than rebuilding per run. A reset cluster behaves bit-identically to
-    /// a newly built one: caches, DRAM, golden memory, the Miss bus's and
-    /// interconnect's round-robin state, and all counters return to cycle
-    /// zero.
+    /// Brings this cluster to `config` at cycle zero with fresh workload
+    /// streams: afterwards it is bit-identical to
+    /// [`Cluster::new`]`(config, streams)`, whatever it was configured
+    /// for and whatever it was doing — finished, aborted mid-run, or
+    /// switched to another power state on the way.
+    ///
+    /// No [`SimConfig`] field changes the geometry of the caches, so the
+    /// L1 and L2 arrays (megabytes), the timing wheel, the transaction
+    /// slab and the DRAM's line map all stay. What the configuration
+    /// does determine — the interconnect and its bank remap, the
+    /// active-core list, DRAM timing and energy, Miss-bus occupancy, the
+    /// golden memory — is built anew, in microseconds. The caches clear
+    /// only the sets the previous run filled ([`SetAssocCache::clear`]),
+    /// so a sweep of short points pays for what each point touched, not
+    /// for what a cluster holds. This is what lets one cluster per
+    /// thread serve a whole design-space grid (see
+    /// [`crate::runner::ClusterPool`]).
     ///
     /// # Errors
     ///
-    /// [`SimError::StreamCountMismatch`] if the stream count does not
-    /// match the active core count.
-    pub fn reset(&mut self, streams: Vec<CoreStream>) -> Result<(), SimError> {
-        if streams.len() != self.cores.len() {
-            return Err(SimError::StreamCountMismatch {
-                streams: streams.len(),
-                active_cores: self.cores.len(),
-            });
+    /// The same [`SimError`]s as [`Cluster::new`] — an unfitting power
+    /// state, a stream count that does not match it, a baseline NoC
+    /// outside `Full connection`. All of them are found before anything
+    /// is changed: after an `Err` the cluster is as it was.
+    pub fn retarget(
+        &mut self,
+        config: SimConfig,
+        streams: Vec<CoreStream>,
+    ) -> Result<(), SimError> {
+        let Configured {
+            interconnect,
+            mot_cfg,
+            active_cores,
+            physical_to_idx,
+            bank_powered,
+            dram_timing,
+            dram_power,
+            bus_occupancy,
+            golden,
+        } = Configured::derive(&self.tech, &self.floorplan, &config, streams.len())?;
+        // Every check has passed; nothing below fails. (A zero bus
+        // occupancy panics here as it does in `new`: first, while the
+        // cluster is still whole.)
+        self.bus.reset(bus_occupancy);
+
+        self.config = config;
+        self.interconnect = interconnect;
+        self.mot_cfg = mot_cfg;
+        self.physical_to_idx = physical_to_idx;
+        self.dram.reset(dram_timing);
+        self.dram_power = dram_power;
+        self.golden = golden;
+
+        self.cores.clear();
+        self.cores.extend(
+            active_cores
+                .into_iter()
+                .zip(streams)
+                .map(|(physical, stream)| CoreState::new(physical, stream)),
+        );
+        for l1 in &mut self.l1s {
+            l1.clear();
         }
-        for (core, stream) in self.cores.iter_mut().zip(streams) {
-            core.stream = stream;
-            core.l1.clear();
-            core.busy_cycles = 0;
-            core.retired = 0;
-            core.finished_at = None;
-        }
-        self.statuses.fill(CoreStatus::Ready);
-        self.ready_mask = u32::MAX >> (32 - self.cores.len() as u32);
+        let cores = self.cores.len();
+        self.statuses.clear();
+        self.statuses.resize(cores, CoreStatus::Ready);
+        self.ready_mask = u32::MAX >> (32 - cores as u32);
         self.computing_mask = 0;
         self.barrier_mask = 0;
-        self.until.fill(0);
+        self.until.clear();
+        self.until.resize(cores, 0);
         self.until_min = u64::MAX;
-        for (b, bank) in self.banks.iter_mut().enumerate() {
+        for (bank, powered) in self.banks.iter_mut().zip(bank_powered) {
             bank.cache.clear();
-            bank.powered = self.mot_cfg.as_ref().is_none_or(|c| c.is_bank_active(b));
+            bank.powered = powered;
             bank.free_at = 0;
             bank.reads = 0;
             bank.writes = 0;
-        }
-        self.interconnect.reset();
-        self.bus.reset();
-        self.dram.reset();
-        if let Some(golden) = &mut self.golden {
-            *golden = GoldenMemory::new();
         }
         self.txs.clear();
         self.store_tokens = 0;
@@ -1367,6 +1459,18 @@ impl Cluster {
         self.l1_reads = 0;
         self.l1_writes = 0;
         Ok(())
+    }
+
+    /// [`Cluster::retarget`] to the *current* configuration (the power
+    /// state last switched to, if any): back to cycle zero with fresh
+    /// workload streams.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::StreamCountMismatch`] if the stream count does not
+    /// match the active core count.
+    pub fn reset(&mut self, streams: Vec<CoreStream>) -> Result<(), SimError> {
+        self.retarget(self.config, streams)
     }
 
     /// The current power state.

@@ -24,8 +24,10 @@ impl std::fmt::Display for InterconnectChoice {
 
 /// Full cluster configuration for one run.
 ///
-/// Hashable so run drivers can key reusable [`crate::Cluster`]s by
-/// configuration (see [`crate::runner::ClusterPool`]).
+/// Hashable so callers can key results (or clusters of their own) by
+/// configuration. No field changes the geometry of a cluster's arrays,
+/// which is what lets [`crate::Cluster::retarget`] take a live cluster
+/// to any other value of this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// Interconnect under test.

@@ -44,6 +44,5 @@ pub use error::SimError;
 pub use metrics::Metrics;
 pub use observe::{NullObserver, Observer};
 pub use runner::{
-    run_benchmark, run_source, run_spec, run_spec_observed, set_local_pool_capacity,
-    shrink_local_pool, ClusterPool,
+    run_benchmark, run_source, run_spec, run_spec_observed, shrink_local_pool, ClusterPool,
 };

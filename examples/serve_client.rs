@@ -21,12 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The serving core, in process (the TCP layer adds nothing to the
     // caching story): a persistent store plus the cached executor.
-    let exec = CachedExecutor::new(
-        ResultStore::open(&cache)?,
-        Fingerprint::current(),
-        None,
-        Some(32),
-    );
+    let exec = CachedExecutor::new(ResultStore::open(&cache)?, Fingerprint::current(), None);
 
     // The same request `mot3d submit --bench fft --dram all --scale
     // tiny` would put on the wire.
@@ -63,12 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The store survives restarts: reopen it and hit again.
     drop(exec);
-    let reopened = CachedExecutor::new(
-        ResultStore::open(&cache)?,
-        Fingerprint::current(),
-        None,
-        Some(32),
-    );
+    let reopened = CachedExecutor::new(ResultStore::open(&cache)?, Fingerprint::current(), None);
     let replay = reopened.run_plan(&plan, |_| Ok(()))?;
     println!(
         "after reopen: {} executed, {} cache hits",
