@@ -8,10 +8,8 @@
 //! Canned subcommands render stdout byte-identically to the binaries
 //! they replaced (pinned by `tests/plan_equivalence.rs`); machine
 //! consumers attach `--json` (JSON-lines) or `--csv` record sinks.
-//!
-//! The old `MOT3D_SCALE` / `MOT3D_THREADS` / `MOT3D_BENCH_JSON`
-//! environment variables keep working as **deprecated fallbacks** for
-//! `--scale` / `--threads` / `--bench-json`.
+//! Flags are the only way to configure a run: no environment variable
+//! is read.
 
 use crate::axes;
 use crate::experiments::{self, ExperimentScale};
@@ -22,9 +20,10 @@ use crate::report;
 use crate::sink::{AtomicFile, CsvSink, JsonLinesSink, PerfSink, RecordSink, TableSink};
 use mot3d_mem::dram::DramKind;
 use mot3d_mot::PowerState;
-use mot3d_sim::InterconnectChoice;
+use mot3d_sim::{InterconnectChoice, SimConfig};
 use mot3d_workloads::SplashBenchmark;
 use std::io;
+use std::path::{Path, PathBuf};
 
 /// Entry point for the `mot3d` binary: parses `args` (without the
 /// program name), executes the subcommand, and returns the process
@@ -129,14 +128,11 @@ COMMANDS:
 
 OPTIONS (all commands):
   --scale <factor|tiny>  run-length factor, default 0.35
-                         (deprecated fallback: MOT3D_SCALE)
   --threads <n>          worker threads, default = available parallelism
-                         (deprecated fallback: MOT3D_THREADS)
   --seed <u64>           workload seed override
   --json <path>          stream every simulated run as JSON-lines records
   --csv <path>           stream every simulated run as CSV rows
   --bench-json <path>    write the perf-trajectory document
-                         (deprecated fallback: MOT3D_BENCH_JSON)
                          (sink options need a simulating command, i.e.
                          not table1/fig5)
 
@@ -267,7 +263,10 @@ fn dram_label(dram: DramKind) -> &'static str {
 /// sinks shared by every plan of the invocation.
 struct Ctx {
     scale: ExperimentScale,
-    seed_overridden: bool,
+    /// Ablation 1's seed: the legacy `ablation` binary ran its grid at
+    /// the simulator's default seed, not the experiment seed; `--seed`
+    /// overrides either.
+    ablation_seed: u64,
     threads: Option<usize>,
     banner_threads: usize,
     recorder: Recorder,
@@ -292,34 +291,31 @@ fn max_jobs(cmd: Cmd) -> usize {
     }
 }
 
+/// The worker count a `jobs`-point grid runs on: the `--threads` pin
+/// if given, else the pool's default, never more than the jobs.
+fn resolve_threads(pinned: Option<usize>, jobs: usize) -> usize {
+    match pinned {
+        Some(t) => t.min(jobs.max(1)),
+        None => pool::worker_threads(jobs),
+    }
+}
+
+/// The per-run progress callback: stderr lines when `stream` is set.
+fn progress(stream: bool) -> fn(usize, usize, &str) {
+    if stream {
+        report::stream_progress
+    } else {
+        |_, _, _| {}
+    }
+}
+
 impl Ctx {
     fn new(cmd: Cmd, opts: &Options) -> io::Result<Self> {
-        let mut scale = match opts.scale {
-            Some(s) => s,
-            None => {
-                if std::env::var_os("MOT3D_SCALE").is_some() {
-                    eprintln!("note: MOT3D_SCALE is deprecated; prefer `mot3d <cmd> --scale <s>`");
-                }
-                ExperimentScale::from_env()
-            }
-        };
+        let mut scale = opts.scale.unwrap_or_default();
         if let Some(seed) = opts.seed {
             scale.seed = seed;
         }
-        if opts.threads.is_none() && std::env::var_os("MOT3D_THREADS").is_some() {
-            eprintln!("note: MOT3D_THREADS is deprecated; prefer `mot3d <cmd> --threads <n>`");
-        }
-        if opts.bench_json.is_none() && std::env::var_os("MOT3D_BENCH_JSON").is_some() {
-            eprintln!(
-                "note: MOT3D_BENCH_JSON is deprecated; prefer `mot3d <cmd> --bench-json <path>`"
-            );
-        }
-        let banner_threads = match opts.threads {
-            Some(t) => t,
-            None => experiments::sweep_threads(),
-        }
-        .min(max_jobs(cmd))
-        .max(1);
+        let banner_threads = resolve_threads(opts.threads, max_jobs(cmd));
         let json_sink = match &opts.json {
             Some(path) => Some(JsonLinesSink::create(path)?),
             None => None,
@@ -330,7 +326,7 @@ impl Ctx {
         };
         Ok(Ctx {
             scale,
-            seed_overridden: opts.seed.is_some(),
+            ablation_seed: opts.seed.unwrap_or(SimConfig::date16().seed),
             threads: opts.threads,
             banner_threads,
             recorder: Recorder::new(scale.scale, banner_threads),
@@ -345,16 +341,38 @@ impl Ctx {
     /// Re-clamps the reported worker count once an ad-hoc grid's job
     /// count is known, keeping the banner and the perf record honest.
     fn clamp_threads(&mut self, jobs: usize) {
-        self.banner_threads = match self.threads {
-            Some(t) => t.min(jobs.max(1)),
-            None => pool::worker_threads(jobs),
-        };
+        self.banner_threads = resolve_threads(self.threads, jobs);
         self.recorder.set_threads(self.banner_threads);
     }
 
-    /// Runs one plan through the invocation's sinks (+ a perf record
-    /// under `perf_name`, + an optional subcommand-specific sink),
-    /// streaming per-run progress lines to stderr when `stream` is set.
+    /// Hands `run` the invocation's sinks (+ a perf record under
+    /// `perf_name`, + an optional subcommand-specific sink): the one
+    /// place the sink list is assembled.
+    fn with_sinks<T>(
+        &mut self,
+        perf_name: Option<&str>,
+        extra: Option<&mut dyn RecordSink>,
+        run: impl FnOnce(&mut [&mut dyn RecordSink]) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let mut perf = perf_name.map(|name| PerfSink::new(&mut self.recorder, name));
+        let mut sinks: Vec<&mut dyn RecordSink> = Vec::new();
+        if let Some(json) = self.json_sink.as_mut() {
+            sinks.push(json);
+        }
+        if let Some(csv) = self.csv_sink.as_mut() {
+            sinks.push(csv);
+        }
+        if let Some(perf) = perf.as_mut() {
+            sinks.push(perf);
+        }
+        if let Some(extra) = extra {
+            sinks.push(extra);
+        }
+        run(&mut sinks)
+    }
+
+    /// Runs one plan through [`Ctx::with_sinks`], streaming per-run
+    /// progress lines to stderr when `stream` is set.
     fn run_plan(
         &mut self,
         plan: ExperimentPlan,
@@ -366,29 +384,13 @@ impl Ctx {
             Some(t) => plan.threads(t),
             None => plan,
         };
-        let mut perf = perf_name.map(|name| PerfSink::new(&mut self.recorder, name));
-        let mut sinks: Vec<&mut dyn RecordSink> = Vec::new();
-        if let Some(json) = self.json_sink.as_mut() {
-            sinks.push(json);
-        }
-        if let Some(csv) = self.csv_sink.as_mut() {
-            sinks.push(csv);
-        }
-        if let Some(perf) = perf.as_mut() {
-            sinks.push(perf);
-        }
-        if let Some(extra) = extra {
-            sinks.push(extra);
-        }
-        if stream {
-            plan.run_with(&mut sinks, report::stream_progress)
-        } else {
-            plan.run_with(&mut sinks, |_, _, _| {})
-        }
+        self.with_sinks(perf_name, extra, |sinks| {
+            plan.run_with(sinks, progress(stream))
+        })
     }
 
     /// [`Ctx::run_plan`] with the timeline tracer attached: one
-    /// Perfetto-loadable file per point into `trace_dir`, runs serial.
+    /// Perfetto-loadable file per point into `trace_dir`, on one worker.
     /// Returns each record with its trace file path.
     fn run_plan_traced(
         &mut self,
@@ -397,34 +399,16 @@ impl Ctx {
         stream: bool,
         extra: Option<&mut dyn RecordSink>,
         trace_dir: &str,
-    ) -> io::Result<Vec<(RunRecord, std::path::PathBuf)>> {
-        let mut perf = perf_name.map(|name| PerfSink::new(&mut self.recorder, name));
-        let mut sinks: Vec<&mut dyn RecordSink> = Vec::new();
-        if let Some(json) = self.json_sink.as_mut() {
-            sinks.push(json);
-        }
-        if let Some(csv) = self.csv_sink.as_mut() {
-            sinks.push(csv);
-        }
-        if let Some(perf) = perf.as_mut() {
-            sinks.push(perf);
-        }
-        if let Some(extra) = extra {
-            sinks.push(extra);
-        }
-        let dir = std::path::Path::new(trace_dir);
-        if stream {
-            plan.run_traced_with(dir, &mut sinks, report::stream_progress)
-        } else {
-            plan.run_traced_with(dir, &mut sinks, |_, _, _| {})
-        }
+    ) -> io::Result<Vec<(RunRecord, PathBuf)>> {
+        self.with_sinks(perf_name, extra, |sinks| {
+            plan.run_traced_with(Path::new(trace_dir), sinks, progress(stream))
+        })
     }
 
     /// Persists the record files (atomic rename into their final
-    /// names), writes the perf-trajectory document (`--bench-json`, or
-    /// the deprecated `MOT3D_BENCH_JSON`), and notes the paths. The
-    /// sinks span every plan of the invocation (`mot3d all` runs
-    /// several), so this runs once at the very end.
+    /// names), writes the perf-trajectory document (`--bench-json`), and
+    /// notes the paths. The sinks span every plan of the invocation
+    /// (`mot3d all` runs several), so this runs once at the very end.
     fn finish(&mut self) -> io::Result<()> {
         if let Some(sink) = self.json_sink.take() {
             sink.persist()?;
@@ -432,12 +416,10 @@ impl Ctx {
         if let Some(sink) = self.csv_sink.take() {
             sink.persist()?;
         }
-        if !self.recorder.sweeps().is_empty() {
-            if let Some(path) = &self.bench_json {
+        if let Some(path) = &self.bench_json {
+            if !self.recorder.sweeps().is_empty() {
                 std::fs::write(path, self.recorder.to_json())?;
                 eprintln!("bench results written to {path}");
-            } else {
-                self.recorder.write_if_requested();
             }
         }
         if let Some(path) = &self.json {
@@ -632,11 +614,11 @@ fn ablation(ctx: &mut Ctx) -> io::Result<()> {
             "{:<12} {:>10} {:>12} {:>12}",
             "state", "cycles", "EDP ratio", "time ratio"
         );
-        let grid = if ctx.seed_overridden {
-            ExperimentPlan::ablation_grid_seeded(scale, bench)
-        } else {
-            ExperimentPlan::ablation_grid(scale, bench)
+        let grid_scale = ExperimentScale {
+            seed: ctx.ablation_seed,
+            ..scale
         };
+        let grid = ExperimentPlan::ablation_grid(grid_scale, bench);
         let perf_name = format!("ablation@{bench}");
         let records = ctx.run_plan(grid, Some(&perf_name), false, None)?;
         let full = records[0].clone();
@@ -881,6 +863,17 @@ mod tests {
         assert_eq!(max_jobs(Cmd::OpenPage), 16);
         assert_eq!(max_jobs(Cmd::Ablation), 16);
         assert_eq!(max_jobs(Cmd::Table1), 1);
+    }
+
+    #[test]
+    fn ablation_pins_the_legacy_seed_unless_seeded() {
+        let seed_of = |args: &str| {
+            let (cmd, opts) = parse(&argv(args)).ok().unwrap();
+            Ctx::new(cmd, &opts).unwrap().ablation_seed
+        };
+        assert_eq!(seed_of("ablation"), SimConfig::date16().seed);
+        assert_eq!(seed_of("ablation --scale tiny"), SimConfig::date16().seed);
+        assert_eq!(seed_of("ablation --seed 9"), 9);
     }
 
     #[test]

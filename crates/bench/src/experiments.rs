@@ -1,20 +1,17 @@
 //! Experiment runners, one per paper table/figure.
 //!
+//! Table I and Fig. 5 are derived analytically ([`table1`], [`fig5`]).
 //! The simulation sweeps (Fig. 6–8, open-page) are canned
-//! [`crate::plan::ExperimentPlan`]s: each figure builds its declarative
-//! grid, executes it on the worker pool (thread count: `MOT3D_THREADS`,
-//! default = available parallelism), and folds the typed
-//! [`RunRecord`](crate::plan::RunRecord) stream back into the
-//! figure-shaped row structs the renderers consume. Every thread count,
-//! including 1, produces bit-identical rows; the `*_streamed` variants
-//! additionally report each finished cell to a progress callback.
+//! [`crate::plan::ExperimentPlan`]s: run the plan, then fold its typed
+//! [`RunRecord`] stream into the figure-shaped row structs the renderers
+//! consume — `fig6_rows(&ExperimentPlan::fig6(scale).run()?)`. Every
+//! thread count, including 1, produces bit-identical rows.
 //!
 //! The golden-equivalence suite (`tests/plan_equivalence.rs`) pins each
 //! canned plan to the legacy hand-rolled sweep loops row for row and
 //! rendered byte for byte.
 
-use crate::plan::{ExperimentPlan, RunRecord};
-use mot3d_mem::dram::DramKind;
+use crate::plan::RunRecord;
 use mot3d_mot::latency::{MotLatency, MotTimingParams};
 use mot3d_mot::topology::MotTopology;
 use mot3d_mot::PowerState;
@@ -45,9 +42,9 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parses a scale value as accepted by `mot3d … --scale` and the
-    /// deprecated `MOT3D_SCALE` variable: a positive finite factor, or
-    /// the keyword `tiny` for [`ExperimentScale::tiny`].
+    /// Parses a scale value as accepted by `mot3d … --scale`: a positive
+    /// finite factor, or the keyword `tiny` for
+    /// [`ExperimentScale::tiny`].
     ///
     /// # Errors
     ///
@@ -67,31 +64,6 @@ impl ExperimentScale {
             Err(_) => Err(format!(
                 "not a number: {trimmed:?} (expected a positive factor or \"tiny\")"
             )),
-        }
-    }
-
-    /// Reads the deprecated `MOT3D_SCALE` variable (default 0.35; see
-    /// [`ExperimentScale::default`]). A malformed value warns to stderr
-    /// **once** and falls back to the default — it is never silently
-    /// ignored. New code should pass `--scale` to the `mot3d` CLI
-    /// instead.
-    pub fn from_env() -> Self {
-        match std::env::var("MOT3D_SCALE") {
-            Err(_) => ExperimentScale::default(),
-            Ok(raw) => match ExperimentScale::parse(&raw) {
-                Ok(scale) => scale,
-                Err(why) => {
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    WARNED.call_once(|| {
-                        eprintln!(
-                            "warning: ignoring malformed MOT3D_SCALE={raw:?} ({why}); \
-                             using the default scale {}",
-                            ExperimentScale::default().scale
-                        );
-                    });
-                    ExperimentScale::default()
-                }
-            },
         }
     }
 
@@ -204,13 +176,6 @@ impl Fig6Row {
     }
 }
 
-/// Worker threads a fig6/fig7-style 8 × 4 sweep grid will use (for the
-/// CLI's banner lines; derived from the actual job count so it can't
-/// drift from the grids).
-pub fn sweep_threads() -> usize {
-    crate::pool::worker_threads(SplashBenchmark::all().len() * 4)
-}
-
 /// The interconnect order of Fig. 6.
 pub fn fig6_interconnects() -> [InterconnectChoice; 4] {
     [
@@ -221,8 +186,10 @@ pub fn fig6_interconnects() -> [InterconnectChoice; 4] {
     ]
 }
 
-/// Folds a [`ExperimentPlan::fig6`] record stream (bench-major, one
+/// Folds an [`ExperimentPlan::fig6`] record stream (bench-major, one
 /// record per interconnect) into Fig. 6 rows.
+///
+/// [`ExperimentPlan::fig6`]: crate::plan::ExperimentPlan::fig6
 pub fn fig6_rows(records: &[RunRecord]) -> Vec<Fig6Row> {
     let per_bench = fig6_interconnects().len();
     assert_eq!(records.len() % per_bench, 0, "fig6 grid must be complete");
@@ -242,25 +209,6 @@ pub fn fig6_rows(records: &[RunRecord]) -> Vec<Fig6Row> {
             }
         })
         .collect()
-}
-
-/// Runs Fig. 6: all benchmarks over all four interconnects (Full state,
-/// 200 ns DRAM), sharded across worker threads.
-pub fn fig6(scale: ExperimentScale) -> Vec<Fig6Row> {
-    fig6_streamed(scale, |_, _, _| {})
-}
-
-/// [`fig6`] with a streaming progress callback: `progress(done, total,
-/// label)` fires as each of the 8 × 4 independent runs completes
-/// (possibly concurrently from several worker threads).
-pub fn fig6_streamed(
-    scale: ExperimentScale,
-    progress: impl Fn(usize, usize, &str) + Sync,
-) -> Vec<Fig6Row> {
-    let records = ExperimentPlan::fig6(scale)
-        .run_with(&mut [], progress)
-        .expect("no sinks attached: no I/O to fail");
-    fig6_rows(&records)
 }
 
 // ----------------------------------------------------------------- Fig. 7/8
@@ -297,8 +245,10 @@ impl Fig7Row {
     }
 }
 
-/// Folds a [`ExperimentPlan::fig7_at`] record stream (bench-major, one
+/// Folds an [`ExperimentPlan::fig7_at`] record stream (bench-major, one
 /// record per power state) into Fig. 7 rows.
+///
+/// [`ExperimentPlan::fig7_at`]: crate::plan::ExperimentPlan::fig7_at
 pub fn fig7_rows(records: &[RunRecord]) -> Vec<Fig7Row> {
     let per_bench = PowerState::date16_states().len();
     assert_eq!(records.len() % per_bench, 0, "fig7 grid must be complete");
@@ -320,35 +270,10 @@ pub fn fig7_rows(records: &[RunRecord]) -> Vec<Fig7Row> {
         .collect()
 }
 
-/// Runs Fig. 7: all benchmarks over the four power states at the given
-/// DRAM option (Fig. 7 uses 200 ns; Fig. 8 reuses this at 63/42 ns),
-/// sharded across worker threads.
-pub fn fig7_at(scale: ExperimentScale, dram: DramKind) -> Vec<Fig7Row> {
-    fig7_at_streamed(scale, dram, |_, _, _| {})
-}
-
-/// [`fig7_at`] with a streaming progress callback: `progress(done,
-/// total, label)` fires as each of the 8 × 4 independent runs completes.
-pub fn fig7_at_streamed(
-    scale: ExperimentScale,
-    dram: DramKind,
-    progress: impl Fn(usize, usize, &str) + Sync,
-) -> Vec<Fig7Row> {
-    let records = ExperimentPlan::fig7_at(scale, dram)
-        .run_with(&mut [], progress)
-        .expect("no sinks attached: no I/O to fail");
-    fig7_rows(&records)
-}
-
-/// Fig. 7 proper (200 ns DRAM).
-pub fn fig7(scale: ExperimentScale) -> Vec<Fig7Row> {
-    fig7_at(scale, DramKind::OffChipDdr3)
-}
-
 // Fig. 8 is the same power-state sweep at the two on-chip DRAM
 // latencies: the `fig8` and `all` subcommands run
-// [`ExperimentPlan::fig8_at`] with [`DramKind::WideIo`] and
-// [`DramKind::Weis3d`] so each half can be timed separately.
+// `ExperimentPlan::fig8_at` with `DramKind::WideIo` and
+// `DramKind::Weis3d` so each half can be timed separately.
 
 // ------------------------------------------------------------- Open page
 
@@ -377,8 +302,10 @@ impl OpenPageRow {
     }
 }
 
-/// Folds a [`ExperimentPlan::open_page_at`] record stream (bench-major,
+/// Folds an [`ExperimentPlan::open_page_at`] record stream (bench-major,
 /// flat then open-page) into open-page rows.
+///
+/// [`ExperimentPlan::open_page_at`]: crate::plan::ExperimentPlan::open_page_at
 pub fn open_page_rows(records: &[RunRecord]) -> Vec<OpenPageRow> {
     assert_eq!(records.len() % 2, 0, "open-page grid must be complete");
     records
@@ -391,18 +318,6 @@ pub fn open_page_rows(records: &[RunRecord]) -> Vec<OpenPageRow> {
             open_edp: chunk[1].derived.edp_js,
         })
         .collect()
-}
-
-/// Fig. 8-style open-page sweep (ROADMAP item): all benchmarks under
-/// flat vs open-page DRAM timing at the given DRAM option (Full
-/// connection), sharded across worker threads. Row-locality-heavy
-/// programs gain from the open row; row-thrashing ones pay the conflict
-/// penalty — the regression test pins the winning case.
-pub fn open_page_at(scale: ExperimentScale, dram: DramKind) -> Vec<OpenPageRow> {
-    let records = ExperimentPlan::open_page_at(scale, dram)
-        .run()
-        .expect("no sinks attached: no I/O to fail");
-    open_page_rows(&records)
 }
 
 /// Mean of a per-benchmark statistic over a named group.
@@ -428,6 +343,8 @@ pub fn group_max(rows: &[Fig7Row], group: &[SplashBenchmark], f: impl Fn(&Fig7Ro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ExperimentPlan;
+    use mot3d_mem::dram::DramKind;
     use mot3d_sim::{run_benchmark, Metrics, SimConfig};
 
     fn base_config(seed: u64) -> SimConfig {
@@ -477,9 +394,8 @@ mod tests {
 
     #[test]
     fn scale_parse_rejects_malformed_values() {
-        // The malformed-MOT3D_SCALE path: every one of these must be
-        // reported (from_env warns once and falls back to the default),
-        // never silently clamped or ignored.
+        // Every one of these must be reported, never silently clamped
+        // or ignored.
         for bad in ["", "huge", "0", "-1", "0x10", "nan", "inf", "-inf"] {
             let err = ExperimentScale::parse(bad);
             assert!(err.is_err(), "{bad:?} must be rejected, got {err:?}");
@@ -494,11 +410,14 @@ mod tests {
     fn parallel_sweep_matches_serial_bit_for_bit() {
         // The sharded harness must be invisible in the results: the
         // threaded sweep must reproduce a plain serial loop bit-for-bit.
-        // (The serial reference is computed inline — no env-var games,
-        // which would race with concurrent tests reading MOT3D_THREADS.)
         let scale = ExperimentScale::tiny();
         let dram = DramKind::Weis3d;
-        let parallel = fig7_at(scale, dram);
+        let parallel = fig7_rows(
+            &ExperimentPlan::fig7_at(scale, dram)
+                .threads(4)
+                .run()
+                .unwrap(),
+        );
         let serial: Vec<Fig7Row> = SplashBenchmark::all()
             .iter()
             .map(|bench| {
@@ -561,7 +480,8 @@ mod tests {
 
     #[test]
     fn open_page_sweep_covers_all_benchmarks() {
-        let rows = open_page_at(ExperimentScale::tiny(), DramKind::OffChipDdr3);
+        let plan = ExperimentPlan::open_page_at(ExperimentScale::tiny(), DramKind::OffChipDdr3);
+        let rows = open_page_rows(&plan.run().unwrap());
         assert_eq!(rows.len(), 8);
         for r in &rows {
             assert!(r.flat_cycles > 0 && r.open_cycles > 0, "{}", r.bench);
@@ -571,7 +491,7 @@ mod tests {
 
     #[test]
     fn fig6_tiny_run_has_mot_winning() {
-        let rows = fig6(ExperimentScale::tiny());
+        let rows = fig6_rows(&ExperimentPlan::fig6(ExperimentScale::tiny()).run().unwrap());
         assert_eq!(rows.len(), 8);
         let mean_reduction: f64 =
             rows.iter().map(|r| r.mot_reduction_vs(0)).sum::<f64>() / rows.len() as f64;

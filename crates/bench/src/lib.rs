@@ -33,9 +33,9 @@
 //!
 //! `--json <path>` / `--csv <path>` attach machine-readable record
 //! sinks; `--bench-json <path>` writes per-sweep perf timings
-//! ([`perf`]) for the trajectory tracking described in the README. The
-//! pre-CLI environment variables (`MOT3D_SCALE`, `MOT3D_THREADS`,
-//! `MOT3D_BENCH_JSON`) remain supported as deprecated fallbacks.
+//! ([`perf`]) for the trajectory tracking described in the README.
+//! Flags are the only configuration channel: the crate reads no
+//! environment variable.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -51,8 +51,7 @@ pub mod report;
 pub mod sink;
 
 pub use experiments::{
-    fig5, fig6, fig7, fig7_at, open_page_at, table1, ExperimentScale, Fig5Row, Fig6Row, Fig7Row,
-    OpenPageRow, Table1Row,
+    fig5, table1, ExperimentScale, Fig5Row, Fig6Row, Fig7Row, OpenPageRow, Table1Row,
 };
 pub use plan::{ExperimentPlan, RunPoint, RunRecord};
 pub use sink::{CsvSink, JsonLinesSink, PerfSink, RecordSink, TableSink};

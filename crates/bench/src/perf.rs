@@ -1,17 +1,20 @@
-//! Machine-readable performance tracking (`MOT3D_BENCH_JSON`).
+//! Machine-readable performance tracking (`--bench-json`).
 //!
-//! The experiment binaries time every sweep they run; when the
-//! `MOT3D_BENCH_JSON` environment variable names a path, they write a
-//! small JSON document there — per-sweep wall-clock, run scale, worker
-//! thread count, and an FNV-1a checksum of each rendered table. The
-//! checksum pins *what* was computed (bit-identical tables hash equal),
-//! so a perf trajectory assembled from these files can tell a genuine
-//! regression apart from a workload change. CI uploads the file as an
-//! artifact; see README "Performance".
+//! The `mot3d` CLI times every sweep it runs; with `--bench-json
+//! <path>` it writes a small JSON document there — per-sweep
+//! wall-clock, run scale, worker thread count, and an FNV-1a checksum
+//! of each sweep's record stream. The checksum pins *what* was computed
+//! (bit-identical sweeps hash equal), so a perf trajectory assembled
+//! from these files can tell a genuine regression apart from a workload
+//! change. CI uploads the file as an artifact; see README
+//! "Performance".
 //!
-//! No external dependencies: the JSON is assembled by hand (the schema
-//! is flat), keeping the offline build self-contained.
+//! The document is a `writeln!` template (its layout is what the
+//! committed `BENCH_results.json` looks like);
+//! [`crate::perfcheck::parse_baseline`] reads it back.
 
+use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
+use mot3d_phys::json::json_string;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -70,7 +73,8 @@ impl Recorder {
     /// Records one finished sweep: its wall-clock time, row count, and
     /// the rendered table it produced (checksummed, not stored).
     pub fn add(&mut self, name: &str, wall: Duration, rows: usize, rendered_table: &str) {
-        self.add_raw(name, wall, rows, fnv1a64(rendered_table.as_bytes()));
+        let checksum = fnv1a64_fold(FNV_OFFSET, rendered_table.as_bytes());
+        self.add_raw(name, wall, rows, checksum);
     }
 
     /// [`Recorder::add`] with a precomputed FNV-1a checksum — used by
@@ -114,71 +118,11 @@ impl Recorder {
         let _ = writeln!(out, "}}");
         out
     }
-
-    /// Writes the JSON to the path named by `MOT3D_BENCH_JSON`, if set.
-    /// Returns the path written, or `None` when the variable is unset.
-    /// I/O errors are reported to stderr but never fail the run — perf
-    /// tracking must not break result generation.
-    pub fn write_if_requested(&self) -> Option<String> {
-        let path = std::env::var("MOT3D_BENCH_JSON").ok()?;
-        if path.is_empty() {
-            return None;
-        }
-        match std::fs::write(&path, self.to_json()) {
-            Ok(()) => {
-                eprintln!("bench results written to {path}");
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("could not write MOT3D_BENCH_JSON={path}: {e}");
-                None
-            }
-        }
-    }
-}
-
-/// The FNV-1a 64-bit offset basis (re-exported from the workspace's
-/// single FNV implementation in `mot3d_phys::fnv`, which the
-/// deterministic hash collections also use).
-pub(crate) use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
-
-/// FNV-1a over bytes: tiny, dependency-free, stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_fold(FNV_OFFSET, bytes)
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn identical_tables_hash_equal_different_tables_do_not() {
@@ -217,21 +161,5 @@ mod tests {
             json.matches("}},").count() + json.matches("\"}},").count(),
             0
         );
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("plain"), "\"plain\"");
-    }
-
-    #[test]
-    fn unset_env_writes_nothing() {
-        // (Cannot set the var here without racing parallel tests; the
-        // unset path must simply return None.)
-        let rec = Recorder::new(1.0, 1);
-        if std::env::var("MOT3D_BENCH_JSON").is_err() {
-            assert_eq!(rec.write_if_requested(), None);
-        }
     }
 }

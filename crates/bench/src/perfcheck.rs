@@ -16,16 +16,16 @@
 //!   checksum-only at tiny scale — wall time on shared runners is
 //!   noise, but bit-identical reruns are not negotiable.
 //!
-//! The baseline parser is deliberately minimal: it reads the flat
-//! schema-1 documents [`crate::perf::Recorder::to_json`] writes (and
-//! nothing more general), keeping the build offline and free of a JSON
-//! dependency.
+//! The baseline is read with the workspace's JSON reader
+//! ([`mot3d_phys::json`]), so anything [`Recorder::to_json`] can write —
+//! a sweep name with quotes or braces in it included — reads back.
 
 use crate::experiments::ExperimentScale;
 use crate::perf::{Recorder, SweepRecord};
 use crate::plan::ExperimentPlan;
 use crate::sink::{PerfSink, RecordSink};
 use mot3d_mem::dram::DramKind;
+use mot3d_phys::json::{self, JsonValue};
 
 /// A parsed `BENCH_results.json` document.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,84 +45,57 @@ pub struct Baseline {
 ///
 /// Returns a message naming the missing or malformed field.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let schema = extract_num(text, "schema").ok_or("missing \"schema\"")?;
-    if schema != 1.0 {
+    let doc = json::parse(text)?;
+    let schema = count(&doc, "schema")?;
+    if schema != 1 {
         return Err(format!("unsupported schema {schema} (expected 1)"));
     }
-    let scale = extract_num(text, "scale").ok_or("missing \"scale\"")?;
-    let threads = extract_num(text, "threads").ok_or("missing \"threads\"")? as usize;
-    let array = text
-        .find("\"sweeps\"")
-        .and_then(|i| {
-            let open = text[i..].find('[')? + i;
-            let close = text[open..].find(']')? + open;
-            Some(&text[open + 1..close])
+    let sweeps = field(&doc, "sweeps")?
+        .as_array()
+        .ok_or("\"sweeps\" is not an array")?
+        .iter()
+        .map(|sweep| {
+            Ok(SweepRecord {
+                name: string(sweep, "name")?,
+                wall_s: float(sweep, "wall_s")?,
+                rows: count(sweep, "rows")?,
+                checksum: string(sweep, "checksum")?,
+            })
         })
-        .ok_or("missing \"sweeps\" array")?;
-    let mut sweeps = Vec::new();
-    for obj in split_objects(array) {
-        sweeps.push(SweepRecord {
-            name: extract_str(obj, "name").ok_or("sweep without \"name\"")?,
-            wall_s: extract_num(obj, "wall_s").ok_or("sweep without \"wall_s\"")?,
-            rows: extract_num(obj, "rows").ok_or("sweep without \"rows\"")? as usize,
-            checksum: extract_str(obj, "checksum").ok_or("sweep without \"checksum\"")?,
-        });
-    }
+        .collect::<Result<Vec<_>, String>>()?;
     if sweeps.is_empty() {
         return Err("baseline records no sweeps".to_string());
     }
     Ok(Baseline {
-        scale,
-        threads,
+        scale: float(&doc, "scale")?,
+        threads: count(&doc, "threads")?,
         sweeps,
     })
 }
 
-/// Top-level `{…}` object slices inside an array body (no nested
-/// objects or braces-in-strings in this schema, so depth counting is
-/// exact).
-fn split_objects(array: &str) -> Vec<&str> {
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in array.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    objects.push(&array[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    objects
+fn field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
+    obj.get(key).ok_or_else(|| format!("missing {key:?}"))
 }
 
-fn extract_num(text: &str, key: &str) -> Option<f64> {
-    let rest = after_key(text, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+fn float(obj: &JsonValue, key: &str) -> Result<f64, String> {
+    field(obj, key)?
+        .num_text()
+        .and_then(|raw| raw.parse().ok())
+        .ok_or_else(|| format!("{key:?} is not a number"))
 }
 
-fn extract_str(text: &str, key: &str) -> Option<String> {
-    let rest = after_key(text, key)?;
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
+fn count(obj: &JsonValue, key: &str) -> Result<usize, String> {
+    field(obj, key)?
+        .as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| format!("{key:?} is not an unsigned integer"))
 }
 
-fn after_key<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":");
-    let idx = text.find(&pat)? + pat.len();
-    Some(text[idx..].trim_start())
+fn string(obj: &JsonValue, key: &str) -> Result<String, String> {
+    field(obj, key)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("{key:?} is not a string"))
 }
 
 /// The canned plan a baseline sweep name corresponds to, or `None` for
@@ -442,8 +415,30 @@ mod tests {
     }
 
     #[test]
+    fn sweep_names_with_json_metacharacters_round_trip() {
+        // Everything `to_json` escapes and writes correctly must read
+        // back: quotes, backslashes, the brackets a brace counter trips
+        // over, and a key look-alike inside the string.
+        let names = [
+            "say \"hi\"",
+            "back\\slash",
+            "close } and ] early",
+            "decoy \"wall_s\": 9, \"rows\": 7",
+        ];
+        let mut rec = Recorder::new(0.35, 1);
+        for (i, name) in names.iter().enumerate() {
+            rec.add_raw(name, Duration::from_millis(125), i + 1, i as u64);
+        }
+        let b = parse_baseline(&rec.to_json()).unwrap();
+        assert_eq!(b.sweeps, rec.sweeps());
+        assert_eq!(b.sweeps[3].name, names[3]);
+        assert_eq!(b.sweeps[3].rows, 4);
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         assert!(parse_baseline("{}").is_err());
+        assert!(parse_baseline("not json").is_err());
         assert!(parse_baseline("{\"schema\": 2, \"scale\": 1, \"threads\": 1}").is_err());
         let empty = "{\"schema\": 1, \"scale\": 1, \"threads\": 1, \"sweeps\": []}";
         assert!(parse_baseline(empty).is_err());

@@ -47,8 +47,11 @@ use crate::sink::{PlanMeta, RecordSink};
 use mot3d_mem::dram::DramKind;
 use mot3d_mot::PowerState;
 use mot3d_sim::{run_spec, InterconnectChoice, Metrics, SimConfig};
+use mot3d_trace::TraceError;
 use mot3d_workloads::{SplashBenchmark, WorkloadSource, WorkloadSpec};
 use std::collections::BTreeMap;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -232,9 +235,9 @@ impl ExperimentPlan {
         self
     }
 
-    /// Pins the worker-thread count (default: the `MOT3D_THREADS` /
-    /// available-parallelism resolution of [`pool::worker_threads`]).
-    /// Results are bit-identical for every choice.
+    /// Pins the worker-thread count (default:
+    /// [`pool::worker_threads`], the available parallelism). Results
+    /// are bit-identical for every choice.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -320,7 +323,7 @@ impl ExperimentPlan {
     ///
     /// Returns `InvalidInput` when the plan fails
     /// [`ExperimentPlan::check`]; there are no sinks to fail.
-    pub fn run(&self) -> std::io::Result<Vec<RunRecord>> {
+    pub fn run(&self) -> io::Result<Vec<RunRecord>> {
         self.run_with(&mut [], |_, _, _| {})
     }
 
@@ -352,9 +355,76 @@ impl ExperimentPlan {
         &self,
         sinks: &mut [&mut dyn RecordSink],
         progress: impl Fn(usize, usize, &str) + Sync,
-    ) -> std::io::Result<Vec<RunRecord>> {
+    ) -> io::Result<Vec<RunRecord>> {
+        self.drive(self.threads, sinks, progress, |p| {
+            Ok(run_spec(&p.spec, &p.config).unwrap_or_else(|e| panic!("{}: {e}", p.label())))
+        })
+    }
+
+    /// [`ExperimentPlan::run_with`] with a tracer attached to every
+    /// point: writes one Perfetto-loadable trace file per [`RunPoint`]
+    /// into `trace_dir` (created if needed), named by
+    /// [`mot3d_trace::trace_file_name`] of the point's label. Records
+    /// stream through the sinks in expansion order exactly as the
+    /// untraced path does — and because tracing is observation-only,
+    /// they are bit-identical to the untraced run's (pinned by
+    /// `tests/trace_equivalence.rs`). Points run on one worker: a deep
+    /// dive trades throughput for trace files that appear in expansion
+    /// order, one at a time.
+    ///
+    /// Returns the records plus the trace file path of each point, in
+    /// expansion order.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput` when the plan fails
+    /// [`ExperimentPlan::check`], or the first trace/sink I/O error
+    /// (as [`ExperimentPlan::run_with`]: no further records are written).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator rejects a point (as
+    /// [`ExperimentPlan::run_with`] does); the partial trace of the
+    /// failing point is sealed and kept for diagnosis.
+    pub fn run_traced_with(
+        &self,
+        trace_dir: &Path,
+        sinks: &mut [&mut dyn RecordSink],
+        progress: impl Fn(usize, usize, &str) + Sync,
+    ) -> io::Result<Vec<(RunRecord, PathBuf)>> {
+        std::fs::create_dir_all(trace_dir)?;
+        let path_of = |p: &RunPoint| trace_dir.join(mot3d_trace::trace_file_name(&p.label()));
+        let records = self.drive(Some(1), sinks, progress, |p| {
+            let traced = mot3d_trace::trace_spec(&p.spec, &p.config, path_of(p));
+            match traced {
+                Ok((metrics, _summary)) => Ok(metrics),
+                Err(TraceError::Io(e)) => Err(e),
+                Err(TraceError::Sim(e)) => panic!("{}: {e}", p.label()),
+            }
+        })?;
+        Ok(records
+            .into_iter()
+            .map(|record| {
+                let path = path_of(&record.point);
+                (record, path)
+            })
+            .collect())
+    }
+
+    /// The one driver behind [`ExperimentPlan::run_with`] and
+    /// [`ExperimentPlan::run_traced_with`]: check, expand, `begin` every
+    /// sink, run each point through `run_point` on `threads` workers
+    /// (default: [`pool::worker_threads`]), stream the records through
+    /// the sinks in expansion order, `finish`.
+    fn drive(
+        &self,
+        threads: Option<usize>,
+        sinks: &mut [&mut dyn RecordSink],
+        progress: impl Fn(usize, usize, &str) + Sync,
+        run_point: impl Fn(&RunPoint) -> io::Result<Metrics> + Sync,
+    ) -> io::Result<Vec<RunRecord>> {
         if let Err(msg) = self.check() {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         }
         let points = self.points();
         let total = points.len();
@@ -367,7 +437,7 @@ impl ExperimentPlan {
         for sink in sinks.iter_mut() {
             sink.begin(&meta)?;
         }
-        let threads = self.threads.unwrap_or_else(|| pool::worker_threads(total));
+        let threads = threads.unwrap_or_else(|| pool::worker_threads(total));
         let done = AtomicUsize::new(0);
         let emitter = Mutex::new(Emitter {
             next: 0,
@@ -378,13 +448,11 @@ impl ExperimentPlan {
         let records = pool::parallel_map_streamed_on(
             threads,
             total,
-            |i| {
-                let p = &points[i];
-                let metrics =
-                    run_spec(&p.spec, &p.config).unwrap_or_else(|e| panic!("{}: {e}", p.label()));
-                RunRecord::new(p.clone(), metrics)
-            },
+            |i| run_point(&points[i]).map(|metrics| RunRecord::new(points[i].clone(), metrics)),
             |i, record| {
+                // A point that failed is never emitted, so the sinks
+                // stop at the record before it.
+                let Ok(record) = record else { return };
                 let k = done.fetch_add(1, Ordering::Relaxed) + 1;
                 progress(k, total, &points[i].label());
                 emitter
@@ -397,76 +465,10 @@ impl ExperimentPlan {
         if let Some(err) = emitter.err.take() {
             return Err(err);
         }
+        let records = records.into_iter().collect::<io::Result<Vec<_>>>()?;
         for sink in emitter.sinks.iter_mut() {
             sink.finish()?;
         }
-        Ok(records)
-    }
-
-    /// [`ExperimentPlan::run_with`] with a tracer attached to every
-    /// point: writes one Perfetto-loadable trace file per [`RunPoint`]
-    /// into `trace_dir` (created if needed), named by
-    /// [`mot3d_trace::trace_file_name`] of the point's label. Records
-    /// stream through the sinks in expansion order exactly as the
-    /// untraced path does — and because tracing is observation-only,
-    /// they are bit-identical to the untraced run's (pinned by
-    /// `tests/trace_equivalence.rs`). Points run serially: a deep dive
-    /// trades throughput for one coherent timeline per file.
-    ///
-    /// Returns the records plus the trace file path of each point, in
-    /// expansion order.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidInput` when the plan fails
-    /// [`ExperimentPlan::check`], or the first trace/sink I/O error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator rejects a point (as
-    /// [`ExperimentPlan::run_with`] does); the partial trace of the
-    /// failing point is sealed and kept for diagnosis.
-    pub fn run_traced_with(
-        &self,
-        trace_dir: &std::path::Path,
-        sinks: &mut [&mut dyn RecordSink],
-        progress: impl Fn(usize, usize, &str),
-    ) -> std::io::Result<Vec<(RunRecord, std::path::PathBuf)>> {
-        if let Err(msg) = self.check() {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
-        }
-        std::fs::create_dir_all(trace_dir)?;
-        let points = self.points();
-        let total = points.len();
-        let meta = PlanMeta {
-            plan: &self.name,
-            points: total,
-            scale: self.scale.scale,
-            seed: self.scale.seed,
-        };
-        for sink in sinks.iter_mut() {
-            sink.begin(&meta)?;
-        }
-        let mut records = Vec::with_capacity(total);
-        for (i, p) in points.iter().enumerate() {
-            let path = trace_dir.join(mot3d_trace::trace_file_name(&p.label()));
-            let metrics = match mot3d_trace::trace_spec(&p.spec, &p.config, &path) {
-                Ok((metrics, _summary)) => metrics,
-                Err(mot3d_trace::TraceError::Io(e)) => return Err(e),
-                Err(mot3d_trace::TraceError::Sim(e)) => panic!("{}: {e}", p.label()),
-            };
-            let record = RunRecord::new(p.clone(), metrics);
-            progress(i + 1, total, &p.label());
-            for sink in sinks.iter_mut() {
-                sink.record(&record)?;
-            }
-            records.push((record, path));
-        }
-        for sink in sinks.iter_mut() {
-            sink.finish()?;
-        }
-        // Traced runs use fresh clusters (observer state is per-run),
-        // so there is no pool growth to shrink back here.
         Ok(records)
     }
 }
@@ -477,7 +479,7 @@ struct Emitter<'a, 'b> {
     next: usize,
     pending: BTreeMap<usize, RunRecord>,
     sinks: &'a mut [&'b mut dyn RecordSink],
-    err: Option<std::io::Error>,
+    err: Option<io::Error>,
 }
 
 impl Emitter<'_, '_> {
@@ -549,22 +551,8 @@ impl ExperimentPlan {
     }
 
     /// Ablation 1's full power-of-two power-state grid for one program
-    /// (PC{16,8,4} × MB{32,16,8}, 200 ns DRAM). Uses the simulator's
-    /// default seed, like the legacy `ablation` binary; use
-    /// [`ExperimentPlan::ablation_grid_seeded`] to sweep another seed.
+    /// (PC{16,8,4} × MB{32,16,8}, 200 ns DRAM).
     pub fn ablation_grid(scale: ExperimentScale, bench: SplashBenchmark) -> Self {
-        Self::ablation_grid_seeded(
-            ExperimentScale {
-                seed: SimConfig::date16().seed,
-                ..scale
-            },
-            bench,
-        )
-    }
-
-    /// [`ExperimentPlan::ablation_grid`] honouring `scale.seed` (the
-    /// `mot3d ablation --seed` path).
-    pub fn ablation_grid_seeded(scale: ExperimentScale, bench: SplashBenchmark) -> Self {
         let states = [16usize, 8, 4].iter().flat_map(|&cores| {
             [32usize, 16, 8].map(|banks| {
                 PowerState::new(cores, banks).expect("powers of two within the cluster")
@@ -674,10 +662,18 @@ mod tests {
 
     #[test]
     fn ablation_grid_pins_the_legacy_seed_unless_seeded() {
+        // One constructor, seeded by its scale like every canned plan:
+        // the legacy pin is a seed the caller passes (`mot3d ablation`
+        // without `--seed` does).
         let tiny = ExperimentScale::tiny();
-        let legacy = ExperimentPlan::ablation_grid(tiny, SplashBenchmark::Fft).points();
-        assert_eq!(legacy[0].config.seed, SimConfig::date16().seed);
-        let seeded = ExperimentPlan::ablation_grid_seeded(tiny, SplashBenchmark::Fft).points();
+        let legacy_seed = SimConfig::date16().seed;
+        let pinned = ExperimentScale {
+            seed: legacy_seed,
+            ..tiny
+        };
+        let legacy = ExperimentPlan::ablation_grid(pinned, SplashBenchmark::Fft).points();
+        assert_eq!(legacy[0].config.seed, legacy_seed);
+        let seeded = ExperimentPlan::ablation_grid(tiny, SplashBenchmark::Fft).points();
         assert_eq!(seeded[0].config.seed, tiny.seed);
         assert_eq!(seeded.len(), legacy.len());
     }

@@ -11,65 +11,29 @@
 //! [`mot3d_sim::runner::ClusterPool`] (via [`mot3d_sim::run_spec`]): one
 //! cluster, re-targeted from cell to cell instead of rebuilt.
 //!
-//! Worker count comes from the `MOT3D_THREADS` environment variable,
-//! defaulting to the machine's available parallelism. Results are
-//! bit-identical for every thread count, including 1.
+//! The caller names the worker count ([`parallel_map_streamed_on`]);
+//! [`worker_threads`] is the default it resolves to when none was asked
+//! for. Results are bit-identical for every thread count, including 1.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Resolves the worker-thread count for `jobs` independent jobs:
-/// `MOT3D_THREADS` if set (minimum 1), otherwise the machine's available
-/// parallelism, never more than the number of jobs.
+/// The default worker-thread count for `jobs` independent jobs: the
+/// machine's available parallelism, never more than the number of jobs.
 pub fn worker_threads(jobs: usize) -> usize {
-    let configured = std::env::var("MOT3D_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t > 0);
-    let hw = std::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    configured.unwrap_or(hw).min(jobs.max(1))
+        .unwrap_or(1)
+        .min(jobs.max(1))
 }
 
-/// Runs `jobs` independent jobs `f(0..jobs)` across [`worker_threads`]
-/// scoped threads and returns the results in index order (bit-identical
-/// to `(0..jobs).map(f).collect()` for deterministic `f`).
-///
-/// # Panics
-///
-/// Propagates a panic from any job once all workers have stopped.
-pub fn parallel_map<T, F>(jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_streamed(jobs, f, |_, _| {})
-}
-
-/// [`parallel_map`] that additionally calls `on_done(index, &result)` as
-/// each job completes (in completion order, possibly concurrently from
-/// several workers) — the streaming hook the experiment binaries use for
-/// progress reporting.
-///
-/// # Panics
-///
-/// Propagates a panic from any job once all workers have stopped.
-pub fn parallel_map_streamed<T, F, C>(jobs: usize, f: F, on_done: C) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    C: Fn(usize, &T) + Sync,
-{
-    parallel_map_streamed_on(worker_threads(jobs), jobs, f, on_done)
-}
-
-/// [`parallel_map_streamed`] with an **explicit** worker count instead of
-/// the `MOT3D_THREADS`/parallelism default — the hook that lets an
-/// [`crate::plan::ExperimentPlan`] pin its thread count without touching
-/// global state (and lets tests prove thread-count invariance without
-/// racing on environment variables). `threads` is clamped to at least 1
-/// and at most `jobs`.
+/// Runs `jobs` independent jobs `f(0..jobs)` on `threads` scoped worker
+/// threads (clamped to at least 1 and at most `jobs`) and returns the
+/// results in index order — bit-identical to `(0..jobs).map(f).collect()`
+/// for deterministic `f`. `on_done(index, &result)` is called as each
+/// job completes (in completion order, possibly concurrently from
+/// several workers): the streaming hook behind progress reporting and
+/// in-order record emission.
 ///
 /// # Panics
 ///
@@ -124,20 +88,22 @@ mod tests {
 
     #[test]
     fn preserves_index_order() {
-        let out = parallel_map(64, |i| i * i);
+        let out = parallel_map_streamed_on(4, 64, |i| i * i, |_, _| {});
         assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn handles_zero_and_one_job() {
-        assert_eq!(parallel_map(0, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, |i| i + 10), vec![10]);
+        let run = |jobs| parallel_map_streamed_on(4, jobs, |i| i + 10, |_, _| {});
+        assert_eq!(run(0), Vec::<usize>::new());
+        assert_eq!(run(1), vec![10]);
     }
 
     #[test]
     fn streams_every_completion_exactly_once() {
         let seen = Mutex::new(vec![0u32; 32]);
-        let out = parallel_map_streamed(
+        let out = parallel_map_streamed_on(
+            4,
             32,
             |i| i,
             |i, r| {

@@ -22,8 +22,10 @@
 //! atomic rename on [`AtomicFile::persist`]), so an interrupted run can
 //! never leave a truncated `--json`/`--csv` output behind.
 
-use crate::perf::{fnv1a64_fold, json_string, Recorder, FNV_OFFSET};
+use crate::perf::Recorder;
 use crate::plan::RunRecord;
+use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
+use mot3d_phys::json::json_string;
 use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};

@@ -5,13 +5,13 @@
 //!
 //! The serial references below are verbatim ports of the pre-plan
 //! per-figure loops (`fig6`, `fig7_at`, `open_page_at` as they were
-//! before the API redesign): a plain `run_benchmark` loop in the same
+//! before the plan API): a plain `run_benchmark` loop in the same
 //! cell order, no pool, no plan. If a plan refactor ever reorders a
 //! grid or perturbs a configuration, these tests catch it at
 //! `ExperimentScale::tiny()`.
 
 use mot3d_bench::experiments::{
-    fig6, fig6_interconnects, fig7_at, fig7_rows, open_page_at, ExperimentScale, Fig6Row, Fig7Row,
+    fig6_interconnects, fig6_rows, fig7_rows, open_page_rows, ExperimentScale, Fig6Row, Fig7Row,
     OpenPageRow,
 };
 use mot3d_bench::plan::ExperimentPlan;
@@ -20,6 +20,11 @@ use mot3d_mem::dram::DramKind;
 use mot3d_mot::PowerState;
 use mot3d_sim::{run_benchmark, Metrics, SimConfig};
 use mot3d_workloads::SplashBenchmark;
+
+/// The canned Fig. 7-shape plan, run and folded into rows.
+fn planned_fig7_at(scale: ExperimentScale, dram: DramKind) -> Vec<Fig7Row> {
+    fig7_rows(&ExperimentPlan::fig7_at(scale, dram).run().unwrap())
+}
 
 fn base_config(seed: u64) -> SimConfig {
     let mut cfg = SimConfig::date16();
@@ -106,7 +111,7 @@ fn legacy_open_page_at(scale: ExperimentScale, dram: DramKind) -> Vec<OpenPageRo
 fn fig6_plan_reproduces_the_legacy_rows_and_table() {
     let scale = ExperimentScale::tiny();
     let legacy = legacy_fig6(scale);
-    let planned = fig6(scale);
+    let planned = fig6_rows(&ExperimentPlan::fig6(scale).run().unwrap());
     assert_eq!(legacy, planned, "fig6 rows must be bit-identical");
     assert_eq!(
         report::render_fig6(&legacy),
@@ -119,7 +124,7 @@ fn fig6_plan_reproduces_the_legacy_rows_and_table() {
 fn fig7_plan_reproduces_the_legacy_rows_and_table() {
     let scale = ExperimentScale::tiny();
     let legacy = legacy_fig7_at(scale, DramKind::OffChipDdr3);
-    let planned = fig7_at(scale, DramKind::OffChipDdr3);
+    let planned = planned_fig7_at(scale, DramKind::OffChipDdr3);
     assert_eq!(legacy, planned, "fig7 rows must be bit-identical");
     assert_eq!(
         report::render_fig7(&legacy, "200 ns"),
@@ -141,7 +146,7 @@ fn fig8_plans_reproduce_the_legacy_rows_and_tables() {
         (DramKind::Weis3d, "42 ns (Weis 3-D)"),
     ] {
         let legacy = legacy_fig7_at(scale, dram);
-        let planned = fig7_at(scale, dram);
+        let planned = planned_fig7_at(scale, dram);
         assert_eq!(legacy, planned, "fig8 rows must be bit-identical @ {label}");
         assert_eq!(
             report::render_fig7(&legacy, label),
@@ -155,7 +160,8 @@ fn fig8_plans_reproduce_the_legacy_rows_and_tables() {
 fn open_page_plan_reproduces_the_legacy_rows_and_table() {
     let scale = ExperimentScale::tiny();
     let legacy = legacy_open_page_at(scale, DramKind::OffChipDdr3);
-    let planned = open_page_at(scale, DramKind::OffChipDdr3);
+    let plan = ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3);
+    let planned = open_page_rows(&plan.run().unwrap());
     assert_eq!(legacy, planned, "open-page rows must be bit-identical");
     assert_eq!(
         report::render_open_page(&legacy, "200 ns"),
@@ -166,8 +172,8 @@ fn open_page_plan_reproduces_the_legacy_rows_and_table() {
 
 #[test]
 fn plan_expansion_and_results_are_invariant_under_thread_count() {
-    // The property the old suite pinned via MOT3D_THREADS, now provable
-    // without env-var races: the plan pins its worker count explicitly.
+    // The plan pins its worker count explicitly, so the property needs
+    // no global state.
     let scale = ExperimentScale::tiny();
     let reference_points = ExperimentPlan::fig7(scale).points();
     let reference = ExperimentPlan::fig7(scale).threads(1).run().unwrap();
@@ -184,15 +190,24 @@ fn plan_expansion_and_results_are_invariant_under_thread_count() {
             "records must be bit-identical at threads = {threads}"
         );
     }
-    // And the figure-shaped fold sees the same thing.
-    assert_eq!(fig7_rows(&reference), fig7_at(scale, DramKind::OffChipDdr3));
+    // And the figure-shaped fold of a default-threaded run sees the
+    // same thing.
+    assert_eq!(
+        fig7_rows(&reference),
+        planned_fig7_at(scale, DramKind::OffChipDdr3)
+    );
 }
 
 #[test]
 fn ablation_grid_first_cell_is_the_full_connection_baseline() {
     // The ablation presenter normalises every row to records[0]; that
-    // cell must be exactly the legacy `SimConfig::date16()` run.
-    let plan = ExperimentPlan::ablation_grid(ExperimentScale::tiny(), SplashBenchmark::Fft);
+    // cell must be exactly the legacy `SimConfig::date16()` run when
+    // the grid is given that run's seed (as `mot3d ablation` does).
+    let scale = ExperimentScale {
+        seed: SimConfig::date16().seed,
+        ..ExperimentScale::tiny()
+    };
+    let plan = ExperimentPlan::ablation_grid(scale, SplashBenchmark::Fft);
     let points = plan.points();
     assert_eq!(points.len(), 9);
     assert_eq!(points[0].config, SimConfig::date16());

@@ -80,6 +80,11 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// Directives in source order.
     pub directives: Vec<Directive>,
+    /// Every line a string, char or number literal touches: literals
+    /// produce no tokens, but a line holding one is still a code line.
+    /// (Identifier lines are in here too, redundantly with `tokens`.)
+    /// Ascending; a line may repeat.
+    pub literal_lines: Vec<u32>,
 }
 
 /// The marker every directive comment starts with.
@@ -133,13 +138,15 @@ impl Lexer {
             match c {
                 '/' if self.peek(1) == Some('/') => self.line_comment(),
                 '/' if self.peek(1) == Some('*') => self.block_comment(),
-                '"' => self.string_literal(),
-                '\'' => self.char_or_lifetime(),
+                '"' => self.literal(Self::string_literal),
+                '\'' => self.literal(Self::char_or_lifetime),
                 c if c.is_whitespace() => {
                     self.bump();
                 }
-                c if c.is_ascii_digit() => self.number(),
-                c if is_ident_start(c) => self.ident_or_prefixed_literal(),
+                c if c.is_ascii_digit() => self.literal(Self::number),
+                // An identifier sits on one line, which its token already
+                // marks; a prefixed (raw) string may span several.
+                c if is_ident_start(c) => self.literal(Self::ident_or_prefixed_literal),
                 _ => {
                     let line = self.line;
                     self.bump();
@@ -151,6 +158,13 @@ impl Lexer {
             }
         }
         self.out
+    }
+
+    /// Scans one literal with `scan`, recording the lines it spans.
+    fn literal(&mut self, scan: fn(&mut Self)) {
+        let start = self.line;
+        scan(self);
+        self.out.literal_lines.extend(start..=self.line);
     }
 
     fn line_comment(&mut self) {

@@ -21,6 +21,7 @@ pub mod lexer;
 pub mod rules;
 
 use rules::Finding;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -40,6 +41,9 @@ pub struct Report {
     pub files: usize,
     /// Findings silenced by valid `allow(...)` directives.
     pub suppressed: usize,
+    /// Code lines per first-party crate (see [`rules::crate_of`]): lines
+    /// carrying at least one non-comment token, outside test items.
+    pub loc: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -51,24 +55,32 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "mot3d-lint: {} finding{} ({} suppressed) across {} files",
+            "mot3d-lint: {} finding{} ({} suppressed) across {} files, {} first-party code lines",
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
             self.suppressed,
-            self.files
+            self.files,
+            self.loc.values().sum::<usize>()
         );
         out
     }
 
     /// Renders the machine-readable (`--json`) report: one object with
-    /// a findings array. Assembled by hand like the bench perf
-    /// document — the schema is flat and the build stays offline.
+    /// the per-crate code-line counts and a findings array. Assembled by
+    /// hand like the bench perf document — the schema is flat and the
+    /// build stays offline.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"schema\": 1,");
         let _ = writeln!(out, "  \"files\": {},", self.files);
         let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
+        let loc: Vec<String> = self
+            .loc
+            .iter()
+            .map(|(krate, lines)| format!("{}: {lines}", json_string(krate)))
+            .collect();
+        let _ = writeln!(out, "  \"loc\": {{{}}},", loc.join(", "));
         let _ = writeln!(out, "  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             let comma = if i + 1 < self.findings.len() { "," } else { "" };
@@ -89,7 +101,10 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (mirrors the bench perf writer).
+/// Minimal JSON string escaping. The workspace's shared escaper is
+/// `mot3d_phys::json`; this private copy stays because this crate is
+/// dependency-free on purpose, so that it builds — and can say what is
+/// wrong — when the workspace does not.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -174,6 +189,9 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
         let file_report = rules::check_file(&rel, &src);
         report.files += 1;
         report.suppressed += file_report.suppressed;
+        if let Some(krate) = rules::crate_of(&rel) {
+            *report.loc.entry(krate.to_string()).or_default() += file_report.code_lines;
+        }
         report.findings.extend(file_report.findings);
     }
     report
@@ -331,8 +349,10 @@ mod tests {
             }],
             files: 10,
             suppressed: 2,
+            loc: BTreeMap::from([("sim".to_string(), 1200), ("phys".to_string(), 800)]),
         };
         let json = report.render_json();
+        assert!(json.contains("\"loc\": {\"phys\": 800, \"sim\": 1200},"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\"suppressed\": 2"));

@@ -8,7 +8,7 @@
 //! |----|------|
 //! | D1 | no default-hasher `HashMap`/`HashSet` in result-affecting crates |
 //! | D2 | no iteration in hash-map order on metrics/report paths |
-//! | D3 | no `Instant::now`/`SystemTime`/`env::var` outside bench timing/CLI modules |
+//! | D3 | no `Instant::now`/`SystemTime`/`env::var` outside the two exempt modules (`PerfSink`'s timer, the serve CLI's `HOME`) |
 //! | A1 | `// mot3d-lint: no-alloc` regions must not allocate |
 //! | P1 | no `unwrap`/`expect`/`panic!` in library crates (incl. serve) outside tests/`debug_assert`s |
 //! | H1 | no `BinaryHeap` in the simulator hot-path crates (`sim`/`noc`/`mem`) |
@@ -38,8 +38,8 @@ pub fn rationale(rule: &str) -> &'static str {
              structure instead"
         }
         "D3" => {
-            "wall-clock and environment reads make runs irreproducible; only the \
-             bench crate's timing/CLI modules may observe them"
+            "wall-clock and environment reads make runs irreproducible; only \
+             PerfSink's sweep timer and the serve CLI's HOME lookup may observe them"
         }
         "A1" => {
             "this region is a declared active-cycle hot path: steady-state \
@@ -95,13 +95,16 @@ impl Finding {
 }
 
 /// Result of checking one file: surviving findings plus the number the
-/// file's `allow` directives suppressed.
+/// file's `allow` directives suppressed, and its size.
 #[derive(Debug, Default)]
 pub struct FileReport {
     /// Findings not covered by a suppression.
     pub findings: Vec<Finding>,
     /// Findings covered by a valid `allow(...)` directive.
     pub suppressed: usize,
+    /// Code lines: lines carrying at least one non-comment token,
+    /// outside `#[cfg(test)]` / `#[test]` items.
+    pub code_lines: usize,
 }
 
 /// The six crates whose state feeds result checksums (plus the facade).
@@ -124,16 +127,10 @@ const H1_CRATES: [&str; 3] = ["sim", "noc", "mem"];
 /// event timestamp must be a simulated cycle read off the cluster.
 const H2_PREFIX: &str = "crates/trace/src/";
 
-/// The bench/serve timing/CLI modules, exempt from D3 — the one place
-/// wall-clock and environment reads are part of the job.
-const D3_EXEMPT: [&str; 6] = [
-    "crates/bench/src/cli.rs",
-    "crates/bench/src/perf.rs",
-    "crates/bench/src/pool.rs",
-    "crates/bench/src/sink.rs",
-    "crates/bench/src/experiments.rs",
-    "crates/serve/src/cli.rs",
-];
+/// The two modules exempt from D3, each for one read that is its job:
+/// `PerfSink` times a sweep with `Instant`, and the serve CLI looks up
+/// `HOME` for the default cache directory.
+const D3_EXEMPT: [&str; 2] = ["crates/bench/src/sink.rs", "crates/serve/src/cli.rs"];
 
 /// Iterator-producing methods D2 watches for on hash-named receivers.
 const D2_ITER_METHODS: [&str; 9] = [
@@ -159,18 +156,26 @@ struct Scope {
     h2: bool,
 }
 
+/// The first-party crate a workspace-relative source path belongs to
+/// for rule scoping and the code-line count: `crates/<name>/src/…`, or
+/// the facade's `src/…` (as `mot3d`). Everything else — `tests/`,
+/// `benches/`, `examples/`, the benchmark package — is free to use
+/// whatever it likes and is not counted.
+pub fn crate_of(rel: &str) -> Option<&str> {
+    if rel.starts_with("src/") {
+        return Some("mot3d");
+    }
+    let (name, rest) = rel.strip_prefix("crates/")?.split_once('/')?;
+    rest.starts_with("src/").then_some(name)
+}
+
 fn scope_of(rel: &str) -> Scope {
     // Integration tests, benches, and examples are free to use whatever
     // they like (A1/S1 still apply — they are marker-driven).
-    let in_lib_src =
-        rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"));
-    if !in_lib_src {
+    let Some(krate) = crate_of(rel) else {
         return Scope::default();
-    }
-    let result_crate = rel.starts_with("src/")
-        || RESULT_CRATES
-            .iter()
-            .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
+    };
+    let result_crate = krate == "mot3d" || RESULT_CRATES.contains(&krate);
     // The trace observer rides the simulator step path: it must not
     // perturb results (D1), panic out of a sweep (P1), or read the
     // wall clock (H2 — trace timestamps are simulated cycles).
@@ -183,9 +188,7 @@ fn scope_of(rel: &str) -> Scope {
         // aborts every in-flight submission, so it gets the same
         // no-panic discipline as the result crates.
         p1: result_crate || trace_crate || rel.starts_with("crates/serve/src/"),
-        h1: H1_CRATES
-            .iter()
-            .any(|c| rel.starts_with(&format!("crates/{c}/src/"))),
+        h1: H1_CRATES.contains(&krate),
         h2: trace_crate,
     }
 }
@@ -342,7 +345,28 @@ pub fn check_file(rel: &str, src: &str) -> FileReport {
         }
     }
 
-    apply_suppressions(raw, &lexed.directives)
+    let mut report = apply_suppressions(raw, &lexed.directives);
+    report.code_lines = code_lines(&lexed, &test_regions);
+    report
+}
+
+/// Counts the lines of `lexed` that carry a token or a literal and lie
+/// outside every test region.
+fn code_lines(lexed: &lexer::Lexed, test_regions: &[Region]) -> usize {
+    let toks = &lexed.tokens;
+    let test_lines: Vec<(u32, u32)> = test_regions
+        .iter()
+        .map(|r| (toks[r.start].line, toks[r.end - 1].line))
+        .collect();
+    let mut lines: Vec<u32> = toks
+        .iter()
+        .map(|t| t.line)
+        .chain(lexed.literal_lines.iter().copied())
+        .filter(|line| !test_lines.iter().any(|(a, b)| (a..=b).contains(&line)))
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines.len()
 }
 
 fn ident_at(toks: &[Token], idx: usize) -> Option<&str> {
@@ -616,7 +640,11 @@ mod tests {
     fn d3_flags_clock_and_env_outside_timing_modules() {
         let src = "fn f() { let t = Instant::now(); let v = std::env::var(\"X\"); }\n";
         assert_eq!(rules_hit(SIM, src), [("D3", 1), ("D3", 1)]);
-        assert_eq!(rules_hit("crates/bench/src/perf.rs", src), []);
+        assert_eq!(
+            rules_hit("crates/bench/src/perf.rs", src),
+            [("D3", 1), ("D3", 1)]
+        );
+        assert_eq!(rules_hit("crates/bench/src/sink.rs", src), []);
         // `env::args` is fine — only environment *reads* are banned.
         assert_eq!(rules_hit(SIM, "fn f() { let a = std::env::args(); }"), []);
     }
@@ -766,6 +794,48 @@ mod tests {
     }
 
     #[test]
+    fn code_lines_skip_comments_blanks_and_test_items() {
+        let src = "//! Module docs.\n\
+                   \n\
+                   /// Item docs.\n\
+                   pub fn f() -> &'static str {\n\
+                   \x20   // a comment\n\
+                   \x20   \"two\n\
+                   lines\"\n\
+                   } // trailing comment\n\
+                   /* block\n\
+                   comment */\n\
+                   const N: u32 =\n\
+                   \x20   7;\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   #[test]\n\
+                   \x20   fn t() { assert_eq!(super::f(), \"x\"); }\n\
+                   }\n";
+        // fn line, the two string lines, the closing brace, the const
+        // and its literal-only continuation line.
+        assert_eq!(check_file(SIM, src).code_lines, 6);
+        assert_eq!(check_file(SIM, "// only a comment\n\n").code_lines, 0);
+    }
+
+    #[test]
+    fn crate_of_names_first_party_source_trees_only() {
+        assert_eq!(crate_of("crates/sim/src/cluster.rs"), Some("sim"));
+        assert_eq!(crate_of("crates/serve/src/bin/mot3d.rs"), Some("serve"));
+        assert_eq!(crate_of("src/lib.rs"), Some("mot3d"));
+        for outside in [
+            "crates/sim/tests/gating.rs",
+            "crates/bench/benches/cache.rs",
+            "crates/bench/examples/custom_sweep.rs",
+            "examples/quickstart.rs",
+            "tests/end_to_end.rs",
+            "benchmark/src/main.rs",
+        ] {
+            assert_eq!(crate_of(outside), None, "{outside}");
+        }
+    }
+
+    #[test]
     fn scope_table_matches_the_layout() {
         assert!(scope_of("crates/mem/src/dram.rs").d1);
         assert!(scope_of("src/lib.rs").d1);
@@ -773,8 +843,17 @@ mod tests {
         assert!(!scope_of("crates/mem/tests/properties.rs").p1);
         assert!(!scope_of("examples/quickstart.rs").d3);
         assert!(scope_of("crates/bench/src/plan.rs").d3);
-        assert!(!scope_of("crates/bench/src/cli.rs").d3);
-        assert!(!scope_of("crates/serve/src/cli.rs").d3);
+        for exempt in ["crates/bench/src/sink.rs", "crates/serve/src/cli.rs"] {
+            assert!(!scope_of(exempt).d3, "{exempt}");
+        }
+        for checked in [
+            "crates/bench/src/cli.rs",
+            "crates/bench/src/perf.rs",
+            "crates/bench/src/pool.rs",
+            "crates/bench/src/experiments.rs",
+        ] {
+            assert!(scope_of(checked).d3, "{checked}");
+        }
         assert!(scope_of("crates/serve/src/store.rs").d3);
         assert!(
             !scope_of("crates/serve/src/store.rs").d1,

@@ -1,12 +1,19 @@
-//! A minimal JSON reader/writer for the wire protocol and the store.
+//! The workspace's one JSON reader and one string escaper.
 //!
-//! The workspace has no external dependencies, and the documents this
-//! crate exchanges are small one-line objects, so a ~200-line recursive
-//! descent parser is the whole story. One deliberate quirk: numbers are
-//! kept as their **raw source text** ([`JsonValue::Num`]), because the
-//! result store round-trips `f64`s as exact `to_bits` integers — a
-//! detour through lossy float parsing would break the byte-identity
-//! contract.
+//! The workspace has no external dependencies, and the documents it
+//! reads — the sweep service's wire protocol and result store, and the
+//! perf baseline of `mot3d perf check` — are small, so a ~200-line
+//! recursive descent parser is the whole story. It lives here, beside
+//! [`crate::fnv`], because every crate that reads or writes JSON already
+//! depends on this one (`mot3d_serve::json` re-exports it). One
+//! deliberate quirk: numbers are held to the RFC 8259 grammar but kept
+//! as their **raw source text** ([`JsonValue::Num`]), because the result
+//! store round-trips `f64`s as exact `to_bits` integers — a detour
+//! through lossy float parsing would break the byte-identity contract.
+//!
+//! Writers stay with their owners: each document's spacing is part of a
+//! byte-identity contract, so they are `write!` templates around
+//! [`json_string`] / [`escape_into`], not a generic serialiser.
 
 use std::fmt::Write as _;
 
@@ -79,10 +86,8 @@ impl JsonValue {
     }
 }
 
-/// Serialises a string as a JSON string literal (quotes + escapes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escapes `s` into `out` as JSON string *content* (no quotes).
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -96,6 +101,13 @@ pub fn json_string(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// Serialises a string as a JSON string literal (quotes + escapes).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
     out.push('"');
     out
 }
@@ -109,6 +121,7 @@ pub fn parse(src: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -119,9 +132,14 @@ pub fn parse(src: &str) -> Result<JsonValue, String> {
     Ok(value)
 }
 
+/// Arrays and objects nest by recursion; the bound keeps a line of
+/// `[[[[…` from a socket from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,30 +177,70 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
     }
 
+    fn nested(
+        &mut self,
+        container: impl FnOnce(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// Consumes a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// The RFC 8259 number grammar, `[-] (0 | 1-9 digits) [. digits]
+    /// [(e|E) [+|-] digits]`, kept as raw text. Whatever follows must
+    /// be a delimiter the caller accepts, so `01` and `1.2.3` fail there.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let bad = || format!("bad number at byte {start}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else if self.digits() == 0 {
+            return Err(bad());
         }
-        let raw = &self.bytes[start..self.pos];
-        if raw.is_empty() || raw == b"-" {
-            return Err(format!("bad number at byte {start}"));
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
+            }
         }
-        let text = std::str::from_utf8(raw).map_err(|_| "non-UTF-8 number".to_string())?;
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "non-UTF-8 number".to_string())?;
         Ok(JsonValue::Num(text.to_string()))
     }
 
@@ -315,6 +373,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -370,8 +429,46 @@ mod tests {
             "01x",
             "{} {}",
             "\"\\q\"",
+            // Not RFC 8259 numbers.
+            "1.2.3",
+            "1e",
+            "1e+",
+            "--1",
+            "-",
+            "01",
+            "-01",
+            "1.",
+            ".5",
+            "+1",
+            "[1.e3]",
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
+        }
+        let deep = "[".repeat(100_000);
+        assert!(parse(&deep).is_err(), "unbounded nesting");
+    }
+
+    #[test]
+    fn rfc_8259_numbers_parse_as_raw_text() {
+        for good in ["0", "-0", "10", "-12.5", "0.004", "1e9", "1E-9", "2.5e+3"] {
+            assert_eq!(parse(good).unwrap().num_text(), Some(good), "{good:?}");
+        }
+    }
+
+    proptest! {
+        /// Arbitrary bytes — biased towards JSON's own punctuation, so
+        /// that the soup gets past the first byte — never panic `parse`.
+        #[test]
+        fn arbitrary_bytes_never_panic_parse(
+            soup in prop::collection::vec(
+                prop_oneof![
+                    prop::sample::select(b"{}[]\",:\\-+.eEu0123456789ntfalsr \n".to_vec()),
+                    any::<u8>(),
+                ],
+                0..96,
+            ),
+        ) {
+            let _ = parse(&String::from_utf8_lossy(&soup));
         }
     }
 

@@ -25,7 +25,9 @@
 //!   `BinaryHeap` queues (`mot3d-lint` rule H1);
 //! * [`fnv`] — deterministic FNV-1a hashing ([`fnv::FnvHashMap`],
 //!   [`fnv::FnvHashSet`]): the sanctioned hash collections for
-//!   result-affecting crates (`mot3d-lint` rule D1).
+//!   result-affecting crates (`mot3d-lint` rule D1);
+//! * [`json`] — the workspace's one JSON reader and string escaper
+//!   (wire protocol, result store, perf baseline).
 //!
 //! # Quick example
 //!
@@ -49,6 +51,7 @@
 
 pub mod fnv;
 pub mod geometry;
+pub mod json;
 pub mod power;
 pub mod rc;
 pub mod slab;

@@ -1,10 +1,8 @@
 //! Argument parsing for `mot3d serve` and `mot3d submit`.
 //!
-//! This is the serve crate's only module allowed to read the
-//! environment (`HOME` for the default cache directory, the deprecated
-//! `MOT3D_THREADS` fallback) — everything below it takes explicit
-//! configuration, mirroring how `mot3d_bench::cli` isolates the bench
-//! crate's env access.
+//! This module holds the one environment read of the first-party code
+//! (`HOME`, for the default cache directory) — everything below it, and
+//! all of `mot3d_bench`, takes explicit configuration.
 
 use crate::client::{self, RetryPolicy};
 use crate::fault::{FaultPlan, Faults};
@@ -56,7 +54,7 @@ pub fn run_submit(args: &[String]) -> i32 {
         }
     };
     let stdout = io::stdout();
-    match client::submit_report_with_retry(&addr, &request, &mut stdout.lock(), policy) {
+    match client::submit_with_retry(&addr, &request, &mut stdout.lock(), policy) {
         Ok(report) => {
             let outcome = report.outcome;
             let failed = if outcome.failed > 0 {
@@ -127,8 +125,8 @@ OPTIONS:
   --addr <host:port>     bind address, default 127.0.0.1:4016
                          (port 0 picks a free port, printed to stderr)
   --cache-dir <path>     result store, default ~/.cache/mot3d
-  --threads <n>          worker threads per submission
-                         (deprecated fallback: MOT3D_THREADS)
+  --threads <n>          worker threads per submission, default =
+                         available parallelism
   --pool-cap <n>         deprecated, ignored: every worker keeps exactly
                          one re-targetable cluster, so nothing to cap
   --accept-limit <n>     exit after n connections (CI smoke tests)
@@ -216,20 +214,6 @@ fn default_cache_dir() -> PathBuf {
     }
 }
 
-/// The deprecated `MOT3D_THREADS` fallback, with the same stderr note
-/// the bench CLI prints when a flag has a preferred spelling.
-fn deprecated_threads_fallback() -> Option<usize> {
-    let raw = std::env::var("MOT3D_THREADS").ok()?;
-    eprintln!("note: MOT3D_THREADS is deprecated; prefer `mot3d serve --threads <n>`");
-    match raw.trim().parse::<usize>() {
-        Ok(t) if t > 0 => Some(t),
-        _ => {
-            eprintln!("warning: ignoring malformed MOT3D_THREADS={raw:?}");
-            None
-        }
-    }
-}
-
 fn parse_serve(args: &[String]) -> Result<ServerConfig, UsageError> {
     let mut config = ServerConfig::new(default_cache_dir());
     let mut it = args.iter();
@@ -274,9 +258,6 @@ fn parse_serve(args: &[String]) -> Result<ServerConfig, UsageError> {
             }
             other => return Err(bad(format!("unknown option {other:?}"))),
         }
-    }
-    if config.threads.is_none() {
-        config.threads = deprecated_threads_fallback();
     }
     Ok(config)
 }

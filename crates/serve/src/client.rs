@@ -71,20 +71,11 @@ pub struct SubmitReport {
 /// Fails on connection errors, a server-reported `{"error": ...}` line
 /// (as `InvalidInput`), or a stream that ends without a summary.
 pub fn submit(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Result<PlanOutcome> {
-    submit_report(addr, request, out).map(|r| r.outcome)
+    attempt(addr, request, out).map(|report| report.outcome)
 }
 
-/// [`submit`], also returning the summary's trace directory (set for
-/// `"trace": true` submissions).
-///
-/// # Errors
-///
-/// As [`submit`].
-pub fn submit_report(
-    addr: &str,
-    request: &PlanRequest,
-    out: &mut impl Write,
-) -> io::Result<SubmitReport> {
+/// One submission, start to summary line.
+fn attempt(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Result<SubmitReport> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     writeln!(writer, "{}", request.to_line())?;
@@ -118,11 +109,13 @@ pub fn submit_report(
     ))
 }
 
-/// [`submit`] with resubmission-on-disconnect: up to `policy.retries`
-/// extra attempts with exponential backoff, each buffered so `out`
-/// receives only the one complete, successful stream. Completed points
-/// replay from the server's cache, so the result is byte-identical to
-/// an uninterrupted run.
+/// [`submit`] with resubmission-on-disconnect, reporting everything the
+/// summary line said: up to `policy.retries` extra attempts with
+/// exponential backoff, each buffered so `out` receives only the one
+/// complete, successful stream. Completed points replay from the
+/// server's cache, so the result is byte-identical to an uninterrupted
+/// run. This is what `mot3d submit` calls; the default policy is a
+/// single attempt.
 ///
 /// # Errors
 ///
@@ -133,36 +126,21 @@ pub fn submit_with_retry(
     request: &PlanRequest,
     out: &mut impl Write,
     policy: RetryPolicy,
-) -> io::Result<PlanOutcome> {
-    submit_report_with_retry(addr, request, out, policy).map(|r| r.outcome)
-}
-
-/// [`submit_with_retry`], also returning the summary's trace directory
-/// (set for `"trace": true` submissions).
-///
-/// # Errors
-///
-/// As [`submit_with_retry`].
-pub fn submit_report_with_retry(
-    addr: &str,
-    request: &PlanRequest,
-    out: &mut impl Write,
-    policy: RetryPolicy,
 ) -> io::Result<SubmitReport> {
     let mut delay = policy.backoff;
-    let mut attempt = 0u32;
+    let mut failed = 0u32;
     loop {
         let mut buffered: Vec<u8> = Vec::new();
-        match submit_report(addr, request, &mut buffered) {
+        match attempt(addr, request, &mut buffered) {
             Ok(report) => {
                 out.write_all(&buffered)?;
                 out.flush()?;
                 return Ok(report);
             }
-            Err(e) if retryable(&e) && attempt < policy.retries => {
-                attempt += 1;
+            Err(e) if retryable(&e) && failed < policy.retries => {
+                failed += 1;
                 eprintln!(
-                    "mot3d submit: attempt {attempt} failed ({e}); retrying in {} ms",
+                    "mot3d submit: attempt {failed} failed ({e}); retrying in {} ms",
                     delay.as_millis()
                 );
                 std::thread::sleep(delay);

@@ -50,7 +50,6 @@ pub mod client;
 pub mod codec;
 pub mod exec;
 pub mod fault;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod store;
@@ -60,6 +59,9 @@ pub use client::RetryPolicy;
 pub use codec::{cache_key, CacheKey, Fingerprint};
 pub use exec::{CachedExecutor, PlanOutcome, PointOutcome, MAX_ATTEMPTS};
 pub use fault::{FaultPlan, FaultSite, Faults};
+/// The workspace's JSON reader and escaper, under the path it had when
+/// it lived in this crate.
+pub use mot3d_phys::json;
 pub use protocol::PlanRequest;
 pub use server::{serve, BoundServer, ServerConfig};
 pub use store::{ResultStore, StoreStats};

@@ -122,7 +122,9 @@ fn a_dropped_stream_is_retried_to_a_byte_identical_result() {
             retries: 2,
             backoff: Duration::from_millis(10),
         };
-        let outcome = submit_with_retry(&addr, &req, &mut bytes, policy).unwrap();
+        let outcome = submit_with_retry(&addr, &req, &mut bytes, policy)
+            .unwrap()
+            .outcome;
         handle.join().unwrap();
         (outcome, bytes)
     });

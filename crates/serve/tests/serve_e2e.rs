@@ -5,7 +5,7 @@
 //! entirely from the cache.
 
 use mot3d_bench::sink::{record_json_line, JsonLinesSink};
-use mot3d_serve::client::{submit, submit_report};
+use mot3d_serve::client::{submit, submit_with_retry, RetryPolicy};
 use mot3d_serve::exec::PlanOutcome;
 use mot3d_serve::{Fingerprint, PlanRequest, ServerConfig};
 use std::path::PathBuf;
@@ -231,7 +231,8 @@ fn traced_submissions_stream_identical_bytes_and_leave_trace_files() {
     let (traced_out, untraced_out) = std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.run());
         let mut traced_bytes = Vec::new();
-        let report = submit_report(&addr, &traced, &mut traced_bytes).unwrap();
+        let report =
+            submit_with_retry(&addr, &traced, &mut traced_bytes, RetryPolicy::default()).unwrap();
         let mut untraced_bytes = Vec::new();
         let outcome = submit(&addr, &untraced, &mut untraced_bytes).unwrap();
         handle.join().unwrap();

@@ -43,6 +43,4 @@ pub use config::{InterconnectChoice, SimConfig};
 pub use error::SimError;
 pub use metrics::Metrics;
 pub use observe::{NullObserver, Observer};
-pub use runner::{
-    run_benchmark, run_source, run_spec, run_spec_observed, shrink_local_pool, ClusterPool,
-};
+pub use runner::{run_benchmark, run_spec, run_spec_observed, shrink_local_pool, ClusterPool};

@@ -17,7 +17,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::observe::{NullObserver, Observer};
-use mot3d_workloads::{streams, SplashBenchmark, WorkloadSource, WorkloadSpec};
+use mot3d_workloads::{streams, SplashBenchmark, WorkloadSpec};
 use std::cell::RefCell;
 
 /// One reusable cluster: built by the first run, re-targeted
@@ -83,13 +83,29 @@ impl ClusterPool {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SimError`] from construction, re-targeting, or
-    /// the run. The cluster survives an error: re-targeting checks before
-    /// it changes anything and recovers from an aborted run.
+    /// As [`ClusterPool::run_spec_with`].
     pub fn run_spec(
         &mut self,
         spec: &WorkloadSpec,
         config: &SimConfig,
+    ) -> Result<Metrics, SimError> {
+        self.run_spec_with(spec, config, &mut NullObserver)
+    }
+
+    /// [`ClusterPool::run_spec`] with an [`Observer`] attached to the
+    /// run loop: the one body every run goes through. A
+    /// [`NullObserver`] monomorphizes away.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`SimError`] from construction, re-targeting, or
+    /// the run. The cluster survives an error: re-targeting checks before
+    /// it changes anything and recovers from an aborted run.
+    pub fn run_spec_with<O: Observer>(
+        &mut self,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        obs: &mut O,
     ) -> Result<Metrics, SimError> {
         let fresh = streams(spec, config.power_state.active_cores(), config.seed);
         let cluster = match &mut self.cluster {
@@ -99,42 +115,13 @@ impl ClusterPool {
             }
             None => self.cluster.insert(Cluster::new(*config, fresh)?),
         };
-        finish_run(cluster, spec, config, &mut NullObserver)
+        cluster.run_to_completion_with(obs)?;
+        cluster.verify_against_golden();
+        Ok(cluster.metrics(format!(
+            "{} @ {} @ {} @ {}",
+            spec.name, config.interconnect, config.power_state, config.dram
+        )))
     }
-
-    /// Runs a [`WorkloadSource`] at length `scale` on a configuration,
-    /// resolving the source to its concrete spec first (see
-    /// [`WorkloadSource::resolve`]). This is the entry point the
-    /// declarative experiment plans use, so a plan axis can name any
-    /// workload backend — synthetic preset today, trace-driven tomorrow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from construction, re-targeting, or
-    /// the run.
-    pub fn run_source(
-        &mut self,
-        source: &dyn WorkloadSource,
-        scale: f64,
-        config: &SimConfig,
-    ) -> Result<Metrics, SimError> {
-        self.run_spec(&source.resolve(scale), config)
-    }
-}
-
-/// Shared tail of a run: drive to completion, verify, label.
-fn finish_run<O: Observer>(
-    cluster: &mut Cluster,
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    obs: &mut O,
-) -> Result<Metrics, SimError> {
-    cluster.run_to_completion_with(obs)?;
-    cluster.verify_against_golden();
-    Ok(cluster.metrics(format!(
-        "{} @ {} @ {} @ {}",
-        spec.name, config.interconnect, config.power_state, config.dram
-    )))
 }
 
 thread_local! {
@@ -170,13 +157,11 @@ pub fn run_spec(spec: &WorkloadSpec, config: &SimConfig) -> Result<Metrics, SimE
 /// [`run_spec`] with an [`Observer`] attached to the run loop — the
 /// entry point `mot3d_trace` (and any other instrumentation) uses.
 ///
-/// Runs on a **fresh** cluster rather than the thread's pooled one: an
-/// observed run is a deep dive, and skipping the pool keeps the
-/// observer's timeline starting from the cluster's as-constructed state.
-/// The simulation itself is bit-identical either way (a re-targeted
-/// cluster behaves exactly like a new one — pinned by
-/// `tests/retarget_equivalence.rs` and by `mot3d_trace`'s differential
-/// suite).
+/// Runs on the calling thread's [`ClusterPool`] like every other run: a
+/// re-targeted cluster is bit-identical to a new one in everything an
+/// observer can probe, so the timeline does not depend on what the
+/// thread ran before (pinned by `mot3d_trace`'s differential suite,
+/// which compares trace files byte for byte).
 ///
 /// # Errors
 ///
@@ -186,34 +171,7 @@ pub fn run_spec_observed<O: Observer>(
     config: &SimConfig,
     obs: &mut O,
 ) -> Result<Metrics, SimError> {
-    let fresh = streams(spec, config.power_state.active_cores(), config.seed);
-    let mut cluster = Cluster::new(*config, fresh)?;
-    finish_run(&mut cluster, spec, config, obs)
-}
-
-/// [`run_spec`] for a [`WorkloadSource`]: resolves the source at length
-/// `scale` and runs it on the calling thread's [`ClusterPool`].
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from construction or the run.
-///
-/// # Examples
-///
-/// ```
-/// use mot3d_sim::{run_source, SimConfig};
-/// use mot3d_workloads::SplashBenchmark;
-///
-/// let m = run_source(&SplashBenchmark::Fft, 0.002, &SimConfig::date16())?;
-/// assert!(m.cycles > 0);
-/// # Ok::<(), mot3d_sim::SimError>(())
-/// ```
-pub fn run_source(
-    source: &dyn WorkloadSource,
-    scale: f64,
-    config: &SimConfig,
-) -> Result<Metrics, SimError> {
-    POOL.with(|pool| pool.borrow_mut().run_source(source, scale, config))
+    POOL.with(|pool| pool.borrow_mut().run_spec_with(spec, config, obs))
 }
 
 /// `shrink_local_pool(0)` drops the calling thread's [`run_spec`]
@@ -290,15 +248,6 @@ mod tests {
             let b = capped.run_spec(&spec, c).unwrap();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn run_source_matches_run_spec() {
-        let bench = SplashBenchmark::Fmm;
-        let cfg = SimConfig::date16();
-        let via_source = run_source(&bench, 0.002, &cfg).unwrap();
-        let via_spec = run_spec(&bench.spec().scaled(0.002), &cfg).unwrap();
-        assert_eq!(via_source, via_spec);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! displays as 1 µs — lint rule H2 denies `Instant`/`SystemTime` in this
 //! crate).
 
+use mot3d_phys::json::escape_into;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -33,23 +34,6 @@ pub struct TraceWriter {
     buf: String,
     /// Deferred I/O failure, surfaced by [`TraceWriter::finish`].
     err: Option<io::Error>,
-}
-
-/// Escapes `s` into `buf` as JSON string *content* (no quotes).
-fn escape_into(buf: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            c => buf.push(c),
-        }
-    }
 }
 
 impl TraceWriter {

@@ -122,7 +122,7 @@ pub fn trace_spec(
 
 /// A filesystem-safe file name for a run point label, e.g.
 /// `fft @ 3-D MoT @ PC16-MB32 @ 200ns #2` →
-/// `fft_3-D-MoT_PC16-MB32_200ns_2.trace.json`.
+/// `fft_3-D_MoT_PC16-MB32_200ns_2.trace.json`.
 pub fn trace_file_name(label: &str) -> String {
     let mut name = String::with_capacity(label.len() + 11);
     let mut last_sep = true;

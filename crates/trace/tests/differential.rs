@@ -5,11 +5,14 @@
 //! **bit-identical** to the untraced run of the same point. The
 //! untraced side goes through the regular pooled [`run_spec`] path —
 //! exactly what sweeps, the server, and the committed BENCH checksums
-//! use — so this pins both "the observer hook changed nothing" and
-//! "a fresh observed cluster equals a pooled one".
+//! use — so this pins "the observer hook changed nothing". Observed
+//! runs go through the same pooled cluster, so the last test pins the
+//! other half: whatever the thread's cluster ran before, the trace
+//! *file* is byte-identical to one written from a thread that never ran
+//! anything.
 
 use mot3d_mot::PowerState;
-use mot3d_sim::{run_spec, InterconnectChoice, SimConfig};
+use mot3d_sim::{run_spec, InterconnectChoice, SimConfig, SimError};
 use mot3d_trace::{trace_file_name, trace_spec};
 use mot3d_workloads::{SplashBenchmark, WorkloadSpec};
 use std::path::{Path, PathBuf};
@@ -89,5 +92,62 @@ fn traced_runs_are_deterministic() {
     let a = std::fs::read(&a_path).unwrap();
     let b = std::fs::read(&b_path).unwrap();
     assert_eq!(a, b, "trace files must be byte-identical run to run");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn pooled_trace_bytes_equal_fresh_trace_bytes() {
+    let dir = tmp_dir("pooled");
+    let spec = tiny();
+    let full = SimConfig::date16();
+    let mut configs: Vec<SimConfig> = [
+        PowerState::full(),
+        PowerState::pc16_mb8(),
+        PowerState::pc4_mb32(),
+        PowerState::pc4_mb8(),
+    ]
+    .into_iter()
+    .map(|state| full.with_power_state(state))
+    .collect();
+    configs.extend(
+        mot3d_noc::NocTopologyKind::all()
+            .into_iter()
+            .map(|kind| full.with_interconnect(InterconnectChoice::Noc(kind))),
+    );
+    configs.extend(
+        mot3d_mem::dram::DramKind::all()
+            .into_iter()
+            .map(|kind| full.with_dram(kind).with_open_page(true)),
+    );
+    // What the pooled cluster is left holding before each trace: a
+    // finished run of a different shape, then a run aborted mid-flight.
+    let other = SplashBenchmark::Radix.spec().scaled(0.002);
+    let dirty = full
+        .with_power_state(PowerState::pc4_mb8())
+        .with_dram(mot3d_mem::dram::DramKind::Weis3d);
+    let mut aborted = full;
+    aborted.max_cycles = 500;
+    for (i, config) in configs.iter().enumerate() {
+        let fresh_path = dir.join(format!("fresh-{i}.trace.json"));
+        let fresh = std::thread::scope(|scope| {
+            scope
+                .spawn(|| trace_spec(&spec, config, &fresh_path).unwrap().0)
+                .join()
+                .unwrap()
+        });
+        run_spec(&other, &dirty).unwrap();
+        assert!(matches!(
+            run_spec(&other, &aborted),
+            Err(SimError::CycleLimit(_))
+        ));
+        let pooled_path = dir.join(format!("pooled-{i}.trace.json"));
+        let (pooled, _) = trace_spec(&spec, config, &pooled_path).unwrap();
+        assert_eq!(pooled, fresh, "metrics at config {i}");
+        assert_eq!(
+            std::fs::read(&pooled_path).unwrap(),
+            std::fs::read(&fresh_path).unwrap(),
+            "a re-targeted cluster's trace must equal a new cluster's at config {i}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -58,8 +58,7 @@ pub mod prelude {
     pub use mot3d_phys::geometry::Floorplan;
     pub use mot3d_phys::Technology;
     pub use mot3d_sim::{
-        run_benchmark, run_source, run_spec, Cluster, InterconnectChoice, Metrics, SimConfig,
-        SimError,
+        run_benchmark, run_spec, Cluster, InterconnectChoice, Metrics, SimConfig, SimError,
     };
     pub use mot3d_workloads::{SplashBenchmark, WorkloadSource, WorkloadSpec};
 }
