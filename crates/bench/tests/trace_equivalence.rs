@@ -19,7 +19,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 /// FNV-1a over the JSON line of every record, in order — the same
-/// digest shape `mot3d perf --checksum-only` pins for sweeps.
+/// digest shape `mot3d perf check` pins for sweeps.
 fn stream_checksum(records: &[mot3d_bench::plan::RunRecord]) -> u64 {
     records.iter().fold(FNV_OFFSET, |state, r| {
         fnv1a64_fold(state, record_json_line(r).as_bytes())

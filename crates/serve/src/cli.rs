@@ -8,7 +8,7 @@ use crate::client::{self, RetryPolicy};
 use crate::fault::{FaultPlan, Faults};
 use crate::protocol::PlanRequest;
 use crate::server::{self, ServerConfig};
-use std::io::{self, Write};
+use std::io;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -340,7 +340,6 @@ fn parse_submit(args: &[String]) -> Result<(String, PlanRequest, RetryPolicy), U
     if let Err(msg) = request.to_plan().and_then(|p| p.check()) {
         return Err(bad(msg));
     }
-    let _ = io::stderr().flush();
     Ok((addr, request, policy))
 }
 

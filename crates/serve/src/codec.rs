@@ -56,7 +56,9 @@ impl Fingerprint {
         Fingerprint(tag.into())
     }
 
-    /// The fingerprint text (stored in the cache directory's meta file).
+    /// The fingerprint text: the `fp=` field that opens every point's
+    /// [`key_material`], so it is hashed into each cache key and stored
+    /// nowhere by itself.
     pub fn as_str(&self) -> &str {
         &self.0
     }

@@ -32,13 +32,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Default per-read deadline: an idle client that never sends its
-/// request line is dropped after this long.
-pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Per-read deadline of every accepted socket: an idle client that
+/// never sends its request line is dropped after this long.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Default per-write deadline: a client that stops draining its
-/// response stream is dropped once one write blocks this long.
-pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Per-write deadline of every accepted socket: a client that stops
+/// draining its response stream is dropped once one write blocks this
+/// long.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Everything `serve` needs to come up.
 #[derive(Debug, Clone)]
@@ -59,10 +60,6 @@ pub struct ServerConfig {
     /// Exit after this many successfully accepted connections (CI
     /// smoke tests); `None` runs until shut down or killed.
     pub accept_limit: Option<u64>,
-    /// Per-read socket deadline (`None` disables — tests only).
-    pub read_timeout: Option<Duration>,
-    /// Per-write socket deadline (`None` disables — tests only).
-    pub write_timeout: Option<Duration>,
     /// Deterministic fault injection ([`Faults::none`] in production).
     pub faults: Faults,
     /// Cache-key fingerprint (tests override it to segregate stores).
@@ -71,8 +68,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// The default configuration over `cache_dir`: loopback port 4016,
-    /// pool-resolved threads, no accept limit, 30 s socket deadlines, no
-    /// fault injection.
+    /// pool-resolved threads, no accept limit, no fault injection.
     pub fn new(cache_dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             addr: "127.0.0.1:4016".to_string(),
@@ -80,8 +76,6 @@ impl ServerConfig {
             threads: None,
             pool_capacity: Some(32),
             accept_limit: None,
-            read_timeout: Some(DEFAULT_READ_TIMEOUT),
-            write_timeout: Some(DEFAULT_WRITE_TIMEOUT),
             faults: Faults::none(),
             fingerprint: Fingerprint::current(),
         }
@@ -96,8 +90,6 @@ pub struct BoundServer {
     listener: TcpListener,
     exec: CachedExecutor,
     accept_limit: Option<u64>,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
 }
 
 impl ServerConfig {
@@ -115,8 +107,6 @@ impl ServerConfig {
             listener: TcpListener::bind(&self.addr)?,
             exec,
             accept_limit: self.accept_limit,
-            read_timeout: self.read_timeout,
-            write_timeout: self.write_timeout,
         })
     }
 }
@@ -170,11 +160,9 @@ impl BoundServer {
                         let exec = &self.exec;
                         let listener = &self.listener;
                         let shutdown = &shutdown;
-                        let timeouts = (self.read_timeout, self.write_timeout);
                         scope.spawn(move || {
                             let peer = peer_label(&stream);
-                            let outcome =
-                                catch_unwind(AssertUnwindSafe(|| handle(exec, stream, timeouts)));
+                            let outcome = catch_unwind(AssertUnwindSafe(|| handle(exec, stream)));
                             match outcome {
                                 Ok(Ok(Handled::Shutdown)) => {
                                     eprintln!("mot3d serve: shutdown requested by {peer}");
@@ -259,13 +247,9 @@ enum Handled {
 }
 
 /// Serves one connection: read a request line, stream the response.
-fn handle(
-    exec: &CachedExecutor,
-    stream: TcpStream,
-    (read_timeout, write_timeout): (Option<Duration>, Option<Duration>),
-) -> io::Result<Handled> {
-    stream.set_read_timeout(read_timeout)?;
-    stream.set_write_timeout(write_timeout)?;
+fn handle(exec: &CachedExecutor, stream: TcpStream) -> io::Result<Handled> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
     reader.read_line(&mut line)?;
@@ -440,10 +424,23 @@ mod tests {
 
     #[test]
     fn default_config_has_socket_deadlines_and_no_faults() {
-        let c = ServerConfig::new("/tmp/x");
-        assert_eq!(c.read_timeout, Some(DEFAULT_READ_TIMEOUT));
-        assert_eq!(c.write_timeout, Some(DEFAULT_WRITE_TIMEOUT));
-        assert!(!c.faults.is_active());
+        let dir = std::env::temp_dir().join(format!("mot3d-deadlines-{}", std::process::id()));
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::new(&dir)
+        };
+        assert!(!config.faults.is_active());
+        let server = config.bind().unwrap();
+        let mut client = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        let (stream, _) = server.listener.accept().unwrap();
+        // A second handle on the accepted socket: what `handle` sets on
+        // its own shows here.
+        let accepted = stream.try_clone().unwrap();
+        writeln!(client).unwrap(); // an empty request is rejected, and served
+        assert!(matches!(handle(&server.exec, stream), Ok(Handled::Served)));
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
+        assert_eq!(accepted.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

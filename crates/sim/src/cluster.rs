@@ -35,6 +35,27 @@
 //! of transient-state races without losing any of the latency/energy
 //! effects the paper evaluates; the golden-memory oracle validates the
 //! end-to-end result, including across runtime bank power-gating flushes.
+//!
+//! ## State by lifetime
+//!
+//! One physical cluster is re-configured between runs, so [`Cluster`]'s
+//! fields are grouped by how long they live:
+//!
+//! | group | what | written by |
+//! |-------|------|------------|
+//! | fixed | technology, floorplan, address map, SRAM and core power models | [`Cluster::new`], once |
+//! | storage | L1 and L2 arrays, Miss bus, DRAM, transaction slab, event wheel | allocated by `new`; cleared, O(touched), by [`Cluster::retarget`] |
+//! | configured | `Configured`: interconnect, bank remap, active cores, DRAM timing and energy, golden memory | `Configured::derive`, whose value `new`, `retarget` and [`Cluster::switch_power_state`] store whole |
+//! | run | `Run`: cores, statuses and masks, the clock, the metric counters | `Run::start`, whose value `new` and `retarget` store whole |
+//!
+//! `new` is *derive → allocate storage → `Run::start`*; `retarget` is
+//! *derive → clear storage → `Run::start`*. The configured and run state
+//! a re-targeted cluster holds is therefore the very value a new one
+//! would hold, by construction: a field added to either group cannot
+//! reach one path and miss the other. What construction cannot show —
+//! that *clearing* storage leaves it as good as new — is what
+//! `tests/retarget_equivalence.rs` checks (a dirty cluster against a
+//! fresh one), and `tests/canary.rs` pins the absolute results of both.
 
 use crate::config::{InterconnectChoice, SimConfig};
 use crate::error::SimError;
@@ -110,7 +131,6 @@ impl CoreState {
 #[derive(Debug)]
 struct BankState {
     cache: SetAssocCache<Directory>,
-    powered: bool,
     free_at: u64,
     reads: u64,
     writes: u64,
@@ -153,7 +173,9 @@ enum Action {
 /// The interconnect under test, dispatched statically: the hot loop
 /// calls `tick`/`pop_arrival`/`pop_delivery`/`next_activity` several
 /// times per step, and a `Box<dyn Interconnect>` would make each a
-/// virtual call the compiler cannot inline.
+/// virtual call the compiler cannot inline. The seven methods below are
+/// the ones the step loop calls; everything read once per run (name,
+/// energy, leakage, statistics) goes through [`ClusterNet::get`].
 #[derive(Debug)]
 enum ClusterNet {
     Mot(MotNetwork),
@@ -167,13 +189,6 @@ impl ClusterNet {
             ClusterNet::Mot(n) => n,
             ClusterNet::Noc(n) => n,
         }
-    }
-}
-
-impl Interconnect for ClusterNet {
-    #[inline]
-    fn name(&self) -> &str {
-        self.get().name()
     }
 
     #[inline]
@@ -224,51 +239,33 @@ impl Interconnect for ClusterNet {
         }
     }
 
-    #[inline]
-    fn reset(&mut self) {
-        match self {
-            ClusterNet::Mot(n) => Interconnect::reset(n),
-            ClusterNet::Noc(n) => Interconnect::reset(n),
-        }
-    }
-
+    /// Read once per serviced bank access.
     #[inline]
     fn oneway_latency_hint(&self) -> u64 {
-        // Statically dispatched: read once per serviced bank access.
         match self {
             ClusterNet::Mot(n) => n.oneway_latency_hint(),
             ClusterNet::Noc(n) => n.oneway_latency_hint(),
         }
     }
-
-    #[inline]
-    fn dynamic_energy(&self) -> mot3d_phys::units::Joules {
-        self.get().dynamic_energy()
-    }
-
-    #[inline]
-    fn leakage_power(&self) -> mot3d_phys::units::Watts {
-        self.get().leakage_power()
-    }
-
-    #[inline]
-    fn stats(&self) -> mot3d_mot::traits::InterconnectStats {
-        self.get().stats()
-    }
 }
 
-/// Everything about a cluster that its [`SimConfig`] determines — and
-/// nothing that it does not (cache arrays, queues, physical models).
+/// The *configured* state: everything about a cluster that its
+/// [`SimConfig`] determines — and nothing that it does not (cache
+/// arrays, queues, physical models).
 ///
-/// [`Cluster::new`] and [`Cluster::retarget`] both take these parts from
-/// [`Configured::derive`] and destructure them exhaustively, so a part
-/// that starts to depend on the configuration cannot reach one of the
-/// two and miss the other.
+/// Built only by [`Configured::derive`] and stored whole as
+/// `Cluster::cfg`: [`Cluster::new`], [`Cluster::retarget`] and
+/// [`Cluster::switch_power_state`] all install the value `derive`
+/// returns, so a part that starts to depend on the configuration cannot
+/// reach one of them and miss another.
 struct Configured {
     interconnect: ClusterNet,
     mot_cfg: Option<MotConfiguration>,
     /// Physical ids of the active cores, in rank order.
     active_cores: Vec<usize>,
+    /// `physical_to_idx[physical]` = index into `Run::cores`, or
+    /// `usize::MAX` when that physical core is gated (coherence lookups
+    /// would otherwise scan the cores linearly per invalidation).
     physical_to_idx: [usize; TOTAL_CORES],
     bank_powered: [bool; TOTAL_BANKS],
     dram_timing: DramTiming,
@@ -352,27 +349,41 @@ impl Configured {
             golden: config.check_golden.then(GoldenMemory::new),
         })
     }
+
+    /// The physical bank that serves a home bank index.
+    fn serving_bank(&self, home: usize) -> usize {
+        match &self.mot_cfg {
+            Some(cfg) => cfg.remap_bank(home),
+            None => home,
+        }
+    }
 }
 
-/// The simulated cluster.
-pub struct Cluster {
-    config: SimConfig,
-    tech: Technology,
-    floorplan: Floorplan,
-    map: AddressMap,
-    interconnect: ClusterNet,
-    mot_cfg: Option<MotConfiguration>,
+/// The metric counters of a run, all zero at cycle zero.
+#[derive(Debug, Default)]
+struct Counters {
+    l1_hits: u64,
+    l1_misses: u64,
+    l2_hits: u64,
+    l2_misses: u64,
+    dram_accesses: u64,
+    invalidations: u64,
+    recalls: u64,
+    l1_reads: u64,
+    l1_writes: u64,
+    l2_latency: LatencyStats,
+}
+
+/// The *run* state: what one workload run changes between cycle zero
+/// and its last cycle, built only by [`Run::start`].
+#[derive(Debug)]
+struct Run {
     cores: Vec<CoreState>,
-    /// `l1s[i]` is the private L1 of active core `i` (`cores[i]`). All
-    /// [`TOTAL_CORES`] arrays exist whatever the power state, so that
-    /// [`Cluster::retarget`] to a wider one allocates nothing; those past
-    /// `cores.len()` belong to gated cores and stay parked, clean.
-    l1s: Vec<SetAssocCache<L1Meta>>,
     /// Core statuses, split out of `CoreState` structure-of-arrays
     /// style: the wake/barrier/issue loops consult every core's status
     /// each step, and inside `CoreState` (whose stream spans hundreds of
     /// bytes) each status would be its own cache line. Kept in sync
-    /// with the masks below via [`Cluster::set_status`].
+    /// with the masks below via [`Run::set_status`].
     statuses: Vec<CoreStatus>,
     /// Bit `i` set while core `i` is `Ready`.
     ready_mask: u32,
@@ -390,166 +401,37 @@ pub struct Cluster {
     /// mask; `set_status` folds new deadlines in and rebuilds only when
     /// the current minimum's holder transitions.
     until_min: u64,
-    banks: Vec<BankState>,
-    /// `physical_to_idx[physical]` = index into `cores`, or `usize::MAX`
-    /// when that physical core is gated (fixed at construction; coherence
-    /// lookups would otherwise scan `cores` linearly per invalidation).
-    physical_to_idx: [usize; TOTAL_CORES],
-    bus: MissBus,
-    dram: Dram,
-    golden: Option<GoldenMemory>,
-    /// In-flight transactions; the interconnect tag *is* the generational
-    /// slab handle, so tag lookups are an index + generation check
-    /// instead of a `HashMap` probe.
-    txs: GenSlab<Tx>,
-    store_tokens: u64,
-    /// Pending actions, popped in exact `(time, seq)` order (the wheel
-    /// owns the sequence numbering).
-    events: TimingWheel<Action>,
     now: u64,
     paused: bool,
     /// Cores whose status is `Finished` (O(1) completion check).
     finished_cores: usize,
-    /// Reused victim/holder scratch for coherence fan-outs.
-    scratch_cores: Vec<usize>,
-    /// `l2_model.access_cycles(&tech)`, cached off the bank-service path.
-    l2_access_cycles: u64,
-    // metric counters
-    l1_hits: u64,
-    l1_misses: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    dram_accesses: u64,
-    invalidations: u64,
-    recalls: u64,
-    l2_latency: LatencyStats,
-    // physical models for energy finalisation
-    l1_model: SramBank,
-    l2_model: SramBank,
-    core_power: CorePowerModel,
-    dram_power: DramEnergyModel,
-    l1_reads: u64,
-    l1_writes: u64,
+    store_tokens: u64,
+    count: Counters,
 }
 
-impl std::fmt::Debug for Cluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster")
-            .field("now", &self.now)
-            .field("cores", &self.cores.len())
-            .field("state", &self.config.power_state.to_string())
-            .field("interconnect", &self.interconnect.name().to_string())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Cluster {
-    /// Builds the cluster for `config`, one workload stream per active
-    /// core.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError`] if the interconnect rejects the power state (baseline
-    /// NoCs only support `Full connection`) or stream count mismatches.
-    pub fn new(config: SimConfig, streams: Vec<CoreStream>) -> Result<Self, SimError> {
-        let tech = Technology::lp45();
-        let floorplan = Floorplan::date16();
-        let map = AddressMap::date16();
-        let Configured {
-            interconnect,
-            mot_cfg,
-            active_cores,
-            physical_to_idx,
-            bank_powered,
-            dram_timing,
-            dram_power,
-            bus_occupancy,
-            golden,
-        } = Configured::derive(&tech, &floorplan, &config, streams.len())?;
-
+impl Run {
+    /// Cycle zero: one `Ready` core per stream, placed on the physical
+    /// cores `active_cores` lists in rank order; nothing counted yet.
+    fn start(active_cores: &[usize], streams: Vec<CoreStream>) -> Self {
         let cores: Vec<CoreState> = active_cores
-            .into_iter()
+            .iter()
             .zip(streams)
-            .map(|(physical, stream)| CoreState::new(physical, stream))
+            .map(|(&physical, stream)| CoreState::new(physical, stream))
             .collect();
-        let l1s = (0..TOTAL_CORES)
-            .map(|_| SetAssocCache::new(CacheConfig::l1_date16()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let banks = bank_powered
-            .into_iter()
-            .map(|powered| {
-                Ok(BankState {
-                    cache: SetAssocCache::new(CacheConfig::l2_bank_date16())?,
-                    powered,
-                    free_at: 0,
-                    reads: 0,
-                    writes: 0,
-                })
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
-
-        let l2_model = SramBank::model(&tech, SramConfig::l2_bank_date16())?;
-
-        let statuses = vec![CoreStatus::Ready; cores.len()];
-        let all_cores_mask = u32::MAX >> (32 - cores.len() as u32);
-
-        Ok(Cluster {
-            config,
-            floorplan,
-            map,
-            interconnect,
-            mot_cfg,
-            ready_mask: all_cores_mask,
+        Run {
+            statuses: vec![CoreStatus::Ready; cores.len()],
+            ready_mask: u32::MAX >> (32 - cores.len() as u32),
             computing_mask: 0,
             barrier_mask: 0,
             until: vec![0; cores.len()],
             until_min: u64::MAX,
             cores,
-            l1s,
-            statuses,
-            banks,
-            physical_to_idx,
-            bus: MissBus::new(TOTAL_BANKS + TOTAL_CORES, bus_occupancy),
-            dram: Dram::new(dram_timing, map),
-            golden,
-            txs: GenSlab::new(),
-            store_tokens: 0,
-            events: TimingWheel::new(),
             now: 0,
             paused: false,
             finished_cores: 0,
-            scratch_cores: Vec::new(),
-            l2_access_cycles: l2_model.access_cycles(&tech),
-            l1_hits: 0,
-            l1_misses: 0,
-            l2_hits: 0,
-            l2_misses: 0,
-            dram_accesses: 0,
-            invalidations: 0,
-            recalls: 0,
-            l2_latency: LatencyStats::default(),
-            l1_model: SramBank::model(&tech, SramConfig::l1_date16())?,
-            l2_model,
-            core_power: CorePowerModel::cortex_a5_like(),
-            dram_power,
-            l1_reads: 0,
-            l1_writes: 0,
-            tech,
-        })
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Whether every core finished and all machinery drained (O(1): every
-    /// term is a counter or an emptiness flag).
-    pub fn is_done(&self) -> bool {
-        self.finished_cores == self.cores.len()
-            && self.txs.is_empty()
-            && self.events.is_empty()
-            && self.bus.is_idle()
+            store_tokens: 0,
+            count: Counters::default(),
+        }
     }
 
     /// Single point of truth for core-status transitions: updates the
@@ -584,7 +466,7 @@ impl Cluster {
         }
     }
 
-    /// Rebuilds [`Cluster::until_min`] from the computing mask. Only runs
+    /// Rebuilds [`Run::until_min`] from the computing mask. Only runs
     /// when the minimum's holder leaves `Computing` — once per compute
     /// run, not per step.
     fn recompute_until_min(&mut self) {
@@ -598,31 +480,150 @@ impl Cluster {
         self.until_min = min;
     }
 
-    /// The physical bank that currently serves a home bank index.
-    fn serving_bank(&self, home: usize) -> usize {
-        match &self.mot_cfg {
-            Some(cfg) => cfg.remap_bank(home),
-            None => home,
-        }
-    }
-
-    fn l2_cycles(&self) -> u64 {
-        self.l2_access_cycles
-    }
-
-    fn schedule(&mut self, at: u64, action: Action) {
-        self.events.schedule(at, action);
-    }
-
     fn fresh_token(&mut self, core_idx: usize) -> u64 {
         self.store_tokens += 1;
         ((core_idx as u64 + 1) << 48) | self.store_tokens
     }
 
+    /// Releases barriers when every unfinished core reached one. O(1)
+    /// when the barrier is not ready: a core is at a barrier or finished
+    /// iff it is in `barrier_mask` / the finished count, so the release
+    /// condition is one popcount.
+    fn check_barriers(&mut self) {
+        if self.barrier_mask == 0 {
+            return;
+        }
+        if self.barrier_mask.count_ones() as usize + self.finished_cores != self.cores.len() {
+            return; // someone still working: barrier not ready
+        }
+        let mut waiting = self.barrier_mask;
+        while waiting != 0 {
+            let idx = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            self.set_status(idx, CoreStatus::Ready);
+        }
+    }
+}
+
+/// The simulated cluster. Fields are grouped by how long they live (see
+/// the module documentation, "State by lifetime").
+pub struct Cluster {
+    // --- fixed: written once, by `new` ---------------------------------
+    tech: Technology,
+    floorplan: Floorplan,
+    map: AddressMap,
+    l1_model: SramBank,
+    l2_model: SramBank,
+    core_power: CorePowerModel,
+    /// `l2_model.access_cycles(&tech)`, cached off the bank-service path.
+    l2_access_cycles: u64,
+    // --- storage: allocated once, cleared O(touched) by `retarget` ------
+    /// `l1s[i]` is the private L1 of active core `i` (`run.cores[i]`).
+    /// All [`TOTAL_CORES`] arrays exist whatever the power state, so that
+    /// [`Cluster::retarget`] to a wider one allocates nothing; those past
+    /// `run.cores.len()` belong to gated cores and stay parked, clean.
+    l1s: Vec<SetAssocCache<L1Meta>>,
+    banks: Vec<BankState>,
+    bus: MissBus,
+    dram: Dram,
+    /// In-flight transactions; the interconnect tag *is* the generational
+    /// slab handle, so tag lookups are an index + generation check
+    /// instead of a `HashMap` probe.
+    txs: GenSlab<Tx>,
+    /// Pending actions, popped in exact `(time, seq)` order (the wheel
+    /// owns the sequence numbering).
+    events: TimingWheel<Action>,
+    /// Reused victim/holder scratch for coherence fan-outs.
+    scratch_cores: Vec<usize>,
+    // --- configured: replaced whole by `retarget` -----------------------
+    config: SimConfig,
+    cfg: Configured,
+    // --- run: replaced whole by `retarget` ------------------------------
+    run: Run,
+}
+
+impl std::fmt::Debug for Cluster {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cluster")
+            .field("now", &self.run.now)
+            .field("cores", &self.run.cores.len())
+            .field("state", &self.config.power_state.to_string())
+            .field("interconnect", &self.cfg.interconnect.get().name())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Cluster {
+    /// Builds the cluster for `config`, one workload stream per active
+    /// core: derives the configured state, allocates the storage (all
+    /// [`TOTAL_CORES`] L1s and [`TOTAL_BANKS`] banks, whatever the power
+    /// state) and starts the run with the same [`Run::start`]
+    /// [`Cluster::retarget`] uses.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError`] if the interconnect rejects the power state (baseline
+    /// NoCs only support `Full connection`) or stream count mismatches.
+    pub fn new(config: SimConfig, streams: Vec<CoreStream>) -> Result<Self, SimError> {
+        let tech = Technology::lp45();
+        let floorplan = Floorplan::date16();
+        let map = AddressMap::date16();
+        let cfg = Configured::derive(&tech, &floorplan, &config, streams.len())?;
+
+        let l1s = (0..TOTAL_CORES)
+            .map(|_| SetAssocCache::new(CacheConfig::l1_date16()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let banks = (0..TOTAL_BANKS)
+            .map(|_| {
+                Ok(BankState {
+                    cache: SetAssocCache::new(CacheConfig::l2_bank_date16())?,
+                    free_at: 0,
+                    reads: 0,
+                    writes: 0,
+                })
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let l2_model = SramBank::model(&tech, SramConfig::l2_bank_date16())?;
+
+        Ok(Cluster {
+            floorplan,
+            map,
+            l1_model: SramBank::model(&tech, SramConfig::l1_date16())?,
+            l2_access_cycles: l2_model.access_cycles(&tech),
+            l2_model,
+            core_power: CorePowerModel::cortex_a5_like(),
+            tech,
+            l1s,
+            banks,
+            bus: MissBus::new(TOTAL_BANKS + TOTAL_CORES, cfg.bus_occupancy),
+            dram: Dram::new(cfg.dram_timing, map),
+            txs: GenSlab::new(),
+            events: TimingWheel::new(),
+            scratch_cores: Vec::new(),
+            run: Run::start(&cfg.active_cores, streams),
+            config,
+            cfg,
+        })
+    }
+
+    /// Current cycle.
+    pub fn now(&self) -> u64 {
+        self.run.now
+    }
+
+    /// Whether every core finished and all machinery drained (O(1): every
+    /// term is a counter or an emptiness flag).
+    pub fn is_done(&self) -> bool {
+        self.run.finished_cores == self.run.cores.len()
+            && self.txs.is_empty()
+            && self.events.is_empty()
+            && self.bus.is_idle()
+    }
+
     /// Starts a memory transaction for a core and blocks it.
     fn start_tx(&mut self, core_idx: usize, line: LineAddr, kind: TxKind) {
         let value = if matches!(kind, TxKind::Store | TxKind::Upgrade) {
-            self.fresh_token(core_idx)
+            self.run.fresh_token(core_idx)
         } else {
             0
         };
@@ -630,13 +631,13 @@ impl Cluster {
             core_idx,
             line,
             kind,
-            issued_at: self.now,
+            issued_at: self.run.now,
             value,
         });
         debug_assert_ne!(tag, WB_TAG);
-        let physical = self.cores[core_idx].physical;
-        self.interconnect.inject_request(
-            self.now,
+        let physical = self.run.cores[core_idx].physical;
+        self.cfg.interconnect.inject_request(
+            self.run.now,
             MemRequest {
                 core: physical,
                 home_bank: self.map.home_bank(line),
@@ -644,30 +645,29 @@ impl Cluster {
                 tag,
             },
         );
-        self.set_status(core_idx, CoreStatus::WaitingMem);
+        self.run.set_status(core_idx, CoreStatus::WaitingMem);
     }
 
     /// L1 dirty eviction: functional state syncs immediately; a ghost
     /// WriteLine message still travels for timing/energy.
-    fn l1_writeback(&mut self, core_idx: usize, line: LineAddr, data: u64) {
-        let bank = self.serving_bank(self.map.home_bank(line));
-        let physical = self.cores[core_idx].physical;
+    fn l1_writeback(&mut self, core_idx: usize, line: LineAddr) {
+        let bank = self.cfg.serving_bank(self.map.home_bank(line));
+        let physical = self.run.cores[core_idx].physical;
         // Functional: L2 is kept current by the atomic-at-home-node rule,
         // so the data matches; just release the directory slot.
         if let Some(dir) = self.banks[bank].cache.payload_mut(line) {
             dir.drop_core(physical);
         }
-        let _ = data;
         let tag = self.txs.insert(Tx {
             core_idx,
             line,
             kind: TxKind::L1Writeback,
-            issued_at: self.now,
+            issued_at: self.run.now,
             value: 0,
         });
         debug_assert_ne!(tag, WB_TAG);
-        self.interconnect.inject_request(
-            self.now,
+        self.cfg.interconnect.inject_request(
+            self.run.now,
             MemRequest {
                 core: physical,
                 home_bank: self.map.home_bank(line),
@@ -681,20 +681,16 @@ impl Cluster {
     fn l1_fill(&mut self, core_idx: usize, line: LineAddr, value: u64, exclusive: bool) {
         let (slot, evicted) = self.l1s[core_idx].fill_slot(line, value, exclusive);
         self.l1s[core_idx].payload_at_mut(slot).exclusive = exclusive;
-        match evicted {
-            Some(ev) if ev.dirty => self.l1_writeback(core_idx, ev.addr, ev.data),
-            Some(ev) => {
-                // Clean evictions are silent; the directory may retain a
-                // stale sharer, which later invalidations tolerate.
-                let _ = ev;
-            }
-            None => {}
+        // Clean evictions are silent; the directory may retain a stale
+        // sharer, which later invalidations tolerate.
+        if let Some(ev) = evicted.filter(|ev| ev.dirty) {
+            self.l1_writeback(core_idx, ev.addr);
         }
     }
 
     /// Invalidate a line from a specific physical core's L1 (coherence).
     fn invalidate_l1(&mut self, physical: usize, line: LineAddr) {
-        let idx = self.physical_to_idx[physical];
+        let idx = self.cfg.physical_to_idx[physical];
         if idx != usize::MAX {
             self.l1s[idx].invalidate(line);
         }
@@ -707,10 +703,10 @@ impl Cluster {
         // mot3d-lint: allow(P1) -- a scheduled arrival's tx is removed only at delivery, later
         let tx = *self.txs.get(tag).expect("arrival has a transaction");
         assert!(
-            self.banks[bank_idx].powered,
+            self.cfg.bank_powered[bank_idx],
             "request arrived at gated bank {bank_idx}"
         );
-        let access = self.l2_cycles();
+        let access = self.l2_access_cycles;
         let start = at_cycle.max(self.banks[bank_idx].free_at);
         self.banks[bank_idx].free_at = start + access;
         let done = start + access;
@@ -723,14 +719,14 @@ impl Cluster {
             return;
         }
 
-        let physical = self.cores[tx.core_idx].physical;
+        let physical = self.run.cores[tx.core_idx].physical;
         let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
 
         if let Some(slot) = self.banks[bank_idx].cache.find(tx.line) {
             // --- L2 hit ---------------------------------------------
-            self.l2_hits += 1;
+            self.run.count.l2_hits += 1;
             let extra = self.access_resident_line(bank_idx, tag, slot);
-            self.schedule(
+            self.events.schedule(
                 done + extra,
                 Action::Respond {
                     tag,
@@ -741,8 +737,8 @@ impl Cluster {
             );
         } else {
             // --- L2 miss: tag check, then the Miss bus + DRAM ---------
-            self.l2_misses += 1;
-            self.schedule(
+            self.run.count.l2_misses += 1;
+            self.events.schedule(
                 done,
                 Action::BusEnqueue {
                     bank: bank_idx,
@@ -764,23 +760,23 @@ impl Cluster {
     fn access_resident_line(&mut self, bank_idx: usize, tag: u64, slot: SlotHandle) -> u64 {
         // mot3d-lint: allow(P1) -- callers hold a live tag (removed only at delivery)
         let tx = *self.txs.get(tag).expect("transaction exists");
-        let physical = self.cores[tx.core_idx].physical;
+        let physical = self.run.cores[tx.core_idx].physical;
         let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
         let mut extra = 0u64;
-        let oneway = self.interconnect.oneway_latency_hint();
+        let oneway = self.cfg.interconnect.oneway_latency_hint();
 
         let dir_owner = self.banks[bank_idx].cache.payload_at(slot).owner();
         if let Some(owner) = dir_owner {
             if owner != physical {
                 // Recall the modified copy (data already current in L2 by
                 // the atomic rule; pay the protocol latency).
-                self.recalls += 1;
+                self.run.count.recalls += 1;
                 extra += 2 * oneway + 4;
                 if is_store {
                     self.invalidate_l1(owner, tx.line);
-                    self.invalidations += 1;
-                } else if self.physical_to_idx[owner] != usize::MAX {
-                    let l1 = &mut self.l1s[self.physical_to_idx[owner]];
+                    self.run.count.invalidations += 1;
+                } else if self.cfg.physical_to_idx[owner] != usize::MAX {
+                    let l1 = &mut self.l1s[self.cfg.physical_to_idx[owner]];
                     if let Some(meta) = l1.payload_mut(tx.line) {
                         meta.exclusive = false;
                     }
@@ -801,7 +797,7 @@ impl Cluster {
                 .grant_exclusive_into(physical, &mut victims);
             if !victims.is_empty() {
                 extra += 2 * oneway + 2;
-                self.invalidations += victims.len() as u64;
+                self.run.count.invalidations += victims.len() as u64;
                 for &v in &victims {
                     self.invalidate_l1(v, tx.line);
                 }
@@ -809,7 +805,7 @@ impl Cluster {
             self.scratch_cores = victims;
             // Store becomes architecturally visible now.
             self.banks[bank_idx].cache.write_at(slot, tx.value);
-            if let Some(golden) = &mut self.golden {
+            if let Some(golden) = &mut self.cfg.golden {
                 golden.write(tx.line, tx.value);
             }
             self.banks[bank_idx].writes += 1;
@@ -822,13 +818,13 @@ impl Cluster {
             // The load is architecturally ordered *here*; the golden
             // comparison must use this point, not the delivery time (a
             // store ordered in between is not a violation).
-            if let Some(golden) = &self.golden {
+            if let Some(golden) = &self.cfg.golden {
                 assert_eq!(
                     value,
                     golden.read(tx.line),
                     "load mismatch at {:?} cycle {} (ordering point)",
                     tx.line,
-                    self.now
+                    self.run.now
                 );
             }
             // mot3d-lint: allow(P1) -- same live tag the function was entered with
@@ -843,7 +839,7 @@ impl Cluster {
     fn refill_bank(&mut self, bank_idx: usize, tag: u64) {
         // mot3d-lint: allow(P1) -- a scheduled refill's tx is removed only at delivery, later
         let tx = *self.txs.get(tag).expect("refill has a transaction");
-        let physical = self.cores[tx.core_idx].physical;
+        let physical = self.run.cores[tx.core_idx].physical;
         let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
 
         let slot = match self.banks[bank_idx].cache.find(tx.line) {
@@ -860,15 +856,15 @@ impl Cluster {
                     // drive the invalidations directly — no temporary).
                     for h in ev.payload.sharers() {
                         self.invalidate_l1(h, ev.addr);
-                        self.invalidations += 1;
+                        self.run.count.invalidations += 1;
                     }
                     if let Some(owner) = ev.payload.owner() {
                         self.invalidate_l1(owner, ev.addr);
-                        self.invalidations += 1;
+                        self.run.count.invalidations += 1;
                     }
                     if ev.dirty {
                         self.dram.write_line(ev.addr, ev.data);
-                        self.dram_accesses += 1;
+                        self.run.count.dram_accesses += 1;
                         // Victim writeback occupies the Miss bus (timing only).
                         self.bus.enqueue(Transfer {
                             requester: bank_idx,
@@ -883,8 +879,8 @@ impl Cluster {
         // access path applies.
         let extra = self.access_resident_line(bank_idx, tag, slot);
 
-        self.schedule(
-            self.now + self.l2_cycles() + extra,
+        self.events.schedule(
+            self.run.now + self.l2_access_cycles + extra,
             Action::Respond {
                 tag,
                 core: physical,
@@ -899,7 +895,7 @@ impl Cluster {
     /// was in flight; in that case the fill must be dropped — the
     /// operation itself was already ordered at the bank).
     fn still_registered(&self, physical: usize, line: LineAddr, as_owner: bool) -> bool {
-        let bank = self.serving_bank(self.map.home_bank(line));
+        let bank = self.cfg.serving_bank(self.map.home_bank(line));
         match self.banks[bank].cache.payload(line) {
             Some(dir) if as_owner => dir.owner() == Some(physical),
             Some(dir) => dir.holds(physical),
@@ -912,9 +908,11 @@ impl Cluster {
     fn complete_delivery(&mut self, tag: u64, at_cycle: u64) {
         // mot3d-lint: allow(P1) -- each tag is delivered exactly once; this is its removal point
         let tx = self.txs.remove(tag).expect("delivery has a transaction");
-        self.l2_latency
+        self.run
+            .count
+            .l2_latency
             .record(at_cycle.saturating_sub(tx.issued_at));
-        let physical = self.cores[tx.core_idx].physical;
+        let physical = self.run.cores[tx.core_idx].physical;
         match tx.kind {
             TxKind::Load => {
                 // (Golden-checked at the bank, the architectural ordering
@@ -945,133 +943,114 @@ impl Cluster {
             }
             TxKind::L1Writeback => unreachable!("writebacks have no responses"),
         }
-        self.set_status(tx.core_idx, CoreStatus::Ready);
+        self.run.set_status(tx.core_idx, CoreStatus::Ready);
     }
 
     /// One core issue step.
     // mot3d-lint: no-alloc
     fn step_core(&mut self, idx: usize) {
-        match self.statuses[idx] {
-            CoreStatus::Computing { until } if self.now >= until => {
-                self.set_status(idx, CoreStatus::Ready);
+        match self.run.statuses[idx] {
+            CoreStatus::Computing { until } if self.run.now >= until => {
+                self.run.set_status(idx, CoreStatus::Ready);
             }
             _ => {}
         }
-        if self.statuses[idx] != CoreStatus::Ready || self.paused {
+        if self.run.statuses[idx] != CoreStatus::Ready || self.run.paused {
             return;
         }
-        let Some(op) = self.cores[idx].stream.next() else {
-            self.set_status(idx, CoreStatus::Finished);
-            self.cores[idx].finished_at = Some(self.now);
+        let Some(op) = self.run.cores[idx].stream.next() else {
+            self.run.set_status(idx, CoreStatus::Finished);
+            self.run.cores[idx].finished_at = Some(self.run.now);
             return;
         };
         match op {
             StreamOp::Op(Op::Compute(n)) => {
-                let c = &mut self.cores[idx];
+                let c = &mut self.run.cores[idx];
                 c.busy_cycles += n as u64;
                 c.retired += n as u64;
-                self.set_status(
+                self.run.set_status(
                     idx,
                     CoreStatus::Computing {
-                        until: self.now + n as u64,
+                        until: self.run.now + n as u64,
                     },
                 );
             }
             StreamOp::Op(Op::Load(addr)) => {
                 let line = self.map.line_of(addr);
-                self.cores[idx].busy_cycles += 1;
-                self.cores[idx].retired += 1;
-                self.l1_reads += 1;
+                self.run.cores[idx].busy_cycles += 1;
+                self.run.cores[idx].retired += 1;
+                self.run.count.l1_reads += 1;
                 if let Some(value) = self.l1s[idx].read(line) {
-                    self.l1_hits += 1;
-                    if let Some(golden) = &self.golden {
+                    self.run.count.l1_hits += 1;
+                    if let Some(golden) = &self.cfg.golden {
                         assert_eq!(
                             value,
                             golden.read(line),
                             "L1 load mismatch at {line:?} cycle {}",
-                            self.now
+                            self.run.now
                         );
                     }
-                    self.set_status(
+                    self.run.set_status(
                         idx,
                         CoreStatus::Computing {
-                            until: self.now + 1,
+                            until: self.run.now + 1,
                         },
                     );
                 } else {
-                    self.l1_misses += 1;
+                    self.run.count.l1_misses += 1;
                     self.start_tx(idx, line, TxKind::Load);
                 }
             }
             StreamOp::Op(Op::Store(addr)) => {
                 let line = self.map.line_of(addr);
-                self.cores[idx].busy_cycles += 1;
-                self.cores[idx].retired += 1;
-                self.l1_writes += 1;
+                self.run.cores[idx].busy_cycles += 1;
+                self.run.cores[idx].retired += 1;
+                self.run.count.l1_writes += 1;
                 match self.l1s[idx].find(line) {
                     Some(slot) if self.l1s[idx].payload_at(slot).exclusive => {
                         // M-state store: 1 cycle; keep L2 architecturally
                         // current (atomic-at-home-node bookkeeping, no
                         // traffic).
-                        self.l1_hits += 1;
-                        let token = self.fresh_token(idx);
+                        self.run.count.l1_hits += 1;
+                        let token = self.run.fresh_token(idx);
                         self.l1s[idx].write_at(slot, token);
-                        let bank = self.serving_bank(self.map.home_bank(line));
+                        let bank = self.cfg.serving_bank(self.map.home_bank(line));
                         let bank_slot = self.banks[bank].cache.find(line);
                         debug_assert!(bank_slot.is_some(), "inclusion violated for {line:?}");
                         if let Some(bank_slot) = bank_slot {
                             self.banks[bank].cache.write_at(bank_slot, token);
                         }
-                        if let Some(golden) = &mut self.golden {
+                        if let Some(golden) = &mut self.cfg.golden {
                             golden.write(line, token);
                         }
-                        self.set_status(
+                        self.run.set_status(
                             idx,
                             CoreStatus::Computing {
-                                until: self.now + 1,
+                                until: self.run.now + 1,
                             },
                         );
                     }
                     Some(_) => {
-                        self.l1_misses += 1;
+                        self.run.count.l1_misses += 1;
                         self.start_tx(idx, line, TxKind::Upgrade);
                     }
                     None => {
-                        self.l1_misses += 1;
+                        self.run.count.l1_misses += 1;
                         self.start_tx(idx, line, TxKind::Store);
                     }
                 }
             }
             StreamOp::Op(Op::Barrier(id)) => {
-                self.set_status(idx, CoreStatus::AtBarrier { id });
+                self.run.set_status(idx, CoreStatus::AtBarrier { id });
             }
             StreamOp::IFetchMiss(addr) => {
-                let physical = self.cores[idx].physical;
-                self.set_status(idx, CoreStatus::WaitingIFetch);
+                let physical = self.run.cores[idx].physical;
+                self.run.set_status(idx, CoreStatus::WaitingIFetch);
                 self.bus.enqueue(Transfer {
                     requester: TOTAL_BANKS + physical,
                     tag: addr,
                 });
             }
-        }
-    }
-
-    /// Releases barriers when every unfinished core reached one. O(1)
-    /// when the barrier is not ready: a core is at a barrier or finished
-    /// iff it is in `barrier_mask` / the finished count, so the release
-    /// condition is one popcount.
-    fn check_barriers(&mut self) {
-        if self.barrier_mask == 0 {
-            return;
-        }
-        if self.barrier_mask.count_ones() as usize + self.finished_cores != self.cores.len() {
-            return; // someone still working: barrier not ready
-        }
-        let mut waiting = self.barrier_mask;
-        while waiting != 0 {
-            let idx = waiting.trailing_zeros() as usize;
-            waiting &= waiting - 1;
-            self.set_status(idx, CoreStatus::Ready);
         }
     }
 
@@ -1085,8 +1064,8 @@ impl Cluster {
     /// folds away and this *is* `step` — same machine code, no branch.
     // mot3d-lint: no-alloc
     pub fn step_with<O: Observer>(&mut self, obs: &mut O) {
-        let now = self.now;
-        self.interconnect.tick(now);
+        let now = self.run.now;
+        self.cfg.interconnect.tick(now);
 
         // Scheduled actions due this cycle.
         while let Some((_, action)) = self.events.pop_due(now) {
@@ -1104,7 +1083,7 @@ impl Cluster {
                     bank,
                     write,
                 } => {
-                    self.interconnect.inject_response(
+                    self.cfg.interconnect.inject_response(
                         now,
                         MemResponse {
                             core,
@@ -1119,8 +1098,8 @@ impl Cluster {
                     );
                 }
                 Action::IFetchDone { core_idx } => {
-                    if self.statuses[core_idx] == CoreStatus::WaitingIFetch {
-                        self.set_status(core_idx, CoreStatus::Ready);
+                    if self.run.statuses[core_idx] == CoreStatus::WaitingIFetch {
+                        self.run.set_status(core_idx, CoreStatus::Ready);
                     }
                 }
             }
@@ -1135,8 +1114,8 @@ impl Cluster {
                     // mot3d-lint: allow(P1) -- a queued transfer's tx is removed only at delivery, later
                     let tx = self.txs.get(t.tag).expect("bus transfer has tx");
                     let done = self.dram.access(now, tx.line, false);
-                    self.dram_accesses += 1;
-                    self.schedule(
+                    self.run.count.dram_accesses += 1;
+                    self.events.schedule(
                         done,
                         Action::Refill {
                             bank: t.requester,
@@ -1149,25 +1128,25 @@ impl Cluster {
                 let physical = t.requester - TOTAL_BANKS;
                 let line = self.map.line_of(t.tag);
                 let done = self.dram.access(now, line, false);
-                self.dram_accesses += 1;
-                let core_idx = self.physical_to_idx[physical];
+                self.run.count.dram_accesses += 1;
+                let core_idx = self.cfg.physical_to_idx[physical];
                 if core_idx != usize::MAX {
-                    self.schedule(done, Action::IFetchDone { core_idx });
+                    self.events.schedule(done, Action::IFetchDone { core_idx });
                 }
             }
         }
 
         // Requests arriving at banks.
-        while let Some(a) = self.interconnect.pop_arrival() {
+        while let Some(a) = self.cfg.interconnect.pop_arrival() {
             self.service_bank(a.bank, a.request.tag, a.at_cycle);
         }
 
         // Responses arriving at cores.
-        while let Some(d) = self.interconnect.pop_delivery() {
+        while let Some(d) = self.cfg.interconnect.pop_delivery() {
             self.complete_delivery(d.response.tag, d.at_cycle);
         }
 
-        self.check_barriers();
+        self.run.check_barriers();
 
         // Only Ready cores can issue and only Computing cores can change
         // state in `step_core`; walking the mask in ascending bit order
@@ -1175,12 +1154,12 @@ impl Cluster {
         // never changes another core's status, so the snapshot is exact.
         // A computing core whose deadline is still ahead provably no-ops
         // in `step_core`, so it is masked out instead of called.
-        let mut actionable = self.ready_mask | self.computing_mask;
+        let mut actionable = self.run.ready_mask | self.run.computing_mask;
         while actionable != 0 {
             let idx = actionable.trailing_zeros() as usize;
             let bit = actionable & actionable.wrapping_neg();
             actionable &= actionable - 1;
-            if self.computing_mask & bit != 0 && self.until[idx] > now {
+            if self.run.computing_mask & bit != 0 && self.run.until[idx] > now {
                 continue;
             }
             self.step_core(idx);
@@ -1189,15 +1168,15 @@ impl Cluster {
         if O::ENABLED {
             obs.sample(self);
         }
-        self.now += 1;
+        self.run.now += 1;
     }
 
     /// The earliest upcoming cycle at which stepping can change state, or
     /// `None` when every component is idle (quiescence or deadlock).
     ///
-    /// Returns `self.now` (no skip possible) when a core is ready to
+    /// Returns `self.run.now` (no skip possible) when a core is ready to
     /// issue, a pending barrier release is due, or any component reports
-    /// immediate activity. Every cycle strictly between `self.now` and the
+    /// immediate activity. Every cycle strictly between `self.run.now` and the
     /// returned value is a provable no-op: all cores are blocked past it,
     /// no scheduled action is due, the Miss bus neither completes nor
     /// grants, and the interconnect neither lands a transit nor arbitrates
@@ -1207,48 +1186,49 @@ impl Cluster {
     fn next_wake(&self) -> Option<u64> {
         let mut wake: Option<u64> = None;
         let merge = |w: &mut Option<u64>, t: u64| *w = Some(w.map_or(t, |x| x.min(t)));
-        if !self.paused {
+        if !self.run.paused {
             // A paused cluster never issues, so core states cannot create
             // activity; unpaused, a Ready core issues this very cycle.
-            if self.ready_mask != 0 {
-                return Some(self.now);
+            if self.run.ready_mask != 0 {
+                return Some(self.run.now);
             }
             // Everyone unfinished is at the barrier: the release fires on
             // the next step's barrier check. (No core is Ready here, so
             // barrier + finished covering all cores means none is
             // computing or waiting.)
-            if self.barrier_mask != 0
-                && self.barrier_mask.count_ones() as usize + self.finished_cores == self.cores.len()
+            if self.run.barrier_mask != 0
+                && self.run.barrier_mask.count_ones() as usize + self.run.finished_cores
+                    == self.run.cores.len()
             {
-                return Some(self.now);
+                return Some(self.run.now);
             }
             debug_assert!({
                 let mut min = u64::MAX;
-                let mut computing = self.computing_mask;
+                let mut computing = self.run.computing_mask;
                 while computing != 0 {
                     let idx = computing.trailing_zeros() as usize;
                     computing &= computing - 1;
-                    min = min.min(self.until[idx]);
+                    min = min.min(self.run.until[idx]);
                 }
-                min == self.until_min
+                min == self.run.until_min
             });
-            if self.until_min != u64::MAX {
-                merge(&mut wake, self.until_min);
+            if self.run.until_min != u64::MAX {
+                merge(&mut wake, self.run.until_min);
             }
         }
         if let Some(t) = self.events.next_time() {
             merge(&mut wake, t);
         }
-        if let Some(t) = self.bus.next_activity(self.now) {
+        if let Some(t) = self.bus.next_activity(self.run.now) {
             merge(&mut wake, t);
         }
-        if let Some(t) = self.interconnect.next_activity(self.now) {
+        if let Some(t) = self.cfg.interconnect.next_activity(self.run.now) {
             merge(&mut wake, t);
         }
-        if let Some(t) = self.dram.next_activity(self.now) {
+        if let Some(t) = self.dram.next_activity(self.run.now) {
             merge(&mut wake, t);
         }
-        wake.map(|w| w.max(self.now))
+        wake.map(|w| w.max(self.run.now))
     }
 
     /// Event-driven advance: jumps `now` to the next wake-up (clamped to
@@ -1259,13 +1239,13 @@ impl Cluster {
     fn advance_with<O: Observer>(&mut self, limit: u64, obs: &mut O) {
         match self.next_wake() {
             Some(wake) => {
-                if wake > self.now {
-                    self.now = wake.min(limit);
+                if wake > self.run.now {
+                    self.run.now = wake.min(limit);
                 }
             }
-            None => self.now = limit,
+            None => self.run.now = limit,
         }
-        if self.now < limit {
+        if self.run.now < limit {
             self.step_with(obs);
             if O::ENABLED {
                 // Between steps: outside the no-alloc hot path, so a
@@ -1306,7 +1286,7 @@ impl Cluster {
             obs.maintain();
         }
         while !self.is_done() {
-            if self.now >= self.config.max_cycles {
+            if self.run.now >= self.config.max_cycles {
                 return Err(SimError::CycleLimit(self.config.max_cycles));
             }
             self.advance_with(self.config.max_cycles, obs);
@@ -1326,19 +1306,8 @@ impl Cluster {
     /// [`Cluster::run_until`] with an [`Observer`] (see
     /// [`Cluster::run_to_completion_with`] for the sampling contract).
     pub fn run_until_with<O: Observer>(&mut self, cycle: u64, obs: &mut O) {
-        while !self.is_done() && self.now < cycle {
-            match self.next_wake() {
-                Some(wake) if wake < cycle => {
-                    if wake > self.now {
-                        self.now = wake;
-                    }
-                    self.step_with(obs);
-                    if O::ENABLED {
-                        obs.maintain();
-                    }
-                }
-                _ => self.now = cycle,
-            }
+        while !self.is_done() && self.run.now < cycle {
+            self.advance_with(cycle, obs);
         }
     }
 
@@ -1350,16 +1319,16 @@ impl Cluster {
     ///
     /// [`SimError::CycleLimit`] if draining does not converge.
     pub fn drain(&mut self) -> Result<(), SimError> {
-        self.paused = true;
-        let limit = self.now + 1_000_000;
+        self.run.paused = true;
+        let limit = self.run.now + 1_000_000;
         while !(self.txs.is_empty() && self.events.is_empty() && self.bus.is_idle()) {
-            if self.now >= limit {
-                self.paused = false;
+            if self.run.now >= limit {
+                self.run.paused = false;
                 return Err(SimError::CycleLimit(limit));
             }
             self.advance_with(limit, &mut NullObserver);
         }
-        self.paused = false;
+        self.run.paused = false;
         Ok(())
     }
 
@@ -1369,16 +1338,17 @@ impl Cluster {
     /// for and whatever it was doing — finished, aborted mid-run, or
     /// switched to another power state on the way.
     ///
-    /// No [`SimConfig`] field changes the geometry of the caches, so the
-    /// L1 and L2 arrays (megabytes), the timing wheel, the transaction
-    /// slab and the DRAM's line map all stay. What the configuration
-    /// does determine — the interconnect and its bank remap, the
-    /// active-core list, DRAM timing and energy, Miss-bus occupancy, the
-    /// golden memory — is built anew, in microseconds. The caches clear
-    /// only the sets the previous run filled ([`SetAssocCache::clear`]),
-    /// so a sweep of short points pays for what each point touched, not
-    /// for what a cluster holds. This is what lets one cluster per
-    /// thread serve a whole design-space grid (see
+    /// The same three steps as `new`, with "allocate" replaced by
+    /// "clear": derive the configured state, clear the storage, start
+    /// the run. No [`SimConfig`] field changes the geometry of the
+    /// caches, so the L1 and L2 arrays (megabytes), the timing wheel, the
+    /// transaction slab and the DRAM's line map all stay, and the caches
+    /// clear only the sets the previous run filled
+    /// ([`SetAssocCache::clear`]): a sweep of short points pays for what
+    /// each point touched, not for what a cluster holds. The configured
+    /// and run states are small and are replaced whole, in microseconds,
+    /// by the values `new` would have installed. This is what lets one
+    /// cluster per thread serve a whole design-space grid (see
     /// [`crate::runner::ClusterPool`]).
     ///
     /// # Errors
@@ -1392,72 +1362,26 @@ impl Cluster {
         config: SimConfig,
         streams: Vec<CoreStream>,
     ) -> Result<(), SimError> {
-        let Configured {
-            interconnect,
-            mot_cfg,
-            active_cores,
-            physical_to_idx,
-            bank_powered,
-            dram_timing,
-            dram_power,
-            bus_occupancy,
-            golden,
-        } = Configured::derive(&self.tech, &self.floorplan, &config, streams.len())?;
+        let cfg = Configured::derive(&self.tech, &self.floorplan, &config, streams.len())?;
         // Every check has passed; nothing below fails. (A zero bus
         // occupancy panics here as it does in `new`: first, while the
         // cluster is still whole.)
-        self.bus.reset(bus_occupancy);
-
-        self.config = config;
-        self.interconnect = interconnect;
-        self.mot_cfg = mot_cfg;
-        self.physical_to_idx = physical_to_idx;
-        self.dram.reset(dram_timing);
-        self.dram_power = dram_power;
-        self.golden = golden;
-
-        self.cores.clear();
-        self.cores.extend(
-            active_cores
-                .into_iter()
-                .zip(streams)
-                .map(|(physical, stream)| CoreState::new(physical, stream)),
-        );
+        self.bus.reset(cfg.bus_occupancy);
+        self.dram.reset(cfg.dram_timing);
         for l1 in &mut self.l1s {
             l1.clear();
         }
-        let cores = self.cores.len();
-        self.statuses.clear();
-        self.statuses.resize(cores, CoreStatus::Ready);
-        self.ready_mask = u32::MAX >> (32 - cores as u32);
-        self.computing_mask = 0;
-        self.barrier_mask = 0;
-        self.until.clear();
-        self.until.resize(cores, 0);
-        self.until_min = u64::MAX;
-        for (bank, powered) in self.banks.iter_mut().zip(bank_powered) {
+        for bank in &mut self.banks {
             bank.cache.clear();
-            bank.powered = powered;
             bank.free_at = 0;
             bank.reads = 0;
             bank.writes = 0;
         }
         self.txs.clear();
-        self.store_tokens = 0;
         self.events.clear();
-        self.now = 0;
-        self.paused = false;
-        self.finished_cores = 0;
-        self.l1_hits = 0;
-        self.l1_misses = 0;
-        self.l2_hits = 0;
-        self.l2_misses = 0;
-        self.dram_accesses = 0;
-        self.invalidations = 0;
-        self.recalls = 0;
-        self.l2_latency = LatencyStats::default();
-        self.l1_reads = 0;
-        self.l1_writes = 0;
+        self.run = Run::start(&cfg.active_cores, streams);
+        self.config = config;
+        self.cfg = cfg;
         Ok(())
     }
 
@@ -1481,45 +1405,46 @@ impl Cluster {
     /// Collects final metrics (consumes nothing; callable after
     /// [`Cluster::run_to_completion`]).
     pub fn metrics(&self, label: impl Into<String>) -> Metrics {
-        let cycles = self.now;
+        let cycles = self.run.now;
+        let count = &self.run.count;
+        let net = self.cfg.interconnect.get();
         let exec_time = self.tech.period() * cycles as f64;
-        let instructions: u64 = self.cores.iter().map(|c| c.retired).sum();
+        let instructions: u64 = self.run.cores.iter().map(|c| c.retired).sum();
 
         let mut energy = EnergyBreakdown::default();
-        for c in &self.cores {
+        for c in &self.run.cores {
             let busy = c.busy_cycles;
             let span = c.finished_at.unwrap_or(cycles).max(busy);
             let stall = span - busy;
             energy.cores += self.core_power.energy(busy, stall, exec_time, true);
         }
         // Private L1s: per-access dynamic + leakage while powered.
-        energy.l1 += self.l1_model.read_energy() * self.l1_reads as f64
-            + self.l1_model.write_energy() * self.l1_writes as f64
-            + self.l1_model.leakage() * exec_time * self.cores.len() as f64;
-        let powered_banks = self.banks.iter().filter(|b| b.powered).count() as f64;
+        energy.l1 += self.l1_model.read_energy() * count.l1_reads as f64
+            + self.l1_model.write_energy() * count.l1_writes as f64
+            + self.l1_model.leakage() * exec_time * self.run.cores.len() as f64;
+        let powered_banks = self.cfg.bank_powered.iter().filter(|&&p| p).count() as f64;
         let l2_reads: u64 = self.banks.iter().map(|b| b.reads).sum();
         let l2_writes: u64 = self.banks.iter().map(|b| b.writes).sum();
         energy.l2 += self.l2_model.read_energy() * l2_reads as f64
             + self.l2_model.write_energy() * l2_writes as f64
             + self.l2_model.leakage() * exec_time * powered_banks;
-        energy.interconnect +=
-            self.interconnect.dynamic_energy() + self.interconnect.leakage_power() * exec_time;
-        energy.dram += self.dram_power.energy(self.dram_accesses, exec_time);
+        energy.interconnect += net.dynamic_energy() + net.leakage_power() * exec_time;
+        energy.dram += self.cfg.dram_power.energy(count.dram_accesses, exec_time);
 
         Metrics {
             label: label.into(),
             cycles,
             exec_time,
             instructions,
-            l1_hits: self.l1_hits,
-            l1_misses: self.l1_misses,
-            l2_hits: self.l2_hits,
-            l2_misses: self.l2_misses,
-            dram_accesses: self.dram_accesses,
-            l2_latency: self.l2_latency.clone(),
-            invalidations: self.invalidations,
-            recalls: self.recalls,
-            interconnect: self.interconnect.stats(),
+            l1_hits: count.l1_hits,
+            l1_misses: count.l1_misses,
+            l2_hits: count.l2_hits,
+            l2_misses: count.l2_misses,
+            dram_accesses: count.dram_accesses,
+            l2_latency: count.l2_latency.clone(),
+            invalidations: count.invalidations,
+            recalls: count.recalls,
+            interconnect: net.stats(),
             energy,
         }
     }
@@ -1534,7 +1459,7 @@ impl Cluster {
     /// [`SimError`] if the new state changes the core count, the
     /// interconnect is not the reconfigurable MoT, or draining fails.
     pub fn switch_power_state(&mut self, new_state: PowerState) -> Result<(), SimError> {
-        if self.mot_cfg.is_none() {
+        if self.cfg.mot_cfg.is_none() {
             return Err(SimError::NotReconfigurable);
         }
         if new_state.active_cores() != self.config.power_state.active_cores() {
@@ -1545,24 +1470,21 @@ impl Cluster {
         }
         self.drain()?;
 
-        let new_net = MotNetwork::new(
-            &self.tech,
-            &self.floorplan,
-            MotTopology::date16(),
-            &MotTimingParams::default(),
-            new_state,
-        )?;
-        let new_cfg = new_net.configuration().clone();
+        let config = SimConfig {
+            power_state: new_state,
+            ..self.config
+        };
+        let new_cfg =
+            Configured::derive(&self.tech, &self.floorplan, &config, self.run.cores.len())?;
 
         // Flush every line whose serving bank changes (covers both
         // gating — bank turns off — and un-gating — folded lines going
         // home). Dirty lines ride the Miss bus to DRAM.
-        let mut flushed = 0u64;
         for bank_idx in 0..TOTAL_BANKS {
             let to_flush: Vec<LineAddr> = self.banks[bank_idx]
                 .cache
                 .resident_addrs()
-                .filter(|line| new_cfg.remap_bank(self.map.home_bank(*line)) != bank_idx)
+                .filter(|line| new_cfg.serving_bank(self.map.home_bank(*line)) != bank_idx)
                 .collect();
             for line in to_flush {
                 let ev = self.banks[bank_idx]
@@ -1572,51 +1494,50 @@ impl Cluster {
                     .expect("line is resident");
                 for h in ev.payload.sharers() {
                     self.invalidate_l1(h, line);
-                    self.invalidations += 1;
+                    self.run.count.invalidations += 1;
                 }
                 if let Some(owner) = ev.payload.owner() {
                     self.invalidate_l1(owner, line);
-                    self.invalidations += 1;
+                    self.run.count.invalidations += 1;
                 }
                 if ev.dirty {
                     self.dram.write_line(ev.addr, ev.data);
-                    self.dram_accesses += 1;
+                    self.run.count.dram_accesses += 1;
                     self.bus.enqueue(Transfer {
                         requester: bank_idx,
                         tag: WB_TAG,
                     });
-                    flushed += 1;
                 }
             }
         }
-        let _ = flushed;
         // Let the flush traffic drain over the bus (paper: write back
         // before power-off).
         self.drain()?;
 
-        for (b, bank) in self.banks.iter_mut().enumerate() {
-            bank.powered = new_cfg.is_bank_active(b);
-        }
-        self.interconnect = ClusterNet::Mot(new_net);
-        self.mot_cfg = Some(new_cfg);
-        self.config.power_state = new_state;
+        // The run goes on: its golden memory is the one thing of the old
+        // configured state that carries over.
+        self.cfg = Configured {
+            golden: self.cfg.golden.take(),
+            ..new_cfg
+        };
+        self.config = config;
         Ok(())
     }
 
     /// Read-only view of the golden memory (when `check_golden` is on).
     pub fn golden(&self) -> Option<&GoldenMemory> {
-        self.golden.as_ref()
+        self.cfg.golden.as_ref()
     }
 
     /// Verifies the entire cache hierarchy against the golden memory:
     /// every L2-resident line and every golden line must agree (L1s are
     /// kept coherent with L2 by construction). Panics on mismatch.
     pub fn verify_against_golden(&self) {
-        let Some(golden) = &self.golden else {
+        let Some(golden) = &self.cfg.golden else {
             return;
         };
         for (line, want) in golden.iter() {
-            let bank = self.serving_bank(self.map.home_bank(line));
+            let bank = self.cfg.serving_bank(self.map.home_bank(line));
             let got = match self.banks[bank].cache.peek(line) {
                 Some((v, _)) => v,
                 None => self.dram.read_line(line),
@@ -1634,18 +1555,18 @@ impl Cluster {
     /// Number of active (ungated) cores; observer core indices range
     /// over `0..active_core_count()`.
     pub fn active_core_count(&self) -> usize {
-        self.cores.len()
+        self.run.cores.len()
     }
 
     /// Physical grid id of active core `idx` (gated power states leave
     /// holes in the physical numbering).
     pub fn core_physical_id(&self, idx: usize) -> usize {
-        self.cores[idx].physical
+        self.run.cores[idx].physical
     }
 
     /// What active core `idx` is doing this cycle.
     pub fn core_activity(&self, idx: usize) -> CoreActivity {
-        match self.statuses[idx] {
+        match self.run.statuses[idx] {
             CoreStatus::Ready => CoreActivity::Ready,
             CoreStatus::Computing { .. } => CoreActivity::Computing,
             CoreStatus::WaitingMem => CoreActivity::WaitingMem,
@@ -1662,13 +1583,13 @@ impl Cluster {
 
     /// Whether bank `bank` is powered in the current configuration.
     pub fn bank_powered(&self, bank: usize) -> bool {
-        self.banks[bank].powered
+        self.cfg.bank_powered[bank]
     }
 
     /// Whether bank `bank` is mid-access this cycle (its SRAM array is
     /// occupied until a scheduled completion).
     pub fn bank_busy(&self, bank: usize) -> bool {
-        self.banks[bank].free_at > self.now
+        self.banks[bank].free_at > self.run.now
     }
 
     /// Transfers queued on the Miss bus (excluding any granted one).
@@ -1694,12 +1615,12 @@ impl Cluster {
 
     /// Running `(hits, misses)` counters of the shared L2.
     pub fn l2_hit_counts(&self) -> (u64, u64) {
-        (self.l2_hits, self.l2_misses)
+        (self.run.count.l2_hits, self.run.count.l2_misses)
     }
 
     /// Occupancy snapshot of whichever interconnect this cluster runs.
     pub fn interconnect_probe(&self) -> InterconnectProbe {
-        match &self.interconnect {
+        match &self.cfg.interconnect {
             ClusterNet::Mot(n) => {
                 let topo = n.configuration().topology();
                 InterconnectProbe::Mot(MotProbe {
@@ -1712,10 +1633,105 @@ impl Cluster {
                 })
             }
             ClusterNet::Noc(n) => InterconnectProbe::Noc(NocProbe {
-                busy_ports: n.busy_ports(self.now),
-                busy_buses: n.busy_buses(self.now),
+                busy_ports: n.busy_ports(self.run.now),
+                busy_buses: n.busy_buses(self.run.now),
                 routers: n.router_count(),
             }),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mot3d_noc::NocTopologyKind;
+    use mot3d_workloads::{streams, SplashBenchmark};
+
+    #[test]
+    fn a_run_starts_with_every_core_ready_at_cycle_zero() {
+        for active in [vec![0, 5, 10, 15], (0..TOTAL_CORES).collect::<Vec<_>>()] {
+            let n = active.len();
+            let spec = SplashBenchmark::Fft.spec().scaled(0.002);
+            let run = Run::start(&active, streams(&spec, n, 7));
+            let physical: Vec<usize> = run.cores.iter().map(|c| c.physical).collect();
+            assert_eq!(physical, active);
+            assert_eq!(run.statuses, vec![CoreStatus::Ready; n]);
+            assert_eq!(run.until.len(), n);
+            assert_eq!(run.ready_mask.count_ones() as usize, n);
+            assert_eq!(run.ready_mask.trailing_ones() as usize, n);
+            assert_eq!((run.computing_mask, run.barrier_mask), (0, 0));
+            assert_eq!(run.until_min, u64::MAX);
+            assert_eq!((run.now, run.finished_cores, run.store_tokens), (0, 0, 0));
+            assert!(!run.paused);
+            assert_eq!(run.count.l1_reads + run.count.l2_hits, 0);
+            assert_eq!(run.count.l2_latency, LatencyStats::default());
+        }
+    }
+
+    /// Sends one request from core 3 to bank 9 and its response back,
+    /// through the dispatch methods the step loop uses.
+    fn round_trip(net: &mut ClusterNet) {
+        let request = MemRequest {
+            core: 3,
+            home_bank: 9,
+            kind: ReqKind::ReadLine,
+            tag: 1,
+        };
+        net.inject_request(0, request);
+        let mut now = 0;
+        let arrival = loop {
+            net.tick(now);
+            if let Some(arrival) = net.pop_arrival() {
+                break arrival;
+            }
+            now = net.next_activity(now + 1).expect("a request is in flight");
+        };
+        assert_eq!(arrival.request, request);
+        let response = MemResponse {
+            core: 3,
+            bank: arrival.bank,
+            kind: ReqKind::ReadLine,
+            tag: 1,
+        };
+        net.inject_response(now, response);
+        let delivery = loop {
+            net.tick(now);
+            if let Some(delivery) = net.pop_delivery() {
+                break delivery;
+            }
+            now = net.next_activity(now + 1).expect("a response is in flight");
+        };
+        assert_eq!(delivery.response, response);
+        assert!(net.oneway_latency_hint() > 0);
+    }
+
+    #[test]
+    fn cold_reads_go_to_the_network_the_hot_dispatch_drives() {
+        let choices = [
+            InterconnectChoice::Mot,
+            InterconnectChoice::Noc(NocTopologyKind::Mesh3d),
+        ];
+        for interconnect in choices {
+            let config = SimConfig::date16().with_interconnect(interconnect);
+            let (tech, floorplan) = (Technology::lp45(), Floorplan::date16());
+            let mut net = Configured::derive(&tech, &floorplan, &config, TOTAL_CORES)
+                .expect("a Full-connection configuration")
+                .interconnect;
+            round_trip(&mut net);
+
+            // The same four reads on the concrete network, no `dyn`.
+            let (name, stats, energy, leakage) = match &net {
+                ClusterNet::Mot(n) => (n.name(), n.stats(), n.dynamic_energy(), n.leakage_power()),
+                ClusterNet::Noc(n) => (n.name(), n.stats(), n.dynamic_energy(), n.leakage_power()),
+            };
+            let cold = net.get();
+            assert_eq!(cold.name(), name);
+            assert_eq!(cold.name(), interconnect.to_string());
+            assert_eq!(cold.stats(), stats);
+            assert_eq!((stats.requests, stats.responses), (1, 1));
+            assert_eq!(cold.dynamic_energy(), energy);
+            assert!(energy.value() > 0.0);
+            assert_eq!(cold.leakage_power(), leakage);
         }
     }
 }
