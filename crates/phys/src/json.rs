@@ -1,15 +1,26 @@
 //! The workspace's one JSON reader and one string escaper.
 //!
 //! The workspace has no external dependencies, and the documents it
-//! reads — the sweep service's wire protocol and result store, and the
-//! perf baseline of `mot3d perf check` — are small, so a ~200-line
-//! recursive descent parser is the whole story. It lives here, beside
-//! [`crate::fnv`], because every crate that reads or writes JSON already
-//! depends on this one (`mot3d_serve::json` re-exports it). One
-//! deliberate quirk: numbers are held to the RFC 8259 grammar but kept
-//! as their **raw source text** ([`JsonValue::Num`]), because the result
-//! store round-trips `f64`s as exact `to_bits` integers — a detour
-//! through lossy float parsing would break the byte-identity contract.
+//! reads — the sweep service's wire protocol and result store, the perf
+//! baseline of `mot3d perf check`, whole trace files in tests — are
+//! plain, so a ~200-line recursive descent parser is the whole story. It
+//! lives here, beside [`crate::fnv`], because every crate that reads or
+//! writes JSON already depends on this one (`mot3d_serve::json`
+//! re-exports it).
+//!
+//! The parser is linear in its input. A string is copied one *run* at a
+//! time: the plain bytes up to the next `"`, `\` or control byte go out
+//! in one `push_str` of the already-validated `&str` (every delimiter is
+//! ASCII, so every run ends on a char boundary), and only escapes are
+//! decoded byte by byte. It is RFC 8259-strict: raw control characters
+//! (`< 0x20`) inside a string are rejected with their byte offset — every
+//! first-party writer escapes them through [`escape_into`] — numbers must
+//! match the RFC grammar, and nesting is bounded.
+//!
+//! One deliberate quirk: numbers are kept as their **raw source text**
+//! ([`JsonValue::Num`]), because the result store round-trips `f64`s as
+//! exact `to_bits` integers — a detour through lossy float parsing would
+//! break the byte-identity contract.
 //!
 //! Writers stay with their owners: each document's spacing is part of a
 //! byte-identity contract, so they are `write!` templates around
@@ -119,6 +130,7 @@ pub fn json_string(s: &str) -> String {
 /// Returns a human-readable description with a byte offset.
 pub fn parse(src: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
         depth: 0,
@@ -137,6 +149,8 @@ pub fn parse(src: &str) -> Result<JsonValue, String> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same input, for byte-wise dispatch.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -239,16 +253,14 @@ impl Parser<'_> {
                 return Err(bad());
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 number".to_string())?;
-        Ok(JsonValue::Num(text.to_string()))
+        // Every byte consumed above is ASCII: a char boundary of `src`.
+        Ok(JsonValue::Num(self.src[start..self.pos].to_string()))
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
         let hex = self
-            .bytes
+            .src
             .get(self.pos..self.pos + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
         let code = u32::from_str_radix(hex, 16)
             .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
@@ -260,6 +272,14 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next delimiter in one
+            // go. Delimiters are ASCII, so `pos` lands on a char boundary.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | ..0x20));
+            self.pos = run.map_or(self.bytes.len(), |len| start + len);
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -305,15 +325,7 @@ impl Parser<'_> {
                         }
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (strings arrive validated:
-                    // the input is &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-UTF-8".to_string())?;
-                    let c = s.chars().next().ok_or_else(|| "empty".to_string())?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(c) => return Err(format!("raw control {c:#04x} at byte {}", self.pos)),
             }
         }
     }
@@ -441,11 +453,48 @@ mod tests {
             ".5",
             "+1",
             "[1.e3]",
+            // RFC 8259: control characters inside strings must be escaped.
+            "\"a\nb\"",
+            "{\"k\u{1}\": 1}",
+            "[\"\u{1f}\"]",
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+        let err = parse("\"a\nb\"").unwrap_err();
+        assert!(err.contains("at byte 2"), "{err}");
         let deep = "[".repeat(100_000);
         assert!(parse(&deep).is_err(), "unbounded nesting");
+    }
+
+    /// A string-heavy document past 1 MiB parses, in a debug test run:
+    /// the reader copies plain runs whole, so the cost is linear.
+    #[test]
+    fn parses_a_mebibyte_of_string_heavy_records() {
+        let record = |i: usize| {
+            format!(
+                "{{\"index\": {i}, \"workload\": {}, \"interconnect\": \"mot3d\", \
+                 \"note\": {}, \"label\": {}}}",
+                json_string(&format!("fft-{i} \u{2603} \"quoted\" back\\slash")),
+                json_string(&"plain text, no escapes at all. ".repeat(14)),
+                json_string(&format!("tab\there \u{1F600} line\nbreak {i}")),
+            )
+        };
+        let doc = format!(
+            "[{}]",
+            (0..2_000).map(record).collect::<Vec<_>>().join(",\n")
+        );
+        assert!(doc.len() >= 1 << 20, "{} bytes", doc.len());
+        let v = parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items.len(), 2_000);
+        assert_eq!(
+            items[1_999].get("label").unwrap().as_str(),
+            Some("tab\there \u{1F600} line\nbreak 1999")
+        );
+        assert_eq!(
+            items[7].get("workload").unwrap().as_str(),
+            Some("fft-7 \u{2603} \"quoted\" back\\slash")
+        );
     }
 
     #[test]
@@ -470,6 +519,38 @@ mod tests {
         ) {
             let _ = parse(&String::from_utf8_lossy(&soup));
         }
+
+        /// Arbitrary strings — quotes, backslashes, controls, multi-byte
+        /// and astral scalars mixed with plain runs — round-trip through
+        /// the escaper and the reader.
+        #[test]
+        fn arbitrary_strings_round_trip(
+            chars in prop::collection::vec(
+                prop_oneof![
+                    prop::sample::select(vec![
+                        '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+                        'é', '\u{2603}', '\u{1F600}', '\u{10FFFF}',
+                    ]),
+                    (0u32..0x80).prop_map(char_or_replacement),
+                    (0x80u32..0x1_0000).prop_map(char_or_replacement),
+                    (0x1_0000u32..0x11_0000).prop_map(char_or_replacement),
+                ],
+                0..64,
+            ),
+        ) {
+            let s: String = chars.into_iter().collect();
+            let v = parse(&json_string(&s));
+            prop_assert_eq!(v, Ok(JsonValue::Str(s.clone())));
+            let doc = format!("{{{}: [{}]}}", json_string(&s), json_string(&s));
+            let v = parse(&doc).map_err(TestCaseError::fail)?;
+            let member = v.get(&s).and_then(|a| a.as_array()?.first()?.as_str());
+            prop_assert_eq!(member, Some(s.as_str()));
+        }
+    }
+
+    /// A scalar for `code`, or U+FFFD for the surrogate range.
+    fn char_or_replacement(code: u32) -> char {
+        char::from_u32(code).unwrap_or('\u{FFFD}')
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn attempt(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Resul
     let reader = BufReader::new(stream);
     for line in reader.lines() {
         let line = line?;
-        match protocol::parse_summary(&line) {
+        match classify(&line) {
             Ok(None) => {
                 out.write_all(line.as_bytes())?;
                 out.write_all(b"\n")?;
@@ -107,6 +107,18 @@ fn attempt(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Resul
         io::ErrorKind::UnexpectedEof,
         "server closed the connection before the summary line",
     ))
+}
+
+/// [`protocol::parse_summary`] without the parse for record lines: every
+/// one starts with the prefix `sink::record_json_line` writes and has no
+/// top-level `done`, `error` or `failed` member, so it is a stream line
+/// as it stands. Header, failure, error and summary lines are parsed.
+fn classify(line: &str) -> Result<Option<PlanOutcome>, String> {
+    if line.starts_with("{\"index\": ") {
+        Ok(None)
+    } else {
+        protocol::parse_summary(line)
+    }
 }
 
 /// [`submit`] with resubmission-on-disconnect, reporting everything the
@@ -198,6 +210,50 @@ mod tests {
             io::ErrorKind::ConnectionRefused,
             "x"
         )));
+    }
+
+    /// The record-line fast path decides exactly what the full parse
+    /// would, on every line of a real served stream (header, records,
+    /// summary) and on the failure and rejection lines.
+    #[test]
+    fn the_record_fast_path_classifies_like_parse_summary() {
+        use crate::{Fingerprint, ServerConfig};
+        let dir = std::env::temp_dir().join(format!("mot3d-client-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: Some(1),
+            accept_limit: Some(1),
+            fingerprint: Fingerprint::custom("client/1"),
+            ..ServerConfig::new(&dir)
+        };
+        let server = config.bind().unwrap();
+        let addr = server.local_addr().unwrap();
+        let served = std::thread::spawn(move || server.run());
+        let stream = TcpStream::connect(addr).unwrap();
+        let request = PlanRequest {
+            bench: Some("fft,radix".to_string()),
+            dram: Some("63ns".to_string()),
+            scale: Some("tiny".to_string()),
+            ..PlanRequest::new("sweep")
+        };
+        writeln!(&stream, "{}", request.to_line()).unwrap();
+        let mut lines: Vec<String> = BufReader::new(stream).lines().map(Result::unwrap).collect();
+        served.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        assert_eq!(lines.len(), 4, "header, two records, summary: {lines:?}");
+        let records = lines
+            .iter()
+            .filter(|l| l.starts_with("{\"index\": "))
+            .count();
+        assert_eq!(records, 2, "the fast path sees every record line");
+        assert!(matches!(classify(&lines[3]), Ok(Some(o)) if o.points == 2));
+        lines.push(protocol::error_line("boom"));
+        lines.push(protocol::failed_line("fft @ mot3d", "injected fault"));
+        for line in &lines {
+            assert_eq!(classify(line), protocol::parse_summary(line), "{line}");
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!
 //! Segments roll over at a byte limit (4 MiB by default) so no single
 //! file grows without bound; the index maps each [`CacheKey`] to the
-//! exact byte range of its line, so a lookup is one seek + one read.
+//! exact byte range of its line, so a lookup is one seek + one read on
+//! an already-open handle: the store keeps one read handle, on the
+//! segment of the last hit, and re-opens only when a hit lands in
+//! another segment (one extra fd in total, not one per segment).
 //! Everything is append-only — eviction is `rm seg-*.jsonl index.jsonl`
 //! (documented in the README), never an in-place rewrite.
 //!
@@ -66,6 +69,8 @@ pub struct ResultStore {
     seg_out: BufWriter<File>,
     seg_len: u64,
     seg_limit: u64,
+    /// The read handle of the last hit's segment (see the module docs).
+    reader: Option<(u32, File)>,
     stats: StoreStats,
     faults: Faults,
 }
@@ -225,6 +230,7 @@ impl ResultStore {
             seg_out,
             seg_len,
             seg_limit: seg_limit.max(1),
+            reader: None,
             stats: StoreStats::default(),
             faults: Faults::none(),
         })
@@ -284,10 +290,15 @@ impl ResultStore {
         if loc.seg == self.seg_id {
             self.seg_out.flush()?;
         }
-        let mut file = File::open(seg_path(&self.dir, loc.seg))?;
+        let mut file = match self.reader.take() {
+            Some((seg, file)) if seg == loc.seg => file,
+            _ => File::open(seg_path(&self.dir, loc.seg))?,
+        };
         file.seek(SeekFrom::Start(loc.off))?;
         let mut line = vec![0u8; usize::try_from(loc.len).map_err(|_| invalid("entry length"))?];
         file.read_exact(&mut line)?;
+        // Kept only after a clean read: an I/O error re-opens next time.
+        self.reader = Some((loc.seg, file));
         let text = std::str::from_utf8(&line).map_err(|_| invalid("non-UTF-8 segment line"))?;
         let v = json::parse(text).map_err(invalid)?;
         let stored_key = v
@@ -453,6 +464,54 @@ mod tests {
             );
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The one cached read handle follows hits from segment to segment:
+    /// a hit right after its `put` (into the current segment, and right
+    /// after each rollover), the oldest segment right after the newest,
+    /// and the same lookups plus a fresh append after a reopen.
+    #[test]
+    fn cached_read_handle_follows_hits_across_segments_and_reopens() {
+        let fp = Fingerprint::current();
+        let records = sample_records(7);
+        let keys: Vec<CacheKey> = records.iter().map(|r| cache_key(&fp, &r.point)).collect();
+        let (stored, fresh) = (0..6, 6);
+        let line_len = format!(
+            "{{\"key\": \"{}\", \"metrics\": {}}}\n",
+            keys[0].to_hex(),
+            codec::metrics_to_json(&records[0].metrics)
+        )
+        .len() as u64;
+        let hit = |store: &mut ResultStore, i: usize| {
+            let got = store.get(keys[i]).unwrap();
+            assert_eq!(got.as_ref(), Some(&records[i].metrics), "record {i}");
+            let seg = store.index[&keys[i]].seg;
+            assert_eq!(store.reader.as_ref().map(|r| r.0), Some(seg), "record {i}");
+        };
+        // One line per segment, then two lines per segment.
+        for (name, limit) in [("handle-one", 64), ("handle-two", 5 * line_len / 2)] {
+            let dir = scratch_dir(name);
+            {
+                let mut store = ResultStore::open_with_segment_limit(&dir, limit).unwrap();
+                for i in stored.clone() {
+                    store.put(keys[i], &records[i].metrics).unwrap();
+                    hit(&mut store, i);
+                    hit(&mut store, 0);
+                    hit(&mut store, i);
+                }
+                assert!(store.seg_id >= 2, "{name}: rolled over");
+                assert_eq!(store.stats().hits, 18);
+            }
+            let mut store = ResultStore::open_with_segment_limit(&dir, limit).unwrap();
+            for i in stored.clone().rev().chain(stored.clone()) {
+                hit(&mut store, i);
+            }
+            store.put(keys[fresh], &records[fresh].metrics).unwrap();
+            hit(&mut store, fresh);
+            hit(&mut store, 0);
+            hit(&mut store, fresh);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
