@@ -178,11 +178,6 @@ pub fn page_token(open_page: bool) -> &'static str {
     }
 }
 
-/// Joins canonical tokens into the list form every parser accepts.
-pub fn join_tokens<'a>(tokens: impl IntoIterator<Item = &'a str>) -> String {
-    tokens.into_iter().collect::<Vec<_>>().join(",")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,13 +230,5 @@ mod tests {
             assert_eq!(parse_pages(page_token(page)).unwrap(), vec![page]);
         }
         assert_eq!(parse_pages("both").unwrap(), vec![false, true]);
-    }
-
-    #[test]
-    fn join_tokens_builds_parser_input() {
-        let list = join_tokens(["fft", "radix"]);
-        assert_eq!(list, "fft,radix");
-        assert_eq!(parse_benches(&list).unwrap().len(), 2);
-        assert_eq!(join_tokens([]), "");
     }
 }

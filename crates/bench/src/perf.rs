@@ -13,7 +13,6 @@
 //! committed `BENCH_results.json` looks like);
 //! [`crate::perfcheck::parse_baseline`] reads it back.
 
-use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
 use mot3d_phys::json::json_string;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -41,7 +40,7 @@ pub struct SweepRecord {
 /// use std::time::Duration;
 ///
 /// let mut rec = Recorder::new(0.35, 4);
-/// rec.add("fig7@200ns", Duration::from_millis(1860), 8, "table text");
+/// rec.add_raw("fig7@200ns", Duration::from_millis(1860), 8, 0x1234);
 /// let json = rec.to_json();
 /// assert!(json.contains("\"fig7@200ns\""));
 /// assert!(json.contains("\"threads\": 4"));
@@ -71,15 +70,8 @@ impl Recorder {
     }
 
     /// Records one finished sweep: its wall-clock time, row count, and
-    /// the rendered table it produced (checksummed, not stored).
-    pub fn add(&mut self, name: &str, wall: Duration, rows: usize, rendered_table: &str) {
-        let checksum = fnv1a64_fold(FNV_OFFSET, rendered_table.as_bytes());
-        self.add_raw(name, wall, rows, checksum);
-    }
-
-    /// [`Recorder::add`] with a precomputed FNV-1a checksum — used by
-    /// [`crate::sink::PerfSink`], which folds the checksum incrementally
-    /// over the record stream instead of a rendered table.
+    /// the FNV-1a checksum [`crate::sink::PerfSink`] folds over its
+    /// record stream.
     pub fn add_raw(&mut self, name: &str, wall: Duration, rows: usize, checksum: u64) {
         self.sweeps.push(SweepRecord {
             name: name.to_string(),
@@ -125,22 +117,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identical_tables_hash_equal_different_tables_do_not() {
-        let mut a = Recorder::new(0.35, 1);
-        a.add("x", Duration::from_secs(1), 8, "table");
-        let mut b = Recorder::new(0.35, 1);
-        b.add("x", Duration::from_secs(2), 8, "table"); // time differs
-        assert_eq!(a.sweeps()[0].checksum, b.sweeps()[0].checksum);
-        let mut c = Recorder::new(0.35, 1);
-        c.add("x", Duration::from_secs(1), 8, "other table");
-        assert_ne!(a.sweeps()[0].checksum, c.sweeps()[0].checksum);
-    }
-
-    #[test]
     fn json_is_well_formed_and_complete() {
         let mut rec = Recorder::new(0.004, 4);
-        rec.add("fig6", Duration::from_millis(120), 8, "t1");
-        rec.add("fig7@200ns", Duration::from_millis(340), 8, "t2");
+        rec.add_raw("fig6", Duration::from_millis(120), 8, 1);
+        rec.add_raw("fig7@200ns", Duration::from_millis(340), 8, 2);
         let json = rec.to_json();
         // Flat schema: balanced braces/brackets, all fields present.
         assert_eq!(json.matches('{').count(), json.matches('}').count());

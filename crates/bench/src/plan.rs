@@ -11,7 +11,7 @@
 //! [`mot3d_sim::runner::ClusterPool`]) and streams one typed
 //! [`RunRecord`] per finished point — in deterministic expansion order,
 //! whatever the thread count — through any number of
-//! [`RecordSink`](crate::sink::RecordSink)s.
+//! [`RecordSink`]s.
 //!
 //! The canned constructors ([`ExperimentPlan::fig6`],
 //! [`ExperimentPlan::fig7`], …) reproduce the paper's figures: their
@@ -188,12 +188,12 @@ impl ExperimentPlan {
     }
 
     /// Replaces the workload axis with SPLASH presets.
-    pub fn splash(mut self, benches: impl IntoIterator<Item = SplashBenchmark>) -> Self {
-        self.workloads = benches
-            .into_iter()
-            .map(|b| Arc::new(b) as Arc<dyn WorkloadSource>)
-            .collect();
-        self
+    pub fn splash(self, benches: impl IntoIterator<Item = SplashBenchmark>) -> Self {
+        self.workloads(
+            benches
+                .into_iter()
+                .map(|b| Arc::new(b) as Arc<dyn WorkloadSource>),
+        )
     }
 
     /// Replaces the interconnect axis.

@@ -37,33 +37,10 @@ impl AddressMap {
         }
     }
 
-    /// Creates a mapping, validating the power-of-two requirements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` or `banks` is not a power of two, or zero.
-    pub fn new(line_bytes: usize, banks: usize) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two, got {line_bytes}"
-        );
-        assert!(
-            banks.is_power_of_two(),
-            "bank count must be a power of two, got {banks}"
-        );
-        AddressMap { line_bytes, banks }
-    }
-
     /// Number of byte-offset bits inside a line.
     #[inline]
     pub fn offset_bits(&self) -> u32 {
         self.line_bytes.trailing_zeros()
-    }
-
-    /// Number of bank-index bits.
-    #[inline]
-    pub fn bank_bits(&self) -> u32 {
-        self.banks.trailing_zeros()
     }
 
     /// The line containing a byte address.
@@ -88,7 +65,6 @@ mod tests {
     fn date16_layout() {
         let m = AddressMap::date16();
         assert_eq!(m.offset_bits(), 5);
-        assert_eq!(m.bank_bits(), 5);
     }
 
     #[test]
@@ -113,17 +89,5 @@ mod tests {
         let m = AddressMap::date16();
         let line = m.line_of(0xdead_bee0);
         assert_eq!(m.line_of(line.byte_addr(&m)), line);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_power_of_two_lines() {
-        AddressMap::new(24, 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_power_of_two_banks() {
-        AddressMap::new(32, 12);
     }
 }

@@ -51,7 +51,6 @@ pub struct MissBus {
     queues: FifoSlab<Transfer>,
     rr: usize,
     current: Option<(Transfer, u64)>,
-    granted: u64,
 }
 
 impl MissBus {
@@ -69,7 +68,6 @@ impl MissBus {
             queues: FifoSlab::new(requesters),
             rr: 0,
             current: None,
-            granted: 0,
         }
     }
 
@@ -101,7 +99,6 @@ impl MissBus {
         if self.current.is_none() {
             if let Some(t) = self.next_round_robin() {
                 self.current = Some((t, now + self.occupancy));
-                self.granted += 1;
             }
         }
         finished
@@ -149,7 +146,6 @@ impl MissBus {
         self.queues.clear();
         self.rr = 0;
         self.current = None;
-        self.granted = 0;
     }
 
     /// Whether the bus and all queues are empty (O(1)).
@@ -160,11 +156,6 @@ impl MissBus {
     /// Transfers waiting (not including the one in flight); O(1).
     pub fn queued(&self) -> usize {
         self.queues.total_len()
-    }
-
-    /// Total transfers granted so far.
-    pub fn granted(&self) -> u64 {
-        self.granted
     }
 }
 

@@ -166,22 +166,6 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.read_hits + self.read_misses + self.write_hits + self.write_misses
-    }
-
-    /// Miss ratio over all accesses (0 when idle).
-    pub fn miss_ratio(&self) -> f64 {
-        let acc = self.accesses();
-        if acc == 0 {
-            return 0.0;
-        }
-        (self.read_misses + self.write_misses) as f64 / acc as f64
-    }
-}
-
 /// Way-slot flag bit: the slot holds a line.
 const FLAG_VALID: u8 = 1 << 0;
 /// Way-slot flag bit: the line has been written since fill.
@@ -212,7 +196,7 @@ pub struct SlotHandle {
 /// Structure-of-arrays: tags, flags (valid/dirty bits), data tokens, and
 /// payloads each live in one flat boxed slice indexed by
 /// `set * ways + way`, with replacement state in a matching flat
-/// [`ReplacerTable`]. A lookup therefore scans `ways` adjacent tag words
+/// `ReplacerTable`. A lookup therefore scans `ways` adjacent tag words
 /// of a single allocation (one or two cache lines) instead of chasing
 /// per-set `Vec`s, and no operation on the access path — including
 /// victim selection — allocates.
@@ -816,16 +800,5 @@ mod tests {
         // lines[0] was only `find`-ed, not touched: still the LRU victim.
         let ev = c.fill(lines[4], 0, false).unwrap();
         assert_eq!(ev.addr, lines[0]);
-    }
-
-    #[test]
-    fn miss_ratio_counts_reads_and_writes() {
-        let mut c = l1();
-        c.read(LineAddr(1)); // miss
-        c.fill(LineAddr(1), 0, false);
-        c.read(LineAddr(1)); // hit
-        c.write(LineAddr(1), 1); // hit
-        c.write(LineAddr(2), 1); // miss
-        assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
     }
 }

@@ -115,7 +115,6 @@ pub struct Dram {
     store: LineMap,
     open_row: Option<u64>,
     next_issue: u64,
-    accesses: u64,
     row_hits: u64,
 }
 
@@ -128,7 +127,6 @@ impl Dram {
             store: LineMap::new(),
             open_row: None,
             next_issue: 0,
-            accesses: 0,
             row_hits: 0,
         }
     }
@@ -149,7 +147,6 @@ impl Dram {
         };
         self.open_row = Some(row);
         self.next_issue = issue + self.timing.min_gap;
-        self.accesses += 1;
         if factor == 1.0 {
             // Flat latency (the paper's model, and every first access):
             // `round(base × 1.0)` is exactly `base` — skip the libm call.
@@ -188,24 +185,13 @@ impl Dram {
         self.store.clear();
         self.open_row = None;
         self.next_issue = 0;
-        self.accesses = 0;
         self.row_hits = 0;
-    }
-
-    /// Total accesses issued.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Row-buffer hits observed (0 in fixed mode only if accesses never
     /// repeat a row).
     pub fn row_hits(&self) -> u64 {
         self.row_hits
-    }
-
-    /// The configured timing.
-    pub fn timing(&self) -> &DramTiming {
-        &self.timing
     }
 
     /// The row left open in the row buffer by the last access (`None`

@@ -9,16 +9,14 @@
 //!
 //! * [`topology`] — the MoT structure: routing trees (one per core) and
 //!   arbitration trees (one per bank), Fig. 2(a);
-//! * [`switch`] — the modified routing switch with its Fig. 3(b) control
-//!   truth table, and round-robin arbitration cells;
+//! * [`switch`] — the modified routing switch's modes with their Fig. 3(b)
+//!   control truth table, and round-robin arbitration cells;
 //! * [`power_state`] — `Full` / `PC16-MB8` / `PC4-MB32` / `PC4-MB8`;
 //! * [`reconfig`] — which switches fold or gate for a state, and the
 //!   induced balanced bank remap (Fig. 4);
 //! * [`latency`] — Elmore-based derivation of Table I's 12/9/9/7-cycle
 //!   L2 latencies from the Fig. 5 wire geometry;
 //! * [`energy`] — per-transaction dynamic energy and gateable leakage;
-//! * [`fabric`] — a structural switch-instance model cross-validating the
-//!   control plane against the arithmetic remap;
 //! * [`network`] — the cycle-accurate non-blocking network model;
 //! * [`traits`] — the [`traits::Interconnect`] contract shared with the
 //!   packet-switched baselines in `mot3d-noc`.
@@ -47,7 +45,6 @@
 mod error;
 
 pub mod energy;
-pub mod fabric;
 pub mod latency;
 pub mod network;
 pub mod power_state;

@@ -174,11 +174,6 @@ impl MotNetwork {
         self.latency
     }
 
-    /// The energy model in force.
-    pub fn energy_model(&self) -> &MotEnergyModel {
-        &self.energy_model
-    }
-
     // --- Observability probes (read-only, allocation-free) ---
 
     /// Bit `b` set while at least one request is queued at bank `b`'s

@@ -151,11 +151,6 @@ impl PowerState {
         }
         Ok(())
     }
-
-    /// Whether this state gates anything relative to the given totals.
-    pub fn gates_anything(&self, total_cores: usize, total_banks: usize) -> bool {
-        self.active_cores < total_cores || self.active_banks < total_banks
-    }
 }
 
 impl fmt::Display for PowerState {
@@ -218,13 +213,6 @@ mod tests {
             s.check_fits(32, 32),
             Err(PowerStateError::ExceedsTotal("banks", 64, 32))
         ));
-    }
-
-    #[test]
-    fn gates_anything_detects_full() {
-        assert!(!PowerState::full().gates_anything(16, 32));
-        assert!(PowerState::pc16_mb8().gates_anything(16, 32));
-        assert!(PowerState::full().gates_anything(32, 32));
     }
 
     #[test]

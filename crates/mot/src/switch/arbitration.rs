@@ -46,11 +46,6 @@ impl Arbiter2 {
         self.last = winner;
         Some(winner as usize)
     }
-
-    /// The port that would win a tie right now (without arbitrating).
-    pub fn tie_winner(&self) -> usize {
-        (!self.last) as usize
-    }
 }
 
 /// A whole arbitration tree for one bank: grants one of `n` requesters per
@@ -77,16 +72,6 @@ impl ArbitrationTree {
             cells: vec![Arbiter2::new(); inputs.saturating_sub(1)],
             inputs,
         }
-    }
-
-    /// Number of leaf request inputs.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// Number of internal arbiter cells (`inputs − 1`).
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
     }
 
     /// Restores every cell's round-robin state to construction time, so a
@@ -230,14 +215,6 @@ mod tests {
         let mut tree = ArbitrationTree::new(1);
         assert_eq!(tree.grant(&[true]), Some(0));
         assert_eq!(tree.grant(&[false]), None);
-        assert_eq!(tree.cell_count(), 0);
-    }
-
-    #[test]
-    fn cell_count_is_inputs_minus_one() {
-        for n in [1usize, 2, 4, 8, 16, 32] {
-            assert_eq!(ArbitrationTree::new(n).cell_count(), n - 1);
-        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! In user-defined mode the address bit is *ignored*, which is exactly
 //! what folds the gated half of a bank subtree onto the live half while
 //! leaving the cache addressing untouched (Fig. 4).
+//!
+//! [`RoutingMode`] is one row of that table; the control plane
+//! ([`crate::reconfig::MotConfiguration::routing_mode`]) assigns one to
+//! every switch, and routes follow from the modes directly.
 
 use std::fmt;
 
@@ -43,15 +47,6 @@ impl Port {
     #[inline]
     pub fn bit(self) -> bool {
         matches!(self, Port::Port1)
-    }
-
-    /// The other port.
-    #[inline]
-    pub fn other(self) -> Port {
-        match self {
-            Port::Port0 => Port::Port1,
-            Port::Port1 => Port::Port0,
-        }
     }
 }
 
@@ -100,86 +95,9 @@ impl fmt::Display for RoutingMode {
     }
 }
 
-/// One modified routing switch instance.
-///
-/// # Examples
-///
-/// ```
-/// use mot3d_mot::switch::{Port, RoutingMode, RoutingSwitch};
-///
-/// let mut sw = RoutingSwitch::new();
-/// assert_eq!(sw.route(true), Some(Port::Port1)); // conventional
-/// sw.set_mode(RoutingMode::UserDefined(Port::Port0));
-/// assert_eq!(sw.route(true), Some(Port::Port0)); // address bit ignored
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoutingSwitch {
-    mode: RoutingMode,
-}
-
-impl RoutingSwitch {
-    /// A switch in conventional mode (reset state).
-    pub fn new() -> Self {
-        RoutingSwitch::default()
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> RoutingMode {
-        self.mode
-    }
-
-    /// Reconfigures the switch (drives its `ctr` signals).
-    pub fn set_mode(&mut self, mode: RoutingMode) {
-        self.mode = mode;
-    }
-
-    /// Routes a packet whose relevant destination-address bit is
-    /// `addr_bit`. Returns `None` if the switch is power-gated (a routing
-    /// bug in the control plane — callers assert on it).
-    pub fn route(&self, addr_bit: bool) -> Option<Port> {
-        match self.mode {
-            RoutingMode::Conventional => Some(Port::from_bit(addr_bit)),
-            RoutingMode::UserDefined(port) => Some(port),
-            RoutingMode::Off => None,
-        }
-    }
-
-    /// Whether the switch is powered.
-    pub fn is_powered(&self) -> bool {
-        self.mode != RoutingMode::Off
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conventional_follows_address_bit() {
-        let sw = RoutingSwitch::new();
-        assert_eq!(sw.route(false), Some(Port::Port0));
-        assert_eq!(sw.route(true), Some(Port::Port1));
-    }
-
-    #[test]
-    fn user_defined_ignores_address_bit() {
-        let mut sw = RoutingSwitch::new();
-        sw.set_mode(RoutingMode::UserDefined(Port::Port1));
-        assert_eq!(sw.route(false), Some(Port::Port1));
-        assert_eq!(sw.route(true), Some(Port::Port1));
-        sw.set_mode(RoutingMode::UserDefined(Port::Port0));
-        assert_eq!(sw.route(false), Some(Port::Port0));
-        assert_eq!(sw.route(true), Some(Port::Port0));
-    }
-
-    #[test]
-    fn off_switch_routes_nothing() {
-        let mut sw = RoutingSwitch::new();
-        sw.set_mode(RoutingMode::Off);
-        assert_eq!(sw.route(false), None);
-        assert_eq!(sw.route(true), None);
-        assert!(!sw.is_powered());
-    }
 
     #[test]
     fn ctr_truth_table_round_trips() {
@@ -207,12 +125,5 @@ mod tests {
     fn port_bit_round_trip() {
         assert!(!Port::from_bit(false).bit());
         assert!(Port::from_bit(true).bit());
-        assert_eq!(Port::Port0.other(), Port::Port1);
-        assert_eq!(Port::Port1.other(), Port::Port0);
-    }
-
-    #[test]
-    fn default_mode_is_conventional() {
-        assert_eq!(RoutingSwitch::default().mode(), RoutingMode::Conventional);
     }
 }

@@ -19,8 +19,6 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::switch::Port;
-
 /// Errors from invalid topology parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -154,33 +152,6 @@ impl MotTopology {
         self.routing_levels() - level
     }
 
-    /// The routing switch met at `level` on the way to `bank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` or `bank` is out of range.
-    pub fn switch_on_path(&self, bank: usize, level: u32) -> SwitchAddr {
-        assert!(bank < self.banks, "bank {bank} out of range");
-        let shift = self.bit_of_level(level) + 1;
-        SwitchAddr {
-            level,
-            index: bank >> shift,
-        }
-    }
-
-    /// The full conventional route to `bank`: the port taken at each level
-    /// 1..=`routing_levels()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn route_to(&self, bank: usize) -> Vec<Port> {
-        assert!(bank < self.banks, "bank {bank} out of range");
-        (1..=self.routing_levels())
-            .map(|l| Port::from_bit((bank >> self.bit_of_level(l)) & 1 == 1))
-            .collect()
-    }
-
     /// Number of switches in one tree level (`2^(level−1)`).
     ///
     /// # Panics
@@ -234,43 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn route_to_bank_reads_bits_msb_first() {
-        let t = MotTopology::new(4, 8).unwrap();
-        use crate::switch::Port::{Port0, Port1};
-        assert_eq!(t.route_to(0b000), vec![Port0, Port0, Port0]);
-        assert_eq!(t.route_to(0b101), vec![Port1, Port0, Port1]);
-        assert_eq!(t.route_to(0b111), vec![Port1, Port1, Port1]);
-    }
-
-    #[test]
-    fn switch_on_path_indexes_by_prefix() {
-        let t = MotTopology::new(4, 8).unwrap();
-        // Level 1: single root switch for every bank.
-        for b in 0..8 {
-            assert_eq!(t.switch_on_path(b, 1), SwitchAddr { level: 1, index: 0 });
-        }
-        // Level 2: split by MSB.
-        assert_eq!(t.switch_on_path(0b011, 2).index, 0);
-        assert_eq!(t.switch_on_path(0b100, 2).index, 1);
-        // Level 3: split by top two bits.
-        assert_eq!(t.switch_on_path(0b101, 3).index, 0b10);
-    }
-
-    #[test]
     fn banks_under_covers_subtree() {
         let t = MotTopology::new(4, 8).unwrap();
         assert_eq!(t.banks_under(SwitchAddr { level: 1, index: 0 }), 0..8);
         assert_eq!(t.banks_under(SwitchAddr { level: 2, index: 1 }), 4..8);
         assert_eq!(t.banks_under(SwitchAddr { level: 3, index: 2 }), 4..6);
-    }
-
-    #[test]
-    fn every_bank_has_unique_route() {
-        let t = MotTopology::date16();
-        let mut routes: Vec<Vec<crate::switch::Port>> = (0..32).map(|b| t.route_to(b)).collect();
-        routes.sort_by_key(|r| r.iter().map(|p| p.bit() as u8).collect::<Vec<_>>());
-        routes.dedup();
-        assert_eq!(routes.len(), 32, "routes must be distinct per bank");
     }
 
     #[test]
@@ -283,11 +222,5 @@ mod tests {
             MotTopology::new(4, 0),
             Err(TopologyError::NotPowerOfTwo("banks", 0))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn route_to_bad_bank_panics() {
-        MotTopology::date16().route_to(99);
     }
 }

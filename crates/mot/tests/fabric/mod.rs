@@ -1,37 +1,24 @@
-//! Structural (gate-accurate) model of one core's routing tree.
+//! Structural (gate-accurate) model of one core's routing tree: a test
+//! reference, not part of the crate.
 //!
-//! [`crate::reconfig::MotConfiguration`] computes routes *behaviourally*
-//! (bit arithmetic). This module instantiates the actual fabric of
-//! Fig. 2(a)/Fig. 4 — one [`RoutingSwitch`] cell per tree node, each
-//! driven by its own `ctr_1/ctr_0` control pair — and routes packets by
-//! walking signals through the cells. It exists for the same reason RTL
-//! exists next to a spec: to prove the control plane (`routing_mode`)
-//! and the arithmetic remap agree with what the circuit actually does,
-//! switch by switch. The equivalence is checked by unit tests here and
-//! property tests in `tests/properties.rs`.
+//! [`MotConfiguration`] computes routes *behaviourally* (bit arithmetic).
+//! This module instantiates the actual fabric of Fig. 2(a)/Fig. 4 — one
+//! [`RoutingSwitch`] cell per tree node, each driven by its own
+//! `ctr_1/ctr_0` control pair — and routes packets by walking signals
+//! through the cells. It exists for the same reason RTL exists next to a
+//! spec: to prove the control plane (`routing_mode`) and the arithmetic
+//! remap agree with what the circuit actually does, switch by switch. The
+//! equivalence is checked by the unit tests here and by
+//! `fabric_equals_remap` in `properties.rs`.
 
-use crate::reconfig::MotConfiguration;
-use crate::switch::RoutingSwitch;
-use crate::topology::{MotTopology, SwitchAddr};
+mod switch;
+
+use mot3d_mot::reconfig::MotConfiguration;
+use mot3d_mot::switch::RoutingMode;
+use mot3d_mot::topology::{MotTopology, SwitchAddr};
+use switch::RoutingSwitch;
 
 /// One core's routing tree, as physical switch instances.
-///
-/// # Examples
-///
-/// ```
-/// use mot3d_mot::fabric::RoutingFabric;
-/// use mot3d_mot::power_state::PowerState;
-/// use mot3d_mot::reconfig::MotConfiguration;
-/// use mot3d_mot::topology::MotTopology;
-///
-/// let cfg = MotConfiguration::new(MotTopology::date16(), PowerState::pc16_mb8())?;
-/// let fabric = RoutingFabric::configure(&cfg);
-/// // The circuit lands every packet exactly where the remap says.
-/// for home in 0..32 {
-///     assert_eq!(fabric.route(home), Some(cfg.remap_bank(home)));
-/// }
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 #[derive(Debug, Clone)]
 pub struct RoutingFabric {
     topology: MotTopology,
@@ -58,20 +45,10 @@ impl RoutingFabric {
                 let mode = cfg.routing_mode(SwitchAddr { level, index });
                 // Round-trip through the physical control encoding.
                 let (c1, c0) = mode.to_ctr();
-                fabric.levels[(level - 1) as usize][index]
-                    .set_mode(crate::switch::RoutingMode::from_ctr(c1, c0));
+                fabric.levels[(level - 1) as usize][index].set_mode(RoutingMode::from_ctr(c1, c0));
             }
         }
         fabric
-    }
-
-    /// The switch instance at `(level, index)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    pub fn switch(&self, addr: SwitchAddr) -> &RoutingSwitch {
-        &self.levels[(addr.level - 1) as usize][addr.index]
     }
 
     /// Routes a packet addressed to home bank `home` through the switch
@@ -110,11 +87,20 @@ impl RoutingFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power_state::PowerState;
+    use mot3d_mot::power_state::PowerState;
 
     fn fabric_for(state: PowerState) -> (RoutingFabric, MotConfiguration) {
         let cfg = MotConfiguration::new(MotTopology::date16(), state).unwrap();
         (RoutingFabric::configure(&cfg), cfg)
+    }
+
+    #[test]
+    fn circuit_lands_every_packet_where_the_remap_says() {
+        let cfg = MotConfiguration::new(MotTopology::date16(), PowerState::pc16_mb8()).unwrap();
+        let fabric = RoutingFabric::configure(&cfg);
+        for home in 0..32 {
+            assert_eq!(fabric.route(home), Some(cfg.remap_bank(home)));
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests for the MoT invariants (DESIGN.md §5).
 
-use mot3d_mot::fabric::RoutingFabric;
+mod fabric;
+
+use fabric::RoutingFabric;
 use mot3d_mot::network::MotNetwork;
 use mot3d_mot::power_state::PowerState;
 use mot3d_mot::reconfig::MotConfiguration;

@@ -111,11 +111,6 @@ impl NocNetwork {
         NocNetwork::new(&Technology::lp45(), &Floorplan::date16(), kind)
     }
 
-    /// The topology being modelled.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     // --- Observability probes (read-only, allocation-free) ---
 
     /// Directed router→router ports still serialising a packet at `now`.
@@ -131,11 +126,6 @@ impl NocNetwork {
     /// Routers in the topology (the port table is `routers × routers`).
     pub fn router_count(&self) -> usize {
         self.routers
-    }
-
-    /// The derived parameters.
-    pub fn params(&self) -> &NocParams {
-        &self.params
     }
 
     fn push(&mut self, time: u64, loc: Loc, packet: Packet) {

@@ -44,11 +44,6 @@ impl Payload {
             },
         }
     }
-
-    /// Total bits on the wire (flits × flit width).
-    pub fn bits(&self) -> usize {
-        self.flits() as usize * FLIT_BITS
-    }
 }
 
 /// A packet in flight.
@@ -118,12 +113,6 @@ mod tests {
         };
         assert_eq!(Payload::Response(rd_resp).flits(), 5);
         assert_eq!(Payload::Response(wr_resp).flits(), 1);
-    }
-
-    #[test]
-    fn bits_scale_with_flits() {
-        let p = Payload::Request(read_req());
-        assert_eq!(p.bits(), 64);
     }
 
     #[test]

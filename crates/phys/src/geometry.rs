@@ -82,13 +82,6 @@ pub struct PathGeometry {
     pub vertical: Meters,
 }
 
-impl PathGeometry {
-    /// Total routed length (horizontal + vertical).
-    pub fn total(&self) -> Meters {
-        self.horizontal + self.vertical
-    }
-}
-
 /// The 3-D cluster floorplan.
 ///
 /// # Examples

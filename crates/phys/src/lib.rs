@@ -9,8 +9,9 @@
 //! * [`units`] — strongly-typed physical quantities (`Seconds`, `Ohms`, …);
 //! * [`technology`] — process parameters of a calibrated 45 nm-class LP
 //!   node at 1 GHz;
-//! * [`rc`] — Elmore RC-tree delay (paper ref \[15\]) and optimally repeated
-//!   wires (the power-gateable "inverters placed along the on-chip wires");
+//! * [`rc`] — optimally repeated wires with distributed Elmore delay
+//!   (paper ref \[15\]; the power-gateable "inverters placed along the
+//!   on-chip wires");
 //! * [`tsv`] — TSV + micro-bump electrical model (refs \[14\]\[15\]);
 //! * [`sram`] — CACTI-style SRAM bank delay/energy/area (ref \[13\]);
 //! * [`geometry`] — the 3-D floorplan and Fig. 5 wire-length model;

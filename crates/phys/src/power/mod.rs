@@ -63,17 +63,6 @@ impl EnergyBreakdown {
     pub fn edp_with_dram(&self, exec_time: Seconds) -> JouleSeconds {
         self.total() * exec_time
     }
-
-    /// Component-wise sum of two breakdowns.
-    pub fn merged(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
-        EnergyBreakdown {
-            cores: self.cores + other.cores,
-            l1: self.l1 + other.l1,
-            l2: self.l2 + other.l2,
-            interconnect: self.interconnect + other.interconnect,
-            dram: self.dram + other.dram,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,13 +93,6 @@ mod tests {
         let t = Seconds::from_us(100.0);
         assert!((e.edp(t).value() - 7e-3 * 100e-6).abs() < 1e-15);
         assert!(e.edp_with_dram(t) > e.edp(t));
-    }
-
-    #[test]
-    fn merged_adds_componentwise() {
-        let e = sample().merged(&sample());
-        assert!((e.cores.mj() - 8.0).abs() < 1e-9);
-        assert!((e.dram.mj() - 4.0).abs() < 1e-9);
     }
 
     #[test]

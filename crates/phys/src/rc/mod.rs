@@ -1,16 +1,10 @@
 //! RC parasitics and delay estimation.
 //!
-//! Two layers:
-//!
-//! * [`RcTree`] — a general RC tree with Elmore (first-moment) delay at any
-//!   sink, the model named by the paper for its longest-path latency
-//!   estimates;
-//! * [`RepeatedWire`] — the engineering abstraction built on top: a long
-//!   wire with optimally spaced repeaters, yielding delay, energy per
-//!   transition and repeater leakage for each MoT link.
+//! [`RepeatedWire`] models a long wire with optimally spaced repeaters,
+//! yielding delay, energy per transition and repeater leakage for each
+//! MoT link. Its per-segment delay is the distributed Elmore estimate the
+//! paper names for its longest-path latencies (ref \[15\]).
 
-mod tree;
 mod wire;
 
-pub use tree::{NodeId, RcTree};
-pub use wire::{optimal_segment_length, unrepeated_delay, RepeatedWire};
+pub use wire::{optimal_segment_length, RepeatedWire};

@@ -59,12 +59,10 @@ pub fn optimal_segment_length(tech: &Technology) -> Meters {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepeatedWire {
-    length: Meters,
     segments: usize,
     delay: Seconds,
     energy_per_transition: Joules,
     leakage: Watts,
-    wire_cap: Farads,
 }
 
 impl RepeatedWire {
@@ -81,12 +79,10 @@ impl RepeatedWire {
     pub fn with_load(tech: &Technology, length: Meters, end_load: Farads) -> Self {
         if length.value() <= 0.0 {
             return RepeatedWire {
-                length: Meters::ZERO,
                 segments: 0,
                 delay: Seconds::ZERO,
                 energy_per_transition: Joules::ZERO,
                 leakage: Watts::ZERO,
-                wire_cap: Farads::ZERO,
             };
         }
         let l_opt = optimal_segment_length(tech);
@@ -120,19 +116,11 @@ impl RepeatedWire {
         let leakage = rep.leakage * segments as f64;
 
         RepeatedWire {
-            length,
             segments,
             delay,
             energy_per_transition: energy,
             leakage,
-            wire_cap,
         }
-    }
-
-    /// Physical wire length.
-    #[inline]
-    pub fn length(&self) -> Meters {
-        self.length
     }
 
     /// Number of repeaters inserted (one per segment; zero for zero-length
@@ -161,34 +149,28 @@ impl RepeatedWire {
     pub fn leakage(&self) -> Watts {
         self.leakage
     }
-
-    /// Total wire capacitance.
-    #[inline]
-    pub fn wire_cap(&self) -> Farads {
-        self.wire_cap
-    }
-}
-
-/// Delay of the same wire driven once at the source with *no* repeaters.
-/// Used by tests and ablations to show why repeaters are inserted: the
-/// unrepeated delay grows quadratically with length.
-pub fn unrepeated_delay(tech: &Technology, length: Meters, end_load: Farads) -> Seconds {
-    if length.value() <= 0.0 {
-        return Seconds::ZERO;
-    }
-    let rep = &tech.repeater;
-    let rw = tech.wire_resistance.over(length);
-    let cw = tech.wire_capacitance.over(length);
-    let driver_term = LN2
-        * rep.drive_resistance.value()
-        * (rep.output_cap.value() + cw.value() + end_load.value());
-    let wire_term = rw.value() * (LN2 * end_load.value() + DISTRIBUTED * cw.value());
-    rep.intrinsic_delay + Seconds::new(driver_term + wire_term)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Delay of the same wire driven once at the source with *no*
+    /// repeaters: the reference that shows why repeaters are inserted (the
+    /// unrepeated delay grows quadratically with length).
+    fn unrepeated_delay(tech: &Technology, length: Meters, end_load: Farads) -> Seconds {
+        if length.value() <= 0.0 {
+            return Seconds::ZERO;
+        }
+        let rep = &tech.repeater;
+        let rw = tech.wire_resistance.over(length);
+        let cw = tech.wire_capacitance.over(length);
+        let driver_term = LN2
+            * rep.drive_resistance.value()
+            * (rep.output_cap.value() + cw.value() + end_load.value());
+        let wire_term = rw.value() * (LN2 * end_load.value() + DISTRIBUTED * cw.value());
+        rep.intrinsic_delay + Seconds::new(driver_term + wire_term)
+    }
 
     #[test]
     fn zero_length_wire_is_free() {

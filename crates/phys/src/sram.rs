@@ -128,7 +128,6 @@ impl SramConfig {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramBank {
-    config: SramConfig,
     access_delay: Seconds,
     read_energy: Joules,
     write_energy: Joules,
@@ -225,7 +224,6 @@ impl SramBank {
         let leakage = tech.sram_leakage_per_kb * (kb * (1.0 + PERIPHERY_LEAKAGE_FRACTION));
 
         Ok(SramBank {
-            config,
             access_delay,
             read_energy,
             write_energy,
@@ -234,12 +232,6 @@ impl SramBank {
             rows,
             cols,
         })
-    }
-
-    /// The configuration this bank was modelled from.
-    #[inline]
-    pub fn config(&self) -> SramConfig {
-        self.config
     }
 
     /// Propagation delay from bank I/Os to the cells and back (one access).

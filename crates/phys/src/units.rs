@@ -58,24 +58,6 @@ macro_rules! quantity {
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
             }
-
-            /// Returns the smaller of two quantities.
-            #[inline]
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// Returns the absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
-            /// Returns `true` if the value is finite (not NaN or infinite).
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
         }
 
         impl Add for $name {
@@ -239,12 +221,6 @@ impl Seconds {
     pub fn ns(self) -> f64 {
         self.0 * 1e9
     }
-
-    /// The duration in microseconds.
-    #[inline]
-    pub fn us(self) -> f64 {
-        self.0 * 1e6
-    }
 }
 
 impl Ohms {
@@ -252,12 +228,6 @@ impl Ohms {
     #[inline]
     pub const fn from_kohms(kohms: f64) -> Self {
         Self(kohms * 1e3)
-    }
-
-    /// The resistance in kilo-ohms.
-    #[inline]
-    pub fn kohms(self) -> f64 {
-        self.0 * 1e-3
     }
 }
 
@@ -268,22 +238,10 @@ impl Farads {
         Self(ff * 1e-15)
     }
 
-    /// Creates a capacitance from picofarads.
-    #[inline]
-    pub const fn from_pf(pf: f64) -> Self {
-        Self(pf * 1e-12)
-    }
-
     /// The capacitance in femtofarads.
     #[inline]
     pub fn ff(self) -> f64 {
         self.0 * 1e15
-    }
-
-    /// The capacitance in picofarads.
-    #[inline]
-    pub fn pf(self) -> f64 {
-        self.0 * 1e12
     }
 
     /// Dynamic switching energy `½ C V²` for a full-swing transition.
@@ -375,21 +333,9 @@ impl Watts {
     pub fn mw(self) -> f64 {
         self.0 * 1e3
     }
-
-    /// The power in microwatts.
-    #[inline]
-    pub fn uw(self) -> f64 {
-        self.0 * 1e6
-    }
 }
 
 impl Hertz {
-    /// Creates a frequency from megahertz.
-    #[inline]
-    pub const fn from_mhz(mhz: f64) -> Self {
-        Self(mhz * 1e6)
-    }
-
     /// Creates a frequency from gigahertz.
     #[inline]
     pub const fn from_ghz(ghz: f64) -> Self {
@@ -415,22 +361,10 @@ impl Hertz {
 }
 
 impl SquareMeters {
-    /// Creates an area from square millimeters.
-    #[inline]
-    pub const fn from_mm2(mm2: f64) -> Self {
-        Self(mm2 * 1e-6)
-    }
-
     /// The area in square millimeters.
     #[inline]
     pub fn mm2(self) -> f64 {
         self.0 * 1e6
-    }
-
-    /// The area in square micrometers.
-    #[inline]
-    pub fn um2(self) -> f64 {
-        self.0 * 1e12
     }
 }
 

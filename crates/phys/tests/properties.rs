@@ -1,73 +1,12 @@
 //! Property-based tests for the physical models (DESIGN.md §5).
 
 use mot3d_phys::geometry::Floorplan;
-use mot3d_phys::rc::{RcTree, RepeatedWire};
-use mot3d_phys::units::{Farads, Meters, Ohms, Seconds};
+use mot3d_phys::rc::RepeatedWire;
+use mot3d_phys::units::{Meters, Seconds};
 use mot3d_phys::Technology;
 use proptest::prelude::*;
 
-/// A small positive resistance in ohms.
-fn r_ohms() -> impl Strategy<Value = f64> {
-    1.0..50_000.0f64
-}
-
-/// A small positive capacitance in femtofarads.
-fn c_ff() -> impl Strategy<Value = f64> {
-    0.1..5_000.0f64
-}
-
 proptest! {
-    /// Elmore delay of a pure chain equals the closed-form double sum
-    /// Σ_i R_i · (Σ_{j ≥ i} C_j).
-    #[test]
-    fn chain_elmore_matches_closed_form(
-        rs in prop::collection::vec(r_ohms(), 1..12),
-        cs_seed in prop::collection::vec(c_ff(), 1..12),
-    ) {
-        let n = rs.len().min(cs_seed.len());
-        let rs = &rs[..n];
-        let cs = &cs_seed[..n];
-
-        let mut tree = RcTree::new(Farads::ZERO);
-        let mut at = tree.root();
-        for (&r, &c) in rs.iter().zip(cs) {
-            at = tree.add_node(at, Ohms::new(r), Farads::from_ff(c));
-        }
-        let got = tree.elmore_delay(at);
-
-        let mut expected = 0.0;
-        for i in 0..n {
-            let downstream: f64 = cs[i..].iter().sum();
-            expected += rs[i] * downstream * 1e-15;
-        }
-        let rel = (got.value() - expected).abs() / expected.max(1e-30);
-        prop_assert!(rel < 1e-9, "got {} expected {}", got.value(), expected);
-    }
-
-    /// Adding capacitance anywhere never decreases the delay to any sink.
-    #[test]
-    fn elmore_monotone_in_cap(
-        rs in prop::collection::vec(r_ohms(), 2..8),
-        cs in prop::collection::vec(c_ff(), 2..8),
-        extra_ff in 1.0..1_000.0f64,
-        node_pick in 0usize..8,
-    ) {
-        let n = rs.len().min(cs.len());
-        let mut tree = RcTree::new(Farads::ZERO);
-        let mut nodes = vec![tree.root()];
-        let mut at = tree.root();
-        for (&r, &c) in rs[..n].iter().zip(&cs[..n]) {
-            at = tree.add_node(at, Ohms::new(r), Farads::from_ff(c));
-            nodes.push(at);
-        }
-        let sink = *nodes.last().unwrap();
-        let before = tree.elmore_delay(sink);
-        let bump = nodes[node_pick % nodes.len()];
-        tree.add_cap(bump, Farads::from_ff(extra_ff));
-        let after = tree.elmore_delay(sink);
-        prop_assert!(after >= before);
-    }
-
     /// Repeated-wire delay is strictly monotone in length and roughly
     /// linear (the per-mm cost of the second half never exceeds 2× the
     /// first half's).

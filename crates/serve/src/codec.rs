@@ -84,9 +84,11 @@ impl CacheKey {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
 
-    /// Parses [`CacheKey::to_hex`] output.
+    /// Parses [`CacheKey::to_hex`] output: exactly 32 lowercase hex
+    /// digits, so every key has one spelling and any other input (a
+    /// sign, a multi-byte character) is rejected rather than sliced.
     pub fn from_hex(s: &str) -> Option<CacheKey> {
-        if s.len() != 32 {
+        if s.len() != 32 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
             return None;
         }
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;
@@ -337,6 +339,11 @@ mod tests {
         assert_eq!(CacheKey::from_hex(&hex), Some(key));
         assert_eq!(CacheKey::from_hex("feed"), None);
         assert_eq!(CacheKey::from_hex(&"g".repeat(32)), None);
+        // 32 bytes whose byte 16 falls inside a multi-byte character.
+        assert_eq!(CacheKey::from_hex(&format!("{}ab", "€".repeat(10))), None);
+        // `from_str_radix` alone would read each half as `+0…0`.
+        assert_eq!(CacheKey::from_hex("+000000000000000+000000000000000"), None);
+        assert_eq!(CacheKey::from_hex(&hex.to_uppercase()), None);
     }
 
     #[test]

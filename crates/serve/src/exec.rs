@@ -4,7 +4,7 @@
 //! A [`CachedExecutor`] owns the [`ResultStore`] plus an *in-flight
 //! table*: when several clients submit overlapping plans concurrently,
 //! the first claimant of a point becomes its **owner** and simulates
-//! it; everyone else **waits** on the owner's [`Flight`] and receives a
+//! it; everyone else **waits** on the owner's `Flight` and receives a
 //! clone of the result. Each physical point is therefore simulated at
 //! most once per process lifetime — and at most once ever, once the
 //! store holds it.
@@ -260,11 +260,6 @@ impl CachedExecutor {
         if let Err(e) = lock_recover(&self.store).flush() {
             eprintln!("mot3d serve: store flush failed: {e}");
         }
-    }
-
-    /// The executor's fingerprint.
-    pub fn fingerprint(&self) -> &Fingerprint {
-        &self.fingerprint
     }
 
     /// Claims every point of a submission: a store probe under the

@@ -79,8 +79,8 @@ fn seg_path(dir: &Path, seg: u32) -> PathBuf {
     dir.join(format!("seg-{seg:05}.jsonl"))
 }
 
-fn parse_index_line(line: &str) -> Option<(CacheKey, EntryLoc)> {
-    let v = json::parse(line).ok()?;
+fn parse_index_line(line: &[u8]) -> Option<(CacheKey, EntryLoc)> {
+    let v = json::parse(std::str::from_utf8(line).ok()?).ok()?;
     let key = CacheKey::from_hex(v.get("key")?.as_str()?)?;
     let seg = u32::try_from(v.get("seg")?.as_u64()?).ok()?;
     let off = v.get("off")?.as_u64()?;
@@ -131,7 +131,7 @@ impl ResultStore {
         let mut index: FnvHashMap<CacheKey, EntryLoc> = FnvHashMap::default();
         let index_path = dir.join("index.jsonl");
         if index_path.exists() {
-            for line in fs::read_to_string(&index_path)?.lines() {
+            for line in fs::read(&index_path)?.split(|&b| b == b'\n') {
                 if let Some((key, loc)) = parse_index_line(line) {
                     index.insert(key, loc);
                 }
@@ -165,7 +165,7 @@ impl ResultStore {
             // An entry is valid only if its line *and* trailing newline
             // fit inside the file (a tail truncated exactly at the
             // newline would otherwise corrupt the next append).
-            index.retain(|_, loc| loc.seg != seg || loc.off + loc.len < file_len);
+            index.retain(|_, loc| loc.seg != seg || loc.off.saturating_add(loc.len) < file_len);
             let indexed_end = index
                 .values()
                 .filter(|loc| loc.seg == seg)
@@ -538,6 +538,47 @@ mod tests {
             .unwrap();
         let mut store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.len(), 2, "tail entry recovered from the segment");
+        for r in &records {
+            assert_eq!(
+                store.get(cache_key(&fp, &r.point)).unwrap().unwrap(),
+                r.metrics
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Index lines that no store writes — a multi-byte character across
+    /// the key's midpoint, a signed key, an offset that overflows, bytes
+    /// that are not UTF-8 — are dropped at open; the rest is served.
+    #[test]
+    fn corrupt_index_lines_are_dropped_and_the_rest_served() {
+        let dir = scratch_dir("corrupt-index");
+        let fp = Fingerprint::current();
+        let records = sample_records(2);
+        {
+            let mut store = ResultStore::open(&dir).unwrap();
+            for r in &records {
+                store.put(cache_key(&fp, &r.point), &r.metrics).unwrap();
+            }
+        }
+        let mut index = OpenOptions::new()
+            .append(true)
+            .open(dir.join("index.jsonl"))
+            .unwrap();
+        let line = |key: &str, off: u64| {
+            format!("{{\"key\": \"{key}\", \"seg\": 0, \"off\": {off}, \"len\": 10}}\n")
+        };
+        for bad in [
+            line(&format!("{}ab", "€".repeat(10)), 0),
+            line("+000000000000000+000000000000000", 0),
+            line(&"0".repeat(32), u64::MAX),
+        ] {
+            index.write_all(bad.as_bytes()).unwrap();
+        }
+        index.write_all(b"{\"key\": \"\xff\"}\n").unwrap();
+        drop(index);
+        let mut store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 2);
         for r in &records {
             assert_eq!(
                 store.get(cache_key(&fp, &r.point)).unwrap().unwrap(),

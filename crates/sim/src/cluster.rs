@@ -557,7 +557,7 @@ impl Cluster {
     /// Builds the cluster for `config`, one workload stream per active
     /// core: derives the configured state, allocates the storage (all
     /// [`TOTAL_CORES`] L1s and [`TOTAL_BANKS`] banks, whatever the power
-    /// state) and starts the run with the same [`Run::start`]
+    /// state) and starts the run with the same `Run::start`
     /// [`Cluster::retarget`] uses.
     ///
     /// # Errors

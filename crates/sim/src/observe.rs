@@ -1,7 +1,7 @@
 //! Zero-cost-when-off observation hooks for the cluster step path.
 //!
 //! An [`Observer`] is a generic parameter on the `_with` variants of the
-//! [`Cluster`](crate::Cluster) run loop ([`Cluster::step_with`],
+//! [`Cluster`] run loop ([`Cluster::step_with`],
 //! [`Cluster::run_to_completion_with`], …). The default
 //! [`NullObserver`] is a zero-sized type whose `ENABLED` constant is
 //! `false`: every `if O::ENABLED { … }` guard in the hot loop folds away

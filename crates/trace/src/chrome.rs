@@ -56,16 +56,6 @@ impl TraceWriter {
         })
     }
 
-    /// The destination path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Events staged or written so far (metadata included).
-    pub fn events(&self) -> u64 {
-        self.emitted
-    }
-
     /// Opens a new event object line (comma discipline + shared prefix).
     fn open(&mut self) {
         if self.emitted > 0 {
