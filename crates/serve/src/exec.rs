@@ -12,7 +12,11 @@
 //! [`CachedExecutor::run_plan`] streams [`PointOutcome`]s **in
 //! expansion order** while misses execute concurrently on the bench
 //! worker pool, exactly like `ExperimentPlan::run_with` does for
-//! uncached runs.
+//! uncached runs. Hits stay on the connection thread and are read from
+//! the store only when their turn to stream comes: the plan's leading
+//! hits go out one by one as they are probed, and every later point is
+//! classified by an index lookup alone, so the first record never waits
+//! for the rest of the plan's keys, reads or decodes.
 //!
 //! ## Failure semantics
 //!
@@ -33,6 +37,10 @@
 //!   forever on a flight nobody will fulfill.
 //! * A store write error is logged and the result served **uncached**
 //!   — a full disk must not fail a simulation that already succeeded.
+//! * A store *read* error fails the submission after the records before
+//!   the bad point. Claiming does no I/O, so it cannot fail half-way and
+//!   leave flights with no owner; the flights a submission does own
+//!   still settle before it returns.
 //! * Locks recover from `std::sync` poisoning ([`crate::sync`]): every
 //!   critical section here keeps its state consistent, so a panicking
 //!   holder must not cascade into every other connection thread.
@@ -154,10 +162,10 @@ impl Drop for PoisonOnDrop<'_> {
     }
 }
 
-/// How one point of a submission was satisfied.
+/// How one point of a submission is satisfied.
 enum Slot {
-    /// Served from the persistent store.
-    Cached(Box<Metrics>),
+    /// In the persistent store; read when its turn to stream comes.
+    Cached,
     /// This submission owns the simulation.
     Own(Arc<Flight>),
     /// Another in-flight submission owns it; wait for its result.
@@ -262,28 +270,35 @@ impl CachedExecutor {
         }
     }
 
-    /// Claims every point of a submission: a store probe under the
-    /// in-flight lock, so a point can never be double-owned and a
-    /// just-finished flight is always found in the store.
-    fn claim(&self, points: &[RunPoint], keys: &[CacheKey]) -> io::Result<Vec<Slot>> {
-        let mut slots = Vec::with_capacity(points.len());
-        for key in keys {
-            let mut inflight = lock_recover(&self.inflight);
-            if let Some(flight) = inflight.get(key) {
-                slots.push(Slot::Wait(Arc::clone(flight)));
-                continue;
-            }
-            let cached = lock_recover(&self.store).get(*key)?;
-            match cached {
-                Some(metrics) => slots.push(Slot::Cached(Box::new(metrics))),
-                None => {
-                    let flight = Arc::new(Flight::default());
-                    inflight.insert(*key, Arc::clone(&flight));
-                    slots.push(Slot::Own(flight));
-                }
-            }
+    /// Claims one point by index lookup only: the store probe runs
+    /// under the in-flight lock, so a point can never be double-owned
+    /// and a just-finished flight is always found in the store. A miss
+    /// registers this submission as the point's owner. No store read
+    /// happens here, so a claim cannot fail and strand the flights an
+    /// earlier claim registered.
+    fn claim(&self, key: CacheKey) -> Slot {
+        let mut inflight = lock_recover(&self.inflight);
+        if let Some(flight) = inflight.get(&key) {
+            return Slot::Wait(Arc::clone(flight));
         }
-        Ok(slots)
+        if lock_recover(&self.store).probe(key) {
+            return Slot::Cached;
+        }
+        let flight = Arc::new(Flight::default());
+        inflight.insert(key, Arc::clone(&flight));
+        Slot::Own(flight)
+    }
+
+    /// Reads and decodes a claimed hit into its record (the store
+    /// counts the hit here).
+    fn read_hit(&self, point: &RunPoint, key: CacheKey) -> io::Result<PointOutcome> {
+        let metrics = lock_recover(&self.store)
+            .get(key)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "indexed result vanished"))?;
+        Ok(PointOutcome::Record(Box::new(RunRecord::new(
+            point.clone(),
+            metrics,
+        ))))
     }
 
     /// One execution attempt (number `attempt`, counting from 1) of
@@ -309,12 +324,22 @@ impl CachedExecutor {
     /// [`PointOutcome`] — in expansion order, as soon as it is
     /// available — to `on_outcome`.
     ///
+    /// The points are claimed one by one in expansion order. While
+    /// every earlier point has been a hit, each hit is read, decoded and
+    /// emitted as soon as its probe returns. From the first point that
+    /// is not a hit on, the rest are only classified (hit, owned or
+    /// waited on); the owned points then go to the worker pool at once,
+    /// and each later hit is read when the in-order emit loop reaches
+    /// it.
+    ///
     /// # Errors
     ///
-    /// Returns `InvalidInput` when the plan fails its own `check`, a
-    /// store *read* error during claiming, or the first `on_outcome`
-    /// error (remaining simulations still complete and are cached). A
-    /// failing **point** is not an error: it streams as
+    /// Returns `InvalidInput` when the plan fails its own `check`; a
+    /// store *read* error, after the records before the bad point have
+    /// streamed; or the first `on_outcome` error. An error among the
+    /// leading hits returns at once (nothing later is claimed yet);
+    /// after that, the claimed simulations still complete and are
+    /// cached. A failing **point** is not an error: it streams as
     /// [`PointOutcome::Failed`] and counts in [`PlanOutcome::failed`].
     pub fn run_plan(
         &self,
@@ -325,29 +350,36 @@ impl CachedExecutor {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         }
         let points = plan.points();
-        let keys: Vec<CacheKey> = points
-            .iter()
-            .map(|p| cache_key(&self.fingerprint, p))
-            .collect();
-        let slots = self.claim(&points, &keys)?;
-
         let mut outcome = PlanOutcome {
             points: points.len() as u64,
             ..PlanOutcome::default()
         };
+        let mut keys = Vec::with_capacity(points.len());
+        // Every point after the leading hits, by index into `points`.
+        let mut slots: Vec<(usize, Slot)> = Vec::new();
         let mut owned: Vec<(usize, Arc<Flight>)> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            match slot {
-                Slot::Cached(_) => outcome.hits += 1,
+        for (i, point) in points.iter().enumerate() {
+            let key = cache_key(&self.fingerprint, point);
+            keys.push(key);
+            let slot = self.claim(key);
+            match &slot {
+                Slot::Cached => {
+                    outcome.hits += 1;
+                    if slots.is_empty() {
+                        on_outcome(&self.read_hit(point, key)?)?;
+                        continue;
+                    }
+                }
                 Slot::Wait(_) => outcome.waited += 1,
                 Slot::Own(flight) => {
                     outcome.executed += 1;
                     owned.push((i, Arc::clone(flight)));
                 }
             }
+            slots.push((i, slot));
         }
 
-        let mut emit_err: Option<io::Error> = None;
+        let mut err: Option<io::Error> = None;
         std::thread::scope(|scope| {
             if !owned.is_empty() {
                 let threads = self
@@ -375,15 +407,20 @@ impl CachedExecutor {
                 });
             }
             // Stream in expansion order while the pool works: each slot
-            // is either ready, will resolve under an owner (ours on the
-            // pool above, or another client's), or — after a poisoning
-            // — is taken over and re-run right here.
-            for (i, slot) in slots.iter().enumerate() {
+            // is either in the store, will resolve under an owner (ours
+            // on the pool above, or another client's), or — after a
+            // poisoning — is taken over and re-run right here. After an
+            // error, hits are skipped but flights are still drained.
+            for &(i, ref slot) in &slots {
                 let point_outcome = match slot {
-                    Slot::Cached(metrics) => PointOutcome::Record(Box::new(RunRecord::new(
-                        points[i].clone(),
-                        (**metrics).clone(),
-                    ))),
+                    Slot::Cached if err.is_some() => continue,
+                    Slot::Cached => match self.read_hit(&points[i], keys[i]) {
+                        Ok(point_outcome) => point_outcome,
+                        Err(e) => {
+                            err = Some(e);
+                            continue;
+                        }
+                    },
                     Slot::Own(flight) | Slot::Wait(flight) => loop {
                         match flight.wait_or_take() {
                             Waited::Done(metrics) => {
@@ -415,15 +452,15 @@ impl CachedExecutor {
                         }
                     },
                 };
-                if emit_err.is_some() {
+                if err.is_some() {
                     continue; // keep draining so owned work still caches
                 }
                 if let Err(e) = on_outcome(&point_outcome) {
-                    emit_err = Some(e);
+                    err = Some(e);
                 }
             }
         });
-        if let Some(e) = emit_err {
+        if let Some(e) = err {
             return Err(e);
         }
         Ok(outcome)
@@ -459,7 +496,10 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use mot3d_bench::ExperimentScale;
-    use std::path::PathBuf;
+    use mot3d_workloads::SplashBenchmark::{self, Fft, OceanContiguous, Radix, Volrend};
+    use std::io::{Seek, SeekFrom, Write};
+    use std::path::{Path, PathBuf};
+    use std::time::Duration;
 
     fn scratch_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mot3d-exec-{}-{name}", std::process::id()));
@@ -471,6 +511,34 @@ mod tests {
         ExperimentPlan::new("exec")
             .page_policies([false, true])
             .scale(ExperimentScale::tiny())
+    }
+
+    fn splash_plan(benches: &[SplashBenchmark]) -> ExperimentPlan {
+        tiny_plan().splash(benches.iter().copied())
+    }
+
+    fn executor(dir: &Path) -> CachedExecutor {
+        CachedExecutor::new(
+            ResultStore::open(dir).unwrap(),
+            Fingerprint::current(),
+            Some(1),
+        )
+    }
+
+    /// Overwrites the first byte of `point`'s stored line, so its index
+    /// entry stays but every read of it fails to parse.
+    fn corrupt(dir: &Path, point: &RunPoint) {
+        let seg = dir.join("seg-00000.jsonl");
+        let data = std::fs::read_to_string(&seg).unwrap();
+        let needle = format!(
+            "\"key\": \"{}\"",
+            cache_key(&Fingerprint::current(), point).to_hex()
+        );
+        let at = data.find(&needle).expect("point is stored");
+        let start = data[..at].rfind('\n').map_or(0, |nl| nl + 1);
+        let mut file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+        file.seek(SeekFrom::Start(start as u64)).unwrap();
+        file.write_all(b"x").unwrap();
     }
 
     fn record_lines(exec: &CachedExecutor, plan: &ExperimentPlan) -> (PlanOutcome, Vec<String>) {
@@ -662,6 +730,126 @@ mod tests {
         let (again, lines2) = record_lines(&exec, &plan);
         assert_eq!(again.executed, again.points);
         assert_eq!(lines, lines2, "uncached replay is byte-identical");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Each warm record goes out right after its own read: inside the
+    /// `k`-th `on_outcome` call the store has counted exactly `k` hits.
+    #[test]
+    fn a_warm_plan_streams_each_hit_before_reading_the_next() {
+        let dir = scratch_dir("stream-warm");
+        let exec = executor(&dir);
+        let plan = tiny_plan();
+        record_lines(&exec, &plan);
+        let mut seen = Vec::new();
+        exec.run_plan(&plan, |_| {
+            seen.push(exec.store_stats().hits);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, (1..=plan.len() as u64).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Hits, then misses, then hits: the stream keeps expansion order
+    /// and equals the offline run's bytes.
+    #[test]
+    fn a_mixed_plan_streams_in_expansion_order_like_the_offline_run() {
+        let dir = scratch_dir("stream-mixed");
+        let exec = executor(&dir);
+        record_lines(&exec, &splash_plan(&[Fft, Radix]));
+        let plan = splash_plan(&[Fft, OceanContiguous, Radix]);
+        let (out, lines) = record_lines(&exec, &plan);
+        assert_eq!((out.hits, out.executed), (4, 2));
+        let offline: Vec<String> = plan
+            .run()
+            .unwrap()
+            .iter()
+            .map(mot3d_bench::sink::record_json_line)
+            .collect();
+        assert_eq!(lines, offline);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The store counts one miss per probed-absent point and one hit
+    /// per read, exactly as a full `get` per point did: cold, warm and
+    /// mixed submissions leave the same counters (and so the same
+    /// summary line) as before hits were read lazily.
+    #[test]
+    fn store_stats_count_a_miss_per_probe_and_a_hit_per_read() {
+        let dir = scratch_dir("stats");
+        let exec = executor(&dir);
+        let stats = |hits, misses, inserts| StoreStats {
+            hits,
+            misses,
+            inserts,
+        };
+        let pair = splash_plan(&[Fft, Radix]);
+        record_lines(&exec, &pair);
+        assert_eq!(exec.store_stats(), stats(0, 4, 4), "cold");
+        record_lines(&exec, &pair);
+        assert_eq!(exec.store_stats(), stats(4, 4, 4), "warm");
+        record_lines(&exec, &splash_plan(&[Fft, OceanContiguous, Radix]));
+        assert_eq!(exec.store_stats(), stats(8, 6, 6), "mixed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_read_error_among_the_leading_hits_stops_after_the_records_before_it() {
+        let dir = scratch_dir("read-err");
+        let exec = executor(&dir);
+        let plan = tiny_plan();
+        record_lines(&exec, &plan);
+        corrupt(&dir, &plan.points()[5]);
+        let mut records = 0;
+        let err = exec
+            .run_plan(&plan, |_| {
+                records += 1;
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(records, 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `[miss, miss, corrupt hit]`: the submission fails on the hit's
+    /// read, but the two misses it owns still settle, so a later
+    /// submission of them is served instead of waiting on flights with
+    /// no owner.
+    #[test]
+    fn a_failed_hit_read_leaves_no_orphaned_flights() {
+        let dir = scratch_dir("orphan");
+        let exec = Arc::new(executor(&dir));
+        let last = splash_plan(&[Volrend]).page_policies([false]);
+        record_lines(&exec, &last);
+        corrupt(&dir, &last.points()[0]);
+        let mut records = 0;
+        let err = exec
+            .run_plan(
+                &splash_plan(&[Fft, Radix, Volrend]).page_policies([false]),
+                |_| {
+                    records += 1;
+                    Ok(())
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let resubmit = Arc::clone(&exec);
+        // A thread, not a scope: a hang must fail the test, not block it.
+        let handle = std::thread::spawn(move || {
+            let misses = splash_plan(&[Fft, Radix]).page_policies([false]);
+            let _ = tx.send(resubmit.run_plan(&misses, |_| Ok(())).map(|o| o.hits));
+        });
+        let hits = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("resubmission blocked on an orphaned flight")
+            .unwrap();
+        handle.join().unwrap();
+        assert_eq!(hits, 2);
+        assert_eq!(records, 2, "the two misses streamed before the bad read");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -275,6 +275,17 @@ impl ResultStore {
         self.index_out.flush()
     }
 
+    /// Whether `key` is stored: an index lookup only, no read. Counts a
+    /// miss when absent, as [`ResultStore::get`] does; a present key's
+    /// hit is counted by the `get` that reads it.
+    pub(crate) fn probe(&mut self, key: CacheKey) -> bool {
+        let found = self.index.contains_key(&key);
+        if !found {
+            self.stats.misses += 1;
+        }
+        found
+    }
+
     /// Looks up a cached result (counts a hit or a miss).
     ///
     /// # Errors
