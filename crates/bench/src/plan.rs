@@ -55,6 +55,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// The most runs one plan may expand to. The whole paper grid is under
+/// 1 000; the bound stops one request line from asking
+/// [`ExperimentPlan::points`] for more memory than the machine has.
+pub const MAX_PLAN_POINTS: usize = 200_000;
+
 /// One fully-resolved cell of a plan's sweep grid: the concrete workload
 /// spec and simulator configuration of a single run.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,14 +248,17 @@ impl ExperimentPlan {
         self
     }
 
-    /// Number of runs the plan expands to.
+    /// Number of runs the plan expands to, saturating at `usize::MAX`.
     pub fn len(&self) -> usize {
-        self.workloads.len()
-            * self.interconnects.len()
-            * self.power_states.len()
-            * self.drams.len()
-            * self.page_policies.len()
-            * self.repeats as usize
+        [
+            self.interconnects.len(),
+            self.power_states.len(),
+            self.drams.len(),
+            self.page_policies.len(),
+            self.repeats as usize,
+        ]
+        .into_iter()
+        .fold(self.workloads.len(), usize::saturating_mul)
     }
 
     /// Whether the plan expands to no runs (an axis is empty).
@@ -260,6 +268,8 @@ impl ExperimentPlan {
 
     /// Checks the plan for combinations the simulator rejects: the
     /// packet-switched NoC baselines only model the Full power state.
+    /// Also rejects a plan of zero runs or of more than
+    /// [`MAX_PLAN_POINTS`].
     ///
     /// # Errors
     ///
@@ -279,6 +289,12 @@ impl ExperimentPlan {
         }
         if self.is_empty() {
             return Err("plan expands to zero runs (an axis list is empty)".to_string());
+        }
+        if self.len() > MAX_PLAN_POINTS {
+            return Err(format!(
+                "plan expands to more than {MAX_PLAN_POINTS} runs ({})",
+                self.len()
+            ));
         }
         Ok(())
     }
@@ -658,6 +674,28 @@ mod tests {
         assert!(ExperimentPlan::fig7(ExperimentScale::tiny())
             .check()
             .is_ok());
+    }
+
+    #[test]
+    fn check_rejects_plans_past_the_point_bound() {
+        let bomb = ExperimentPlan::new("t").repeats(u32::MAX);
+        assert!(bomb.len() > MAX_PLAN_POINTS);
+        assert!(bomb.check().is_err());
+        assert!(bomb.run().is_err(), "rejected before points() allocates");
+        // An axis product past usize saturates instead of wrapping.
+        let wide = ExperimentPlan::new("t")
+            .splash(SplashBenchmark::all().into_iter().cycle().take(256))
+            .interconnects(vec![InterconnectChoice::Mot; 256])
+            .power_states(vec![PowerState::full(); 256])
+            .drams(vec![DramKind::OffChipDdr3; 256])
+            .page_policies([false, true])
+            .repeats(u32::MAX);
+        assert_eq!(wide.len(), usize::MAX);
+        assert!(wide.check().is_err());
+        let edge = ExperimentPlan::new("t")
+            .splash([SplashBenchmark::Fft])
+            .repeats(MAX_PLAN_POINTS as u32);
+        assert!(edge.check().is_ok());
     }
 
     #[test]

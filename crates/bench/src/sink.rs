@@ -491,6 +491,10 @@ impl<'a> PerfSink<'a> {
 }
 
 impl RecordSink for PerfSink<'_> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "PerfSink times a sweep with Instant: that is its job"
+    )]
     fn begin(&mut self, _meta: &PlanMeta<'_>) -> io::Result<()> {
         self.started = Some(Instant::now());
         self.hash = FNV_OFFSET;

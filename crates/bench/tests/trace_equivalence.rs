@@ -72,7 +72,7 @@ fn traced_runs_are_deterministic_across_invocations() {
     assert_eq!(a.len(), 1);
     assert_eq!(a[0].0, b[0].0, "records identical run to run");
     // And the trace files themselves are byte-identical: timestamps are
-    // simulated cycles, never host time (lint rule H2 enforces this).
+    // simulated cycles, never host time (clippy's disallowed_methods).
     let bytes_a = std::fs::read(&a[0].1).unwrap();
     let bytes_b = std::fs::read(&b[0].1).unwrap();
     assert_eq!(

@@ -17,8 +17,8 @@
 //!   whole so their digits and exponent signs never leak as tokens.
 //!
 //! Comments are skipped, with one exception: line comments carrying a
-//! `mot3d-lint:` marker are surfaced as [`Directive`]s — the
-//! suppression and `no-alloc` annotation channel.
+//! `mot3d-lint:` marker are surfaced as [`Directive`]s — the `no-alloc`
+//! annotation channel.
 
 /// One token kind the rules can match on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,14 +47,6 @@ pub enum DirectiveKind {
         /// `true` for the inner-doc form (`//! mot3d-lint: no-alloc`),
         /// which covers the entire file.
         whole_file: bool,
-    },
-    /// `// mot3d-lint: allow(<rules>) -- <reason>` — suppress the named
-    /// rules on this line and the next. The reason is mandatory.
-    Allow {
-        /// Upper-cased rule ids, e.g. `["P1"]`.
-        rules: Vec<String>,
-        /// The justification after `--` (never empty).
-        reason: String,
     },
     /// A `mot3d-lint:` marker that does not parse — surfaced as an `S1`
     /// finding so typos cannot silently disable enforcement.
@@ -369,53 +361,12 @@ fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
         DirectiveKind::NoAlloc {
             whole_file: inner_doc,
         }
-    } else if let Some(after) = rest.strip_prefix("allow") {
-        parse_allow(after.trim())
     } else {
         DirectiveKind::Malformed {
-            why: format!(
-                "unknown directive {rest:?} (expected `no-alloc` or `allow(<rules>) -- <reason>`)"
-            ),
+            why: format!("unknown directive {rest:?} (expected `no-alloc`)"),
         }
     };
     Some(Directive { line, kind })
-}
-
-fn parse_allow(after: &str) -> DirectiveKind {
-    let Some(inner) = after.strip_prefix('(') else {
-        return DirectiveKind::Malformed {
-            why: "allow needs a parenthesised rule list: allow(<rules>) -- <reason>".into(),
-        };
-    };
-    let Some((list, tail)) = inner.split_once(')') else {
-        return DirectiveKind::Malformed {
-            why: "unclosed rule list in allow(...)".into(),
-        };
-    };
-    let rules: Vec<String> = list
-        .split(',')
-        .map(|r| r.trim().to_ascii_uppercase())
-        .filter(|r| !r.is_empty())
-        .collect();
-    if rules.is_empty() {
-        return DirectiveKind::Malformed {
-            why: "empty rule list in allow(...)".into(),
-        };
-    }
-    let reason = tail
-        .trim()
-        .strip_prefix("--")
-        .map(str::trim)
-        .unwrap_or_default();
-    if reason.is_empty() {
-        return DirectiveKind::Malformed {
-            why: "suppression reason is mandatory: allow(<rules>) -- <reason>".into(),
-        };
-    }
-    DirectiveKind::Allow {
-        rules,
-        reason: reason.to_string(),
-    }
 }
 
 #[cfg(test)]
@@ -543,21 +494,12 @@ mod tests {
     }
 
     #[test]
-    fn directive_allow_requires_reason() {
-        let l = lex("x(); // mot3d-lint: allow(P1, d2) -- invariant: peeked first\n");
-        assert_eq!(
-            l.directives[0].kind,
-            DirectiveKind::Allow {
-                rules: vec!["P1".into(), "D2".into()],
-                reason: "invariant: peeked first".into()
-            }
-        );
+    fn directives_other_than_no_alloc_are_malformed() {
         for bad in [
+            "// mot3d-lint: allow(P1) -- invariant: peeked first",
             "// mot3d-lint: allow(P1)",
-            "// mot3d-lint: allow(P1) -- ",
-            "// mot3d-lint: allow()  -- why",
-            "// mot3d-lint: allow P1 -- why",
-            "// mot3d-lint: allwo(P1) -- why",
+            "// mot3d-lint: no-allok",
+            "// mot3d-lint:",
         ] {
             let l = lex(bad);
             assert!(

@@ -1,18 +1,19 @@
 //! # mot3d-lint — workspace static analysis for determinism invariants
 //!
-//! The repo's verification story rests on two invariants the compiler
-//! cannot see: results must be **bit-identical** across runs and thread
-//! counts (the golden-equivalence suites), and the active-cycle hot
-//! paths must stay **allocation-free** (the flat-storage rewrites).
-//! Both were protected only by after-the-fact differential tests; this
-//! crate enforces them *by construction* with a hand-rolled token
-//! scanner (no new dependencies — consistent with the offline vendoring
-//! policy) and repo-specific rules. See [`rules`] for the rule table
-//! and [`lexer`] for what the scanner understands.
+//! The repo's verification story rests on two invariants: results must
+//! be **bit-identical** across runs and thread counts (the
+//! golden-equivalence suites), and the active-cycle hot paths must stay
+//! **allocation-free** (the flat-storage rewrites). Clippy checks what
+//! it can resolve by type (`clippy.toml`, `[workspace.lints]`); this
+//! crate keeps the rules that hang on a path or a comment marker, with a
+//! hand-rolled token scanner (no dependencies, so it builds offline and
+//! when the workspace does not), and counts code lines per crate. See
+//! [`rules`] for the rule table and [`lexer`] for what the scanner
+//! understands.
 //!
 //! Run it as `cargo run -p mot3d-lint -- --deny`, or through the CLI as
 //! `mot3d lint --deny`. `--json` emits a machine-readable report; CI
-//! gates on `--deny` (any unsuppressed finding fails the job).
+//! gates on `--deny` (any finding fails the job).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,12 +36,10 @@ const SKIP_PREFIXES: [&str; 1] = ["crates/lint/tests/fixtures"];
 /// Aggregated result of scanning a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Unsuppressed findings, ordered by (file, line).
+    /// Findings, ordered by (file, line).
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files: usize,
-    /// Findings silenced by valid `allow(...)` directives.
-    pub suppressed: usize,
     /// Code lines per first-party crate (see [`rules::crate_of`]): lines
     /// carrying at least one non-comment token, outside test items.
     pub loc: BTreeMap<String, usize>,
@@ -55,10 +54,9 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "mot3d-lint: {} finding{} ({} suppressed) across {} files, {} first-party code lines",
+            "mot3d-lint: {} finding{} across {} files, {} first-party code lines",
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
-            self.suppressed,
             self.files,
             self.loc.values().sum::<usize>()
         );
@@ -72,9 +70,8 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": 1,");
+        let _ = writeln!(out, "  \"schema\": 2,");
         let _ = writeln!(out, "  \"files\": {},", self.files);
-        let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
         let loc: Vec<String> = self
             .loc
             .iter()
@@ -188,7 +185,6 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
         let src = fs::read_to_string(&path)?;
         let file_report = rules::check_file(&rel, &src);
         report.files += 1;
-        report.suppressed += file_report.suppressed;
         if let Some(krate) = rules::crate_of(&rel) {
             *report.loc.entry(krate.to_string()).or_default() += file_report.code_lines;
         }
@@ -255,14 +251,12 @@ USAGE: mot3d-lint [--root <dir>] [--json [path]] [--deny]
 
   --root <dir>   workspace root (default: walk up from the current directory)
   --json [path]  machine-readable report to stdout or <path>
-  --deny         exit 1 when any unsuppressed finding remains (CI gate)
+  --deny         exit 1 when any finding remains (CI gate)
 
-Rules: D1 default-hasher maps · D2 hash-order iteration on report paths ·
-D3 clock/env reads outside bench timing modules · A1 allocation in
-`// mot3d-lint: no-alloc` regions · P1 unwrap/expect/panic! in library
-code · H1 BinaryHeap in hot-path crates · H2 wall-clock reads in trace
-code · S1 malformed markers. Suppress with
-`// mot3d-lint: allow(<rules>) -- <reason>` (reason mandatory)."
+Rules: D2 hash-order iteration on report paths · A1 allocation in
+`// mot3d-lint: no-alloc` regions · S1 malformed or orphan markers.
+Default hashers, BinaryHeap, clock/env reads and library panics are
+clippy's (clippy.toml, [workspace.lints])."
         .to_string()
 }
 
@@ -344,19 +338,19 @@ mod tests {
             findings: vec![Finding {
                 file: "crates/sim/src/x.rs".into(),
                 line: 3,
-                rule: "P1",
-                message: "`.unwrap()` \"quoted\"".into(),
+                rule: "D2",
+                message: "`m.keys()` \"quoted\"".into(),
             }],
             files: 10,
-            suppressed: 2,
             loc: BTreeMap::from([("sim".to_string(), 1200), ("phys".to_string(), 800)]),
         };
         let json = report.render_json();
         assert!(json.contains("\"loc\": {\"phys\": 800, \"sim\": 1200},"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"suppressed\": 2"));
-        assert!(json.contains("\"rule\": \"P1\""));
+        assert!(json.contains("\"schema\": 2,"));
+        assert!(!json.contains("suppressed"));
+        assert!(json.contains("\"rule\": \"D2\""));
     }
 
     #[test]

@@ -1,5 +1,4 @@
 //@ path: crates/bench/src/report.rs
-//@ suppressed: 1
 //! Seeded D2 violations: hash-order iteration on a report path.
 
 fn render(port_map: &M) {
@@ -19,12 +18,6 @@ fn rows_are_fine(rows: &[Row]) {
     for r in rows.iter() {
         sink(r);
     }
-}
-
-fn sorted_render(id_map: &M) {
-    // mot3d-lint: allow(D2) -- fixture: keys are sorted immediately after
-    let mut keys: Vec<u64> = id_map.keys().copied().collect();
-    keys.sort_unstable();
 }
 
 #[cfg(test)]

@@ -1,21 +1,11 @@
 //@ path: crates/mem/src/fixture.rs
 //! Seeded S1 violations: markers that fail to parse or take effect.
-//! A malformed directive must never silently suppress — the finding it
-//! meant to cover survives alongside the S1.
+//! There is no suppression channel, so a leftover `allow` marker is as
+//! malformed as a typo.
 
-// mot3d-lint: allow(P1)
+// mot3d-lint: allow(P1) -- suppressions are #[expect] attributes now
 //^ S1
-fn missing_reason(x: Option<u8>) -> u8 {
-    x.unwrap() //~ P1
-}
-
-// mot3d-lint: allow(Z9) -- no such rule id
-//^ S1
-fn unknown_rule() {}
-
-// mot3d-lint: allow(S1) -- the checker cannot be silenced about itself
-//^ S1
-fn sneaky() {}
+fn leftover_allow() {}
 
 // mot3d-lint: no-allok
 //^ S1

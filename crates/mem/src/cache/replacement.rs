@@ -153,13 +153,16 @@ impl ReplacerTable {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "CacheConfig rejects zero associativity, so the slice is non-empty"
+)]
 fn index_of_min(values: &[u64]) -> usize {
     values
         .iter()
         .enumerate()
         .min_by_key(|(_, v)| **v)
         .map(|(i, _)| i)
-        // mot3d-lint: allow(P1) -- CacheConfig rejects zero associativity, so the slice is non-empty
         .expect("sets have at least one way")
 }
 

@@ -222,7 +222,10 @@ impl Interconnect for MotNetwork {
                 if front.arrives_at > now {
                     break;
                 }
-                // mot3d-lint: allow(P1) -- front() returned Some on this very queue
+                #[expect(
+                    clippy::expect_used,
+                    reason = "front() returned Some on this very queue"
+                )]
                 let f = self.transit_req.pop_front().expect("checked non-empty");
                 self.waiting.push_back(f.bank * cores + f.request.core, f);
                 self.wait_mask[f.bank] |= 1 << f.request.core;
@@ -241,10 +244,13 @@ impl Interconnect for MotNetwork {
             let bank = busy.trailing_zeros() as usize;
             busy &= busy - 1;
             if let Some(core) = self.arbiters[bank].grant_mask(self.wait_mask[bank]) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "wait_mask bit set ⇒ queue non-empty (tick keeps them in lockstep)"
+                )]
                 let f = self
                     .waiting
                     .pop_front(bank * cores + core)
-                    // mot3d-lint: allow(P1) -- wait_mask bit set ⇒ queue non-empty (tick keeps them in lockstep)
                     .expect("granted core has a waiting request");
                 if self.waiting.is_empty(bank * cores + core) {
                     self.wait_mask[bank] &= !(1 << core);
@@ -269,7 +275,10 @@ impl Interconnect for MotNetwork {
                 if *at > now {
                     break;
                 }
-                // mot3d-lint: allow(P1) -- front() returned Some on this very queue
+                #[expect(
+                    clippy::expect_used,
+                    reason = "front() returned Some on this very queue"
+                )]
                 let (at, response) = self.transit_resp.pop_front().expect("checked non-empty");
                 self.stats.responses += 1;
                 self.deliveries.push_back(CoreDelivery {

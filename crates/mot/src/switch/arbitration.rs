@@ -114,9 +114,12 @@ impl ArbitrationTree {
             let half = span / 2;
             let left = requests[lo..lo + half].iter().any(|&r| r);
             let right = requests[lo + half..lo + span].iter().any(|&r| r);
+            #[expect(
+                clippy::expect_used,
+                reason = "descent only enters subtrees holding a requester"
+            )]
             let side = self.cells[cell]
                 .grant(left, right)
-                // mot3d-lint: allow(P1) -- descent only enters subtrees holding a requester
                 .expect("subtree has a requester by construction");
             if side == 1 {
                 lo += half;
@@ -152,9 +155,12 @@ impl ArbitrationTree {
             let half_mask = (1u32 << half) - 1;
             let left = requests & (half_mask << lo) != 0;
             let right = requests & (half_mask << (lo + half)) != 0;
+            #[expect(
+                clippy::expect_used,
+                reason = "descent only enters subtrees holding a requester"
+            )]
             let side = self.cells[cell]
                 .grant(left, right)
-                // mot3d-lint: allow(P1) -- descent only enters subtrees holding a requester
                 .expect("subtree has a requester by construction");
             if side == 1 {
                 lo += half;

@@ -291,19 +291,25 @@ impl Interconnect for NocNetwork {
         let packet = Packet::response(now, response);
         match self.topo.kind() {
             NocTopologyKind::Mesh3d => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Mesh3d arm: bank_router is Some for every bank there"
+                )]
                 let router = self
                     .topo
                     .bank_router(response.bank)
-                    // mot3d-lint: allow(P1) -- Mesh3d arm: bank_router is Some for every bank there
                     .expect("mesh banks have routers");
                 self.push(now + 1, Loc::AtRouter(router), packet);
             }
             _ => {
                 // Bus topologies: the response rides the bus down first.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "non-mesh arm: bank_bus is Some for every bank there"
+                )]
                 let bus = self
                     .topo
                     .bank_bus(response.bank)
-                    // mot3d-lint: allow(P1) -- non-mesh arm: bank_bus is Some for every bank there
                     .expect("bus topologies attach banks to buses");
                 let flits = packet.flits();
                 let done = self.board_bus(bus, now, flits);

@@ -156,7 +156,10 @@ impl Topology {
     /// The router a bus connects to on the core layer.
     pub fn bus_router(&self, bus: usize) -> usize {
         match self.kind {
-            // mot3d-lint: allow(P1) -- callers reach here only via a Some(bank_bus) bus id
+            #[expect(
+                clippy::panic,
+                reason = "callers reach here only via a Some(bank_bus) bus id"
+            )]
             NocTopologyKind::Mesh3d => panic!("Mesh3d has no buses"),
             NocTopologyKind::HybridBusMesh => bus,
             NocTopologyKind::HybridBusTree => bus, // quadrant router id == bus id

@@ -12,8 +12,8 @@
 //! keys.
 //!
 //! Use [`FnvHashMap`]/[`FnvHashSet`] wherever a hash collection lives in
-//! a result-affecting crate; `mot3d-lint` rule D1 (backed by
-//! `clippy::disallowed_types`) rejects the default-hasher forms there.
+//! a result-affecting crate; `clippy::disallowed_types` (configured in
+//! `clippy.toml`) rejects the default-hasher forms.
 //! The same FNV-1a fold is what `mot3d-bench` uses for its golden
 //! record-stream checksums, so one hash algorithm serves both jobs.
 //!
@@ -82,15 +82,19 @@ impl Hasher for Fnv64Hasher {
 pub type FnvBuildHasher = BuildHasherDefault<Fnv64Hasher>;
 
 /// A `HashMap` with deterministic (FNV-1a) hashing — the sanctioned
-/// form for result-affecting crates (lint rule D1).
-#[allow(clippy::disallowed_types)]
-// mot3d-lint: allow(D1) -- this alias *is* the sanctioned replacement
+/// form for result-affecting crates.
+#[expect(
+    clippy::disallowed_types,
+    reason = "this alias *is* the sanctioned replacement"
+)]
 pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
 
 /// A `HashSet` with deterministic (FNV-1a) hashing — the sanctioned
-/// form for result-affecting crates (lint rule D1).
-#[allow(clippy::disallowed_types)]
-// mot3d-lint: allow(D1) -- this alias *is* the sanctioned replacement
+/// form for result-affecting crates.
+#[expect(
+    clippy::disallowed_types,
+    reason = "this alias *is* the sanctioned replacement"
+)]
 pub type FnvHashSet<T> = std::collections::HashSet<T, FnvBuildHasher>;
 
 #[cfg(test)]

@@ -23,10 +23,11 @@
 //! * [`wheel`] — the hierarchical [`wheel::TimingWheel`] event queue
 //!   popping in exact `(time, seq)` order: the `O(1)`
 //!   schedule/peek/pop replacement for the simulator's former
-//!   `BinaryHeap` queues (`mot3d-lint` rule H1);
+//!   `BinaryHeap` queues (`clippy.toml` disallows `BinaryHeap`);
 //! * [`fnv`] — deterministic FNV-1a hashing ([`fnv::FnvHashMap`],
 //!   [`fnv::FnvHashSet`]): the sanctioned hash collections for
-//!   result-affecting crates (`mot3d-lint` rule D1);
+//!   result-affecting crates (`clippy.toml` disallows the default-hasher
+//!   forms);
 //! * [`json`] — the workspace's one JSON reader and string escaper
 //!   (wire protocol, result store, perf baseline).
 //!
@@ -49,6 +50,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod fnv;
 pub mod geometry;

@@ -14,7 +14,6 @@
 //! follow-ups at the cycle being drained).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use mot3d_phys::wheel::TimingWheel;
 use proptest::prelude::*;
@@ -22,8 +21,12 @@ use proptest::prelude::*;
 /// The pre-wheel event queue, verbatim: `(time, seq)`-ordered min-heap
 /// with a caller-side monotonic sequence number.
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the reference heap the wheel is checked against"
+)]
 struct RefHeap {
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    heap: std::collections::BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
 }
 

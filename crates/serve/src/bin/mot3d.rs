@@ -5,6 +5,8 @@
 //! `lint`, `perf`, …) falls through to [`mot3d_bench::cli::run`],
 //! which owns the shared usage text.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {

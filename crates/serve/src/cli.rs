@@ -207,6 +207,10 @@ OPTIONS:
 
 /// The default store location: `$HOME/.cache/mot3d`, or a relative
 /// `.cache/mot3d` for the (HOME-less) CI containers.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the default store location is under HOME"
+)]
 fn default_cache_dir() -> PathBuf {
     match std::env::var_os("HOME") {
         Some(home) if !home.is_empty() => PathBuf::from(home).join(".cache/mot3d"),

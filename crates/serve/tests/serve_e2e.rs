@@ -154,6 +154,41 @@ fn bad_submissions_get_a_wire_error_and_the_server_survives() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A plan past `MAX_PLAN_POINTS` is refused before anything allocates
+/// its points: the client gets the typed error line, and the same
+/// server then serves a valid submission.
+#[test]
+fn a_plan_size_bomb_is_rejected_and_the_server_survives() {
+    let dir = scratch_dir("bomb");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: Some(1),
+        accept_limit: Some(2),
+        fingerprint: Fingerprint::custom("e2e/5"),
+        ..ServerConfig::new(&dir)
+    };
+    let server = config.bind().unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run());
+        let bomb = PlanRequest {
+            repeat: Some(u32::MAX),
+            ..PlanRequest::new("bomb")
+        };
+        let mut sink = Vec::new();
+        let err = submit(&addr, &bomb, &mut sink).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("more than"), "{err}");
+        assert!(sink.is_empty(), "no records before the error");
+        let outcome = submit(&addr, &request("fft"), &mut Vec::new()).unwrap();
+        assert_eq!(outcome.points, 1);
+        handle.join().unwrap();
+    });
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The served stream for a single submission equals the offline sweep
 /// even with repeats and a seed override in play.
 #[test]

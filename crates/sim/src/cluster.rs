@@ -700,7 +700,10 @@ impl Cluster {
     /// schedules the response at the right time.
     // mot3d-lint: no-alloc
     fn service_bank(&mut self, bank_idx: usize, tag: u64, at_cycle: u64) {
-        // mot3d-lint: allow(P1) -- a scheduled arrival's tx is removed only at delivery, later
+        #[expect(
+            clippy::expect_used,
+            reason = "a scheduled arrival's tx is removed only at delivery, later"
+        )]
         let tx = *self.txs.get(tag).expect("arrival has a transaction");
         assert!(
             self.cfg.bank_powered[bank_idx],
@@ -758,7 +761,10 @@ impl Cluster {
     /// blocking-cache equivalent of an MSHR merge).
     // mot3d-lint: no-alloc
     fn access_resident_line(&mut self, bank_idx: usize, tag: u64, slot: SlotHandle) -> u64 {
-        // mot3d-lint: allow(P1) -- callers hold a live tag (removed only at delivery)
+        #[expect(
+            clippy::expect_used,
+            reason = "callers hold a live tag (removed only at delivery)"
+        )]
         let tx = *self.txs.get(tag).expect("transaction exists");
         let physical = self.run.cores[tx.core_idx].physical;
         let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
@@ -827,8 +833,12 @@ impl Cluster {
                     self.run.now
                 );
             }
-            // mot3d-lint: allow(P1) -- same live tag the function was entered with
-            self.txs.get_mut(tag).expect("tx exists").value = value;
+            #[expect(
+                clippy::expect_used,
+                reason = "same live tag the function was entered with"
+            )]
+            let live = self.txs.get_mut(tag).expect("tx exists");
+            live.value = value;
             self.banks[bank_idx].reads += 1;
         }
         extra
@@ -837,7 +847,10 @@ impl Cluster {
     /// DRAM refill arrives at the bank: fill, handle the victim, respond.
     // mot3d-lint: no-alloc
     fn refill_bank(&mut self, bank_idx: usize, tag: u64) {
-        // mot3d-lint: allow(P1) -- a scheduled refill's tx is removed only at delivery, later
+        #[expect(
+            clippy::expect_used,
+            reason = "a scheduled refill's tx is removed only at delivery, later"
+        )]
         let tx = *self.txs.get(tag).expect("refill has a transaction");
         let physical = self.run.cores[tx.core_idx].physical;
         let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
@@ -906,7 +919,10 @@ impl Cluster {
     /// A response arrived back at its core: complete the instruction.
     // mot3d-lint: no-alloc
     fn complete_delivery(&mut self, tag: u64, at_cycle: u64) {
-        // mot3d-lint: allow(P1) -- each tag is delivered exactly once; this is its removal point
+        #[expect(
+            clippy::expect_used,
+            reason = "each tag is delivered exactly once; this is its removal point"
+        )]
         let tx = self.txs.remove(tag).expect("delivery has a transaction");
         self.run
             .count
@@ -1111,7 +1127,10 @@ impl Cluster {
                 if t.tag == WB_TAG {
                     // Victim writeback reached DRAM; already applied.
                 } else {
-                    // mot3d-lint: allow(P1) -- a queued transfer's tx is removed only at delivery, later
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a queued transfer's tx is removed only at delivery, later"
+                    )]
                     let tx = self.txs.get(t.tag).expect("bus transfer has tx");
                     let done = self.dram.access(now, tx.line, false);
                     self.run.count.dram_accesses += 1;
@@ -1487,10 +1506,13 @@ impl Cluster {
                 .filter(|line| new_cfg.serving_bank(self.map.home_bank(*line)) != bank_idx)
                 .collect();
             for line in to_flush {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`line` came from this cache's own resident_lines()"
+                )]
                 let ev = self.banks[bank_idx]
                     .cache
                     .invalidate(line)
-                    // mot3d-lint: allow(P1) -- `line` came from this cache's own resident_lines()
                     .expect("line is resident");
                 for h in ev.payload.sharers() {
                     self.invalidate_l1(h, line);

@@ -14,8 +14,8 @@
 //!
 //! No timestamps here come from the wall clock: `ts` is the simulated
 //! cycle (reported as microseconds, so one cycle of the 1 GHz cluster
-//! displays as 1 µs — lint rule H2 denies `Instant`/`SystemTime` in this
-//! crate).
+//! displays as 1 µs — `clippy.toml` disallows `Instant::now` and
+//! `SystemTime::now`).
 
 use mot3d_phys::json::escape_into;
 use std::fmt::Write as _;

@@ -19,8 +19,8 @@
 //! run's (pinned by this crate's differential test suite).
 //!
 //! Timestamps are simulated cycles (shown as microseconds: one cycle of
-//! the 1 GHz cluster displays as 1 µs). Wall-clock reads are banned in
-//! this crate by `mot3d-lint` rule H2.
+//! the 1 GHz cluster displays as 1 µs). Wall-clock reads are banned
+//! workspace-wide by `clippy.toml`'s `disallowed-methods`.
 //!
 //! Open the emitted file at <https://ui.perfetto.dev> (or
 //! `chrome://tracing`).
@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod chrome;
 pub mod observer;

@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use mot3d_mem as mem;
 pub use mot3d_mot as mot;
