@@ -434,7 +434,6 @@ impl Ctx {
 
 fn execute(cmd: Cmd, opts: &Options) -> io::Result<()> {
     let mut ctx = Ctx::new(cmd, opts)?;
-    let scale = ctx.scale;
     match cmd {
         Cmd::Table1 => {
             print!("{}", report::render_table1(&experiments::table1()));
@@ -442,85 +441,21 @@ fn execute(cmd: Cmd, opts: &Options) -> io::Result<()> {
         Cmd::Fig5 => {
             print!("{}", report::render_fig5(&experiments::fig5()));
         }
-        Cmd::Fig6 => {
+        Cmd::Fig6 | Cmd::Fig7 | Cmd::Fig8 | Cmd::OpenPage => {
+            let (what, section): (&str, fn(&mut Ctx) -> io::Result<()>) = match cmd {
+                Cmd::Fig6 => ("Fig. 6", |ctx| fig6(ctx, true)),
+                Cmd::Fig7 => ("Fig. 7", |ctx| fig7(ctx, true)),
+                Cmd::Fig8 => ("Fig. 8", |ctx| {
+                    fig8(ctx, true)?;
+                    open_page(ctx, false)
+                }),
+                _ => ("the open-page sweep", |ctx| open_page(ctx, true)),
+            };
             eprintln!(
-                "running Fig. 6 at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
+                "running {what} at scale {} on {} threads (--scale / --threads to change)...",
+                ctx.scale.scale, ctx.banner_threads,
             );
-            let records = ctx.run_plan(ExperimentPlan::fig6(scale), Some("fig6"), true, None)?;
-            print!("{}", report::render_fig6(&experiments::fig6_rows(&records)));
-        }
-        Cmd::Fig7 => {
-            eprintln!(
-                "running Fig. 7 at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
-            );
-            let records =
-                ctx.run_plan(ExperimentPlan::fig7(scale), Some("fig7@200ns"), true, None)?;
-            let rows = experiments::fig7_rows(&records);
-            print!("{}", report::render_fig7(&rows, "200 ns"));
-            println!();
-            print!("{}", report::render_fig7_claims(&rows));
-        }
-        Cmd::Fig8 => {
-            eprintln!(
-                "running Fig. 8 at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
-            );
-            let at_63 = ctx.run_plan(
-                ExperimentPlan::fig8_at(scale, DramKind::WideIo),
-                Some("fig8@63ns"),
-                true,
-                None,
-            )?;
-            let at_42 = ctx.run_plan(
-                ExperimentPlan::fig8_at(scale, DramKind::Weis3d),
-                Some("fig8@42ns"),
-                true,
-                None,
-            )?;
-            print!(
-                "{}",
-                report::render_fig7(
-                    &experiments::fig7_rows(&at_63),
-                    dram_label(DramKind::WideIo)
-                )
-            );
-            println!();
-            print!(
-                "{}",
-                report::render_fig7(
-                    &experiments::fig7_rows(&at_42),
-                    dram_label(DramKind::Weis3d)
-                )
-            );
-            println!();
-            let open = ctx.run_plan(
-                ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-                Some("open_page@200ns"),
-                false,
-                None,
-            )?;
-            print!(
-                "{}",
-                report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
-            );
-        }
-        Cmd::OpenPage => {
-            eprintln!(
-                "running the open-page sweep at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
-            );
-            let open = ctx.run_plan(
-                ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-                Some("open_page@200ns"),
-                true,
-                None,
-            )?;
-            print!(
-                "{}",
-                report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
-            );
+            section(&mut ctx)?;
         }
         Cmd::Ablation => ablation(&mut ctx)?,
         Cmd::All => all(&mut ctx)?,
@@ -545,55 +480,57 @@ fn all(ctx: &mut Ctx) -> io::Result<()> {
     print!("{}", report::render_fig5(&experiments::fig5()));
 
     println!("\n== Fig. 6 ==");
-    let f6 = ctx.run_plan(ExperimentPlan::fig6(scale), Some("fig6"), false, None)?;
-    print!("{}", report::render_fig6(&experiments::fig6_rows(&f6)));
-
+    fig6(ctx, false)?;
     println!("\n== Fig. 7 (200 ns DRAM) ==");
-    let f7 = ctx.run_plan(ExperimentPlan::fig7(scale), Some("fig7@200ns"), false, None)?;
-    let rows7 = experiments::fig7_rows(&f7);
-    print!("{}", report::render_fig7(&rows7, "200 ns"));
-    println!();
-    print!("{}", report::render_fig7_claims(&rows7));
-
+    fig7(ctx, false)?;
     println!("\n== Fig. 8 ==");
-    let at_63 = ctx.run_plan(
-        ExperimentPlan::fig8_at(scale, DramKind::WideIo),
-        Some("fig8@63ns"),
-        false,
-        None,
-    )?;
-    let at_42 = ctx.run_plan(
-        ExperimentPlan::fig8_at(scale, DramKind::Weis3d),
-        Some("fig8@42ns"),
-        false,
-        None,
-    )?;
-    let rows63 = experiments::fig7_rows(&at_63);
-    print!(
-        "{}",
-        report::render_fig7(&rows63, dram_label(DramKind::WideIo))
-    );
-    println!();
-    print!(
-        "{}",
-        report::render_fig7(
-            &experiments::fig7_rows(&at_42),
-            dram_label(DramKind::Weis3d)
-        )
-    );
-    println!();
+    let rows63 = fig8(ctx, false)?;
     print!("{}", report::render_fig7_claims(&rows63));
-
     println!("\n== Open-page DRAM ==");
-    let open = ctx.run_plan(
-        ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-        Some("open_page@200ns"),
-        false,
-        None,
-    )?;
+    open_page(ctx, false)
+}
+
+/// Fig. 6: the four interconnects. `stream` prints per-run progress.
+fn fig6(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
+    let records = ctx.run_plan(ExperimentPlan::fig6(ctx.scale), Some("fig6"), stream, None)?;
+    print!("{}", report::render_fig6(&experiments::fig6_rows(&records)));
+    Ok(())
+}
+
+/// Fig. 7: the power states at 200 ns DRAM, then the paper's claims.
+fn fig7(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
+    let plan = ExperimentPlan::fig7(ctx.scale);
+    let rows = experiments::fig7_rows(&ctx.run_plan(plan, Some("fig7@200ns"), stream, None)?);
+    print!("{}", report::render_fig7(&rows, "200 ns"));
+    println!();
+    print!("{}", report::render_fig7_claims(&rows));
+    Ok(())
+}
+
+/// Fig. 8: the power states at 63 and 42 ns DRAM, one table each.
+/// Returns the 63 ns rows (`all` prints their claims).
+fn fig8(ctx: &mut Ctx, stream: bool) -> io::Result<Vec<experiments::Fig7Row>> {
+    let mut rows63 = Vec::new();
+    for dram in [DramKind::WideIo, DramKind::Weis3d] {
+        let plan = ExperimentPlan::fig8_at(ctx.scale, dram);
+        let perf_name = format!("fig8@{}", crate::plan::dram_tag(dram));
+        let rows = experiments::fig7_rows(&ctx.run_plan(plan, Some(&perf_name), stream, None)?);
+        print!("{}", report::render_fig7(&rows, dram_label(dram)));
+        println!();
+        if dram == DramKind::WideIo {
+            rows63 = rows;
+        }
+    }
+    Ok(rows63)
+}
+
+/// Flat vs open-page DRAM timing at 200 ns (Full connection).
+fn open_page(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
+    let plan = ExperimentPlan::open_page_at(ctx.scale, DramKind::OffChipDdr3);
+    let records = ctx.run_plan(plan, Some("open_page@200ns"), stream, None)?;
     print!(
         "{}",
-        report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
+        report::render_open_page(&experiments::open_page_rows(&records), "200 ns")
     );
     Ok(())
 }
@@ -635,16 +572,7 @@ fn ablation(ctx: &mut Ctx) -> io::Result<()> {
     }
 
     println!("\n== Ablation 2: flat vs open-page DRAM (Full connection) ==");
-    let open = ctx.run_plan(
-        ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-        Some("open_page@200ns"),
-        false,
-        None,
-    )?;
-    print!(
-        "{}",
-        report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
-    );
+    open_page(ctx, false)?;
 
     println!("\n== Ablation 3: derived MoT latency by technology node ==");
     println!("{:<16} {:>10} {:>10}", "state", "45nm-LP", "65nm-LP");

@@ -6,12 +6,17 @@
 //! hardcoded per-figure functions. An [`ExperimentPlan`] names a value
 //! list per axis plus a length scale and repeat count; [`points`]
 //! expands it to an ordered list of typed [`RunPoint`]s;
-//! [`ExperimentPlan::run_with`] executes the points on the existing
-//! worker-thread pool (each worker re-targeting its one cluster, see
-//! [`mot3d_sim::runner::ClusterPool`]) and streams one typed
+//! [`ExperimentPlan::run_with`] runs every point as a worker point of
+//! the one plan driver, [`pool::stream_in_order`] (each worker
+//! re-targeting its one cluster, see
+//! [`mot3d_sim::runner::ClusterPool`]), and streams one typed
 //! [`RunRecord`] per finished point — in deterministic expansion order,
-//! whatever the thread count — through any number of
-//! [`RecordSink`]s.
+//! whatever the thread count — through any number of [`RecordSink`]s.
+//! Records reach the sinks on the calling thread. With one worker, and
+//! always under [`ExperimentPlan::run_traced_with`], the points run
+//! inline on the calling thread and no thread is spawned. After a sink
+//! error the remaining points still run, but no further record is
+//! written and no sink is finished.
 //!
 //! The canned constructors ([`ExperimentPlan::fig6`],
 //! [`ExperimentPlan::fig7`], …) reproduce the paper's figures: their
@@ -42,18 +47,17 @@
 //! ```
 
 use crate::experiments::ExperimentScale;
-use crate::pool;
+use crate::pool::{self, Claim};
 use crate::sink::{PlanMeta, RecordSink};
 use mot3d_mem::dram::DramKind;
 use mot3d_mot::PowerState;
 use mot3d_sim::{run_spec, InterconnectChoice, Metrics, SimConfig};
 use mot3d_trace::TraceError;
 use mot3d_workloads::{SplashBenchmark, WorkloadSource, WorkloadSpec};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The most runs one plan may expand to. The whole paper grid is under
 /// 1 000; the bound stops one request line from asking
@@ -346,22 +350,25 @@ impl ExperimentPlan {
     /// Executes the plan: shards the points across worker threads,
     /// calls `progress(done, total, label)` as each run finishes (in
     /// completion order, possibly concurrently), and streams the
-    /// [`RunRecord`]s through every sink **in expansion order** — record
-    /// `i` is emitted as soon as all records `≤ i` have completed, so
-    /// sinks observe a deterministic stream at any thread count.
+    /// [`RunRecord`]s through every sink **in expansion order**, on the
+    /// calling thread — record `i` is emitted as soon as all records
+    /// `≤ i` have completed, so sinks observe a deterministic stream at
+    /// any thread count.
     ///
     /// Returns all records in expansion order. Each worker thread runs
     /// its points on one re-targetable cluster
     /// ([`mot3d_sim::runner::ClusterPool`]), so memory does not grow
     /// with the grid; worker threads are scoped to the call and take
-    /// their cluster with them.
+    /// their cluster with them. With one worker the points run on the
+    /// calling thread, whose cluster outlives the call.
     ///
     /// # Errors
     ///
     /// Returns `InvalidInput` when the plan fails
     /// [`ExperimentPlan::check`] (caught before spending any simulation
     /// time), or the first sink I/O error (remaining runs still
-    /// complete, but no further records are written).
+    /// complete and report progress, but no further records are written
+    /// and no sink is finished).
     ///
     /// # Panics
     ///
@@ -372,7 +379,10 @@ impl ExperimentPlan {
         sinks: &mut [&mut dyn RecordSink],
         progress: impl Fn(usize, usize, &str) + Sync,
     ) -> io::Result<Vec<RunRecord>> {
-        self.drive(self.threads, sinks, progress, |p| {
+        let threads = self
+            .threads
+            .unwrap_or_else(|| pool::worker_threads(self.len()));
+        self.stream(threads, sinks, progress, |p| {
             Ok(run_spec(&p.spec, &p.config).unwrap_or_else(|e| panic!("{}: {e}", p.label())))
         })
     }
@@ -384,9 +394,9 @@ impl ExperimentPlan {
     /// stream through the sinks in expansion order exactly as the
     /// untraced path does — and because tracing is observation-only,
     /// they are bit-identical to the untraced run's (pinned by
-    /// `tests/trace_equivalence.rs`). Points run on one worker: a deep
-    /// dive trades throughput for trace files that appear in expansion
-    /// order, one at a time.
+    /// `tests/trace_equivalence.rs`). Points run inline on the calling
+    /// thread: a deep dive trades throughput for trace files that appear
+    /// in expansion order, one at a time.
     ///
     /// Returns the records plus the trace file path of each point, in
     /// expansion order.
@@ -410,7 +420,7 @@ impl ExperimentPlan {
     ) -> io::Result<Vec<(RunRecord, PathBuf)>> {
         std::fs::create_dir_all(trace_dir)?;
         let path_of = |p: &RunPoint| trace_dir.join(mot3d_trace::trace_file_name(&p.label()));
-        let records = self.drive(Some(1), sinks, progress, |p| {
+        let records = self.stream(1, sinks, progress, |p| {
             let traced = mot3d_trace::trace_spec(&p.spec, &p.config, path_of(p));
             match traced {
                 Ok((metrics, _summary)) => Ok(metrics),
@@ -427,14 +437,14 @@ impl ExperimentPlan {
             .collect())
     }
 
-    /// The one driver behind [`ExperimentPlan::run_with`] and
-    /// [`ExperimentPlan::run_traced_with`]: check, expand, `begin` every
-    /// sink, run each point through `run_point` on `threads` workers
-    /// (default: [`pool::worker_threads`]), stream the records through
-    /// the sinks in expansion order, `finish`.
-    fn drive(
+    /// Check, expand, `begin` every sink, run every point through
+    /// `run_point` as a worker point of [`pool::stream_in_order`] on
+    /// `threads` workers, hand each record to the sinks at its turn on
+    /// this thread, `finish`. A point whose `run_point` fails is its
+    /// record's error: the sinks stop at the record before it.
+    fn stream(
         &self,
-        threads: Option<usize>,
+        threads: usize,
         sinks: &mut [&mut dyn RecordSink],
         progress: impl Fn(usize, usize, &str) + Sync,
         run_point: impl Fn(&RunPoint) -> io::Result<Metrics> + Sync,
@@ -453,66 +463,30 @@ impl ExperimentPlan {
         for sink in sinks.iter_mut() {
             sink.begin(&meta)?;
         }
-        let threads = threads.unwrap_or_else(|| pool::worker_threads(total));
         let done = AtomicUsize::new(0);
-        let emitter = Mutex::new(Emitter {
-            next: 0,
-            pending: BTreeMap::new(),
-            sinks,
-            err: None,
-        });
-        let records = pool::parallel_map_streamed_on(
+        let mut records = Vec::with_capacity(total);
+        pool::stream_in_order(
             threads,
-            total,
-            |i| run_point(&points[i]).map(|metrics| RunRecord::new(points[i].clone(), metrics)),
-            |i, record| {
-                // A point that failed is never emitted, so the sinks
-                // stop at the record before it.
-                let Ok(record) = record else { return };
-                let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-                progress(k, total, &points[i].label());
-                emitter
-                    .lock()
-                    .expect("emitter lock not poisoned")
-                    .push(i, record.clone());
+            &points,
+            |_| (Claim::Worker, ()),
+            |p, ()| {
+                let metrics = run_point(p)?;
+                progress(done.fetch_add(1, Ordering::Relaxed) + 1, total, &p.label());
+                io::Result::Ok(metrics)
             },
-        );
-        let mut emitter = emitter.into_inner().expect("emitter lock not poisoned");
-        if let Some(err) = emitter.err.take() {
-            return Err(err);
-        }
-        let records = records.into_iter().collect::<io::Result<Vec<_>>>()?;
-        for sink in emitter.sinks.iter_mut() {
+            |p, (), metrics| {
+                let record = RunRecord::new(p.clone(), metrics.expect("a worker point's result")?);
+                for sink in sinks.iter_mut() {
+                    sink.record(&record)?;
+                }
+                records.push(record);
+                io::Result::Ok(())
+            },
+        )?;
+        for sink in sinks.iter_mut() {
             sink.finish()?;
         }
         Ok(records)
-    }
-}
-
-/// Reorders completion-order records back into expansion order and
-/// feeds the contiguous prefix to the sinks as it grows.
-struct Emitter<'a, 'b> {
-    next: usize,
-    pending: BTreeMap<usize, RunRecord>,
-    sinks: &'a mut [&'b mut dyn RecordSink],
-    err: Option<io::Error>,
-}
-
-impl Emitter<'_, '_> {
-    fn push(&mut self, index: usize, record: RunRecord) {
-        self.pending.insert(index, record);
-        while let Some(record) = self.pending.remove(&self.next) {
-            self.next += 1;
-            if self.err.is_some() {
-                continue; // keep draining, stop writing
-            }
-            for sink in self.sinks.iter_mut() {
-                if let Err(e) = sink.record(&record) {
-                    self.err = Some(e);
-                    break;
-                }
-            }
-        }
     }
 }
 
@@ -591,6 +565,8 @@ impl ExperimentPlan {
 mod tests {
     use super::*;
     use mot3d_noc::NocTopologyKind;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn expansion_is_workload_outermost_and_indexed() {
@@ -740,6 +716,73 @@ mod tests {
             assert!(r.metrics.cycles > 0);
             assert!(r.derived.edp_js > 0.0);
             assert!(r.derived.ipc > 0.0);
+        }
+    }
+
+    /// Records sinks' calls into a shared log; `fail_at` makes the
+    /// `k`-th `record` call fail. `Rc` makes it `!Send`.
+    struct Recorder {
+        log: Rc<RefCell<Vec<String>>>,
+        fail_at: Option<usize>,
+    }
+
+    impl RecordSink for Recorder {
+        fn record(&mut self, record: &RunRecord) -> io::Result<()> {
+            let mut log = self.log.borrow_mut();
+            if self.fail_at == Some(log.len()) {
+                return Err(io::Error::other("sink full"));
+            }
+            log.push(record.point.label());
+            Ok(())
+        }
+
+        fn finish(&mut self) -> io::Result<()> {
+            self.log.borrow_mut().push("finish".to_string());
+            Ok(())
+        }
+    }
+
+    fn four_points(threads: usize) -> ExperimentPlan {
+        ExperimentPlan::new("t")
+            .splash([SplashBenchmark::Fft, SplashBenchmark::Radix])
+            .page_policies([false, true])
+            .scale(ExperimentScale::tiny())
+            .threads(threads)
+    }
+
+    #[test]
+    fn a_thread_bound_sink_sees_expansion_order() {
+        let plan = four_points(3);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sink = Recorder {
+            log: Rc::clone(&log),
+            fail_at: None,
+        };
+        plan.run_with(&mut [&mut sink], |_, _, _| {}).unwrap();
+        let mut want: Vec<String> = plan.points().iter().map(RunPoint::label).collect();
+        want.push("finish".to_string());
+        assert_eq!(*log.borrow(), want);
+    }
+
+    #[test]
+    fn a_sink_error_stops_the_records_but_not_the_runs() {
+        for threads in [1, 3] {
+            let plan = four_points(threads);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut sink = Recorder {
+                log: Rc::clone(&log),
+                fail_at: Some(2),
+            };
+            let progressed = AtomicUsize::new(0);
+            let err = plan
+                .run_with(&mut [&mut sink], |_, _, _| {
+                    progressed.fetch_add(1, Ordering::Relaxed);
+                })
+                .unwrap_err();
+            assert_eq!(err.to_string(), "sink full");
+            let want: Vec<String> = plan.points()[..2].iter().map(RunPoint::label).collect();
+            assert_eq!(*log.borrow(), want, "records 0..2 and no finish");
+            assert_eq!(progressed.into_inner(), 4, "threads = {threads}");
         }
     }
 }

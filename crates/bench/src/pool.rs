@@ -1,22 +1,37 @@
-//! A minimal scoped-thread work-sharing pool for the experiment sweeps.
+//! The one plan driver: claim every point, fan the worker points out to
+//! scoped threads, and emit every point in expansion order on the
+//! calling thread.
 //!
 //! The sweeps behind Fig. 6–8 are grids of completely independent
-//! (interconnect × power state × workload) simulations — embarrassingly
-//! parallel. This module shards such a grid across worker threads with a
-//! shared atomic job counter (work stealing by construction: fast workers
-//! simply take more cells), collects results in deterministic index
-//! order, and streams per-job completions to an observer as they finish.
+//! (interconnect × power state × workload) simulations. Offline plans
+//! ([`crate::plan::ExperimentPlan::run_with`]) and served submissions
+//! (the serve crate's `CachedExecutor::run_plan`) both run them through
+//! [`stream_in_order`]. Each point is claimed as one of three kinds:
 //!
-//! Each worker thread keeps its own thread-local
-//! [`mot3d_sim::runner::ClusterPool`] (via [`mot3d_sim::run_spec`]): one
-//! cluster, re-targeted from cell to cell instead of rebuilt.
+//! * [`Claim::Ready`]: emitted at once during the claim walk while every
+//!   earlier point has been emitted, otherwise at its turn (a served
+//!   store hit);
+//! * [`Claim::AtTurn`]: resolved by `emit` at its turn on the calling
+//!   thread (a point another submission is simulating);
+//! * [`Claim::Worker`]: run by `work` on a worker thread, its result
+//!   handed to `emit` at its turn (every offline point, a served miss).
 //!
-//! The caller names the worker count ([`parallel_map_streamed_on`]);
-//! [`worker_threads`] is the default it resolves to when none was asked
+//! Workers share an atomic job counter (fast workers simply take more
+//! points) and send results over one channel; records therefore reach
+//! sinks on the calling thread only. With one worker (or one worker
+//! point) nothing is spawned: worker points run inline at their turn,
+//! so the calling thread's warm [`mot3d_sim::runner::ClusterPool`]
+//! cluster is reused across plans.
+//!
+//! After the first `emit` error the driver emits nothing more: it skips
+//! ready and at-turn points but still runs every worker point it
+//! claimed, so no work a caller registered is left unfinished.
+//!
+//! [`worker_threads`] is the default worker count when none was asked
 //! for. Results are bit-identical for every thread count, including 1.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::mpsc;
 
 /// The default worker-thread count for `jobs` independent jobs: the
 /// machine's available parallelism, never more than the number of jobs.
@@ -27,13 +42,120 @@ pub fn worker_threads(jobs: usize) -> usize {
         .min(jobs.max(1))
 }
 
-/// Runs `jobs` independent jobs `f(0..jobs)` on `threads` scoped worker
-/// threads (clamped to at least 1 and at most `jobs`) and returns the
-/// results in index order — bit-identical to `(0..jobs).map(f).collect()`
-/// for deterministic `f`. `on_done(index, &result)` is called as each
-/// job completes (in completion order, possibly concurrently from
-/// several workers): the streaming hook behind progress reporting and
-/// in-order record emission.
+/// Where [`stream_in_order`] resolves a claimed point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Claim {
+    /// Emitted during the claim walk while every earlier point has
+    /// been emitted, otherwise at its turn.
+    Ready,
+    /// Emitted at its turn; `emit` resolves it on the calling thread.
+    AtTurn,
+    /// Run by `work` on a worker; `emit` receives the result at its turn.
+    Worker,
+}
+
+/// Drives `points` in expansion order. On the calling thread, `claim`
+/// first classifies every point and returns its state; leading
+/// [`Claim::Ready`] points are emitted as they are claimed. Then every
+/// remaining point is emitted in order: `emit(point, state, result)`
+/// gets `Some(work(point, state))` for a worker point and `None`
+/// otherwise. Worker points run on `threads` scoped threads (clamped to
+/// the number of worker points), or inline at their turn when that is
+/// one.
+///
+/// Inline execution cannot deadlock two callers whose `emit` waits on
+/// each other's worker points (as served submissions wait on flights
+/// other submissions own). Each caller claims every point before it
+/// walks, and a caller blocked at point `q` has claimed `q` before any
+/// worker point it has yet to run. A caller that waits on a point
+/// another caller owns claimed it after that owner did. So around a
+/// wait cycle the claim times of the blocking points would strictly
+/// decrease, which is impossible.
+///
+/// # Errors
+///
+/// Returns the first `emit` error. An error during the claim walk
+/// returns at once (only ready points have been claimed). After a
+/// later one, ready and at-turn points are skipped, and every worker
+/// point still runs before the driver returns.
+///
+/// # Panics
+///
+/// Propagates a panic from `work` once every worker has stopped.
+pub fn stream_in_order<P, S, R, E>(
+    threads: usize,
+    points: &[P],
+    mut claim: impl FnMut(&P) -> (Claim, S),
+    work: impl Fn(&P, &S) -> R + Sync,
+    mut emit: impl FnMut(&P, &S, Option<R>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    P: Sync,
+    S: Sync,
+    R: Send,
+{
+    let mut claimed: Vec<(&P, Claim, S)> = Vec::new();
+    let mut jobs = Vec::new();
+    for point in points {
+        let (kind, state) = claim(point);
+        if kind == Claim::Ready && claimed.is_empty() {
+            emit(point, &state, None)?;
+            continue;
+        }
+        if kind == Claim::Worker {
+            jobs.push(claimed.len());
+        }
+        claimed.push((point, kind, state));
+    }
+    let mut err = None;
+    let mut emit_in_turn = |point: &P, state: &S, result: Option<R>| {
+        if err.is_none() {
+            err = emit(point, state, result).err();
+        }
+    };
+    let threads = threads.clamp(1, jobs.len().max(1));
+    if threads == 1 {
+        for (point, kind, state) in &claimed {
+            let result = (*kind == Claim::Worker).then(|| work(point, state));
+            emit_in_turn(point, state, result);
+        }
+    } else {
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let tx = tx.clone();
+                let (next, jobs, claimed, work) = (&next, &jobs, &claimed, &work);
+                scope.spawn(move || {
+                    while let Some(&k) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (point, _, state) = &claimed[k];
+                        // The receiver is gone only if `emit` panicked.
+                        let _ = tx.send((k, work(point, state)));
+                    }
+                });
+            }
+            drop(tx);
+            let mut done: Vec<Option<R>> = claimed.iter().map(|_| None).collect();
+            for (k, (point, kind, state)) in claimed.iter().enumerate() {
+                while *kind == Claim::Worker && done[k].is_none() {
+                    // Every sender gone with a result missing: a job
+                    // panicked, and the scope re-raises it.
+                    let Ok((j, result)) = rx.recv() else { return };
+                    done[j] = Some(result);
+                }
+                emit_in_turn(point, state, done[k].take());
+            }
+        });
+    }
+    err.map_or(Ok(()), Err)
+}
+
+/// Runs `jobs` independent jobs `f(0..jobs)` on `threads` workers
+/// through [`stream_in_order`] (every job a worker point) and returns
+/// the results in index order — bit-identical to
+/// `(0..jobs).map(f).collect()` for deterministic `f`. `on_done(index,
+/// &result)` is called on the worker as each job completes (in
+/// completion order, possibly concurrently).
 ///
 /// # Panics
 ///
@@ -44,47 +166,31 @@ where
     F: Fn(usize) -> T + Sync,
     C: Fn(usize, &T) + Sync,
 {
-    let threads = threads.clamp(1, jobs.max(1));
-    if threads <= 1 || jobs <= 1 {
-        return (0..jobs)
-            .map(|i| {
-                let r = f(i);
-                on_done(i, &r);
-                r
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..jobs).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let r = f(i);
-                on_done(i, &r);
-                // Recover a poisoned slot vector: a panicking sibling
-                // job never leaves a slot half-written (the assignment
-                // below is the only mutation), and a long-running
-                // caller wants the surviving jobs' results, not a
-                // second panic.
-                slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|r| r.expect("every job filled its slot"))
-        .collect()
+    let indices: Vec<usize> = (0..jobs).collect();
+    let mut out = Vec::with_capacity(jobs);
+    let work = |&i: &usize, _: &()| {
+        let r = f(i);
+        on_done(i, &r);
+        r
+    };
+    let collected: Result<(), std::convert::Infallible> = stream_in_order(
+        threads,
+        &indices,
+        |_| (Claim::Worker, ()),
+        work,
+        |_, _, r| {
+            out.extend(r);
+            Ok(())
+        },
+    );
+    let Ok(()) = collected;
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn preserves_index_order() {
@@ -128,5 +234,119 @@ mod tests {
             let got = parallel_map_streamed_on(threads, 48, |i| i * 3 + 1, |_, _| {});
             assert_eq!(got, want, "threads = {threads}");
         }
+    }
+
+    /// Point `i`'s kind in the mixed tests: ready, at-turn and worker
+    /// points interleaved, with three leading ready points.
+    fn kind_of(i: usize) -> Claim {
+        match i {
+            0..=2 => Claim::Ready,
+            _ => [Claim::Worker, Claim::Ready, Claim::AtTurn][i % 3],
+        }
+    }
+
+    #[test]
+    fn leading_ready_points_go_out_before_any_worker_starts() {
+        let points: Vec<usize> = (0..12).collect();
+        let log = Mutex::new(Vec::new());
+        let result: Result<(), ()> = stream_in_order(
+            2,
+            &points,
+            |&i| (kind_of(i), ()),
+            |&i, _| log.lock().unwrap().push(format!("work {i}")),
+            |&i, _, _| {
+                log.lock().unwrap().push(format!("emit {i}"));
+                Ok(())
+            },
+        );
+        result.unwrap();
+        let log = log.into_inner().unwrap();
+        assert_eq!(log[..3], ["emit 0", "emit 1", "emit 2"]);
+        assert!(log[3].starts_with("work"), "{log:?}");
+    }
+
+    #[test]
+    fn mixed_points_come_out_in_order_at_any_thread_count() {
+        let points: Vec<usize> = (0..40).collect();
+        for threads in [1, 2, 7] {
+            let mut emitted = Vec::new();
+            let result: Result<(), ()> = stream_in_order(
+                threads,
+                &points,
+                |&i| (kind_of(i), i * 10),
+                |&i, &state| {
+                    assert_eq!(state, i * 10, "work gets the claimed state");
+                    i + 1000
+                },
+                |&i, &state, result| {
+                    assert_eq!(state, i * 10);
+                    let want = (kind_of(i) == Claim::Worker).then_some(i + 1000);
+                    assert_eq!(result, want, "point {i}");
+                    emitted.push(i);
+                    Ok(())
+                },
+            );
+            result.unwrap();
+            assert_eq!(emitted, points, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn an_emit_error_stops_emission_but_every_worker_still_runs() {
+        let points: Vec<usize> = (0..30).collect();
+        for threads in [1, 3] {
+            let ran = AtomicUsize::new(0);
+            let mut emitted = Vec::new();
+            let result = stream_in_order(
+                threads,
+                &points,
+                |&i| (if i == 5 { Claim::AtTurn } else { Claim::Worker }, ()),
+                |_, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                },
+                |&i, _, _| {
+                    emitted.push(i);
+                    if i == 7 {
+                        Err("sink full")
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
+            assert_eq!(result, Err("sink full"));
+            assert_eq!(emitted, (0..=7).collect::<Vec<_>>(), "threads = {threads}");
+            assert_eq!(ran.into_inner(), 29, "every worker point ran");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_propagates_instead_of_hanging() {
+        let points: Vec<usize> = (0..16).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            stream_in_order(
+                3,
+                &points,
+                |_| (Claim::Worker, ()),
+                |&i, _| assert_ne!(i, 4, "job 4 panics"),
+                |_, _, _| Ok::<(), ()>(()),
+            )
+        });
+        assert!(outcome.is_err());
+    }
+
+    #[test]
+    fn one_worker_runs_worker_points_on_the_calling_thread() {
+        let points: Vec<usize> = (0..6).collect();
+        let caller = std::thread::current().id();
+        let result: Result<(), ()> = stream_in_order(
+            1,
+            &points,
+            |_| (Claim::Worker, ()),
+            |_, _| assert_eq!(std::thread::current().id(), caller),
+            |_, _, _| Ok(()),
+        );
+        result.unwrap();
+        let elsewhere = parallel_map_streamed_on(2, 4, |_| std::thread::current().id(), |_, _| {});
+        assert!(elsewhere.iter().all(|&t| t != caller));
     }
 }

@@ -45,12 +45,9 @@ pub struct PlanMeta<'a> {
     pub seed: u64,
 }
 
-/// Receives the typed record stream of a plan run.
-///
-/// `Send` because records are emitted from the worker that completes
-/// the contiguous prefix (under a lock — implementations never see
-/// concurrent calls).
-pub trait RecordSink: Send {
+/// Receives the typed record stream of a plan run, on the thread that
+/// runs the plan.
+pub trait RecordSink {
     /// Called once before a plan's first record.
     ///
     /// # Errors
@@ -210,11 +207,11 @@ impl Drop for AtomicFile {
 /// Every line is a complete JSON document, so consumers can stream the
 /// file line by line (the CI smoke job parses each line back).
 #[derive(Debug)]
-pub struct JsonLinesSink<W: Write + Send> {
+pub struct JsonLinesSink<W: Write> {
     out: W,
 }
 
-impl<W: Write + Send> JsonLinesSink<W> {
+impl<W: Write> JsonLinesSink<W> {
     /// A sink writing to `out`.
     pub fn new(out: W) -> Self {
         JsonLinesSink { out }
@@ -255,7 +252,7 @@ impl JsonLinesSink<AtomicFile> {
     }
 }
 
-impl<W: Write + Send> RecordSink for JsonLinesSink<W> {
+impl<W: Write> RecordSink for JsonLinesSink<W> {
     fn begin(&mut self, meta: &PlanMeta<'_>) -> io::Result<()> {
         writeln!(
             self.out,
@@ -288,13 +285,13 @@ fn csv_field(s: &str) -> String {
 /// CSV sink: a header row (once, even across several plans), then one
 /// row per record.
 #[derive(Debug)]
-pub struct CsvSink<W: Write + Send> {
+pub struct CsvSink<W: Write> {
     out: W,
     plan: String,
     wrote_header: bool,
 }
 
-impl<W: Write + Send> CsvSink<W> {
+impl<W: Write> CsvSink<W> {
     /// A sink writing to `out`.
     pub fn new(out: W) -> Self {
         CsvSink {
@@ -327,7 +324,7 @@ impl CsvSink<AtomicFile> {
     }
 }
 
-impl<W: Write + Send> RecordSink for CsvSink<W> {
+impl<W: Write> RecordSink for CsvSink<W> {
     fn begin(&mut self, meta: &PlanMeta<'_>) -> io::Result<()> {
         self.plan = meta.plan.to_string();
         if !self.wrote_header {
@@ -382,13 +379,13 @@ impl<W: Write + Send> RecordSink for CsvSink<W> {
 /// the headline metrics — the stdout presenter for ad-hoc `mot3d sweep`
 /// grids that have no figure-shaped renderer.
 #[derive(Debug)]
-pub struct TableSink<W: Write + Send> {
+pub struct TableSink<W: Write> {
     out: W,
     plan: String,
     records: Vec<RunRecord>,
 }
 
-impl<W: Write + Send> TableSink<W> {
+impl<W: Write> TableSink<W> {
     /// A sink rendering to `out` when the plan finishes.
     pub fn new(out: W) -> Self {
         TableSink {
@@ -441,7 +438,7 @@ pub fn render_sweep_table(plan: &str, records: &[RunRecord]) -> String {
     out
 }
 
-impl<W: Write + Send> RecordSink for TableSink<W> {
+impl<W: Write> RecordSink for TableSink<W> {
     fn begin(&mut self, meta: &PlanMeta<'_>) -> io::Result<()> {
         self.plan = meta.plan.to_string();
         self.records.clear();

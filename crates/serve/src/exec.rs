@@ -10,13 +10,17 @@
 //! store holds it.
 //!
 //! [`CachedExecutor::run_plan`] streams [`PointOutcome`]s **in
-//! expansion order** while misses execute concurrently on the bench
-//! worker pool, exactly like `ExperimentPlan::run_with` does for
-//! uncached runs. Hits stay on the connection thread and are read from
-//! the store only when their turn to stream comes: the plan's leading
-//! hits go out one by one as they are probed, and every later point is
-//! classified by an index lookup alone, so the first record never waits
-//! for the rest of the plan's keys, reads or decodes.
+//! expansion order** through the same driver as
+//! `ExperimentPlan::run_with`, [`pool::stream_in_order`]. Claiming is an
+//! index lookup per point, on the connection thread. Hits are ready
+//! points and stay on the connection thread: the plan's leading hits go
+//! out one by one as they are probed, and a later hit is read when its
+//! turn to stream comes, so the first record never waits for the rest
+//! of the plan's keys, reads or decodes. Flights other submissions own
+//! are resolved at their turn on the connection thread. Owned misses are
+//! the only worker points: on pool workers, or inline at their turn when
+//! the submission has one worker (see the driver's doc for why inline
+//! owners cannot deadlock each other).
 //!
 //! ## Failure semantics
 //!
@@ -37,10 +41,12 @@
 //!   forever on a flight nobody will fulfill.
 //! * A store write error is logged and the result served **uncached**
 //!   — a full disk must not fail a simulation that already succeeded.
-//! * A store *read* error fails the submission after the records before
-//!   the bad point. Claiming does no I/O, so it cannot fail half-way and
-//!   leave flights with no owner; the flights a submission does own
-//!   still settle before it returns.
+//! * A store *read* error, or an emit error, fails the submission after
+//!   the records before the bad point. Claiming does no I/O, so it
+//!   cannot fail half-way and leave flights with no owner; after the
+//!   error, every owned point still runs its first attempt before the
+//!   submission returns. One whose first attempt failed stays
+//!   `Poisoned`, and its next claimant takes it over.
 //! * Locks recover from `std::sync` poisoning ([`crate::sync`]): every
 //!   critical section here keeps its state consistent, so a panicking
 //!   holder must not cascade into every other connection thread.
@@ -50,7 +56,7 @@ use crate::fault::{FaultSite, Faults};
 use crate::store::{ResultStore, StoreStats};
 use crate::sync::{lock_recover, wait_recover};
 use mot3d_bench::plan::{ExperimentPlan, RunPoint, RunRecord};
-use mot3d_bench::pool;
+use mot3d_bench::pool::{self, Claim};
 use mot3d_phys::fnv::FnvHashMap;
 use mot3d_sim::{run_spec, Metrics, SimError};
 use std::io;
@@ -301,10 +307,11 @@ impl CachedExecutor {
         ))))
     }
 
-    /// One execution attempt (number `attempt`, counting from 1) of
-    /// `point`, guarded so a panicking simulator poisons `flight`
+    /// Execution attempt number `attempt` (counting from 1) of `point`,
+    /// published: a result is stored and fulfills `flight`, a failure
+    /// poisons it. Guarded so a panicking simulator poisons `flight`
     /// instead of stranding its waiters.
-    fn attempt(&self, point: &RunPoint, flight: &Flight, attempt: u32) -> Result<Metrics, String> {
+    fn attempt(&self, point: &RunPoint, key: CacheKey, flight: &Flight, attempt: u32) {
         self.executed_total.fetch_add(1, Ordering::Relaxed);
         let mut guard = PoisonOnDrop {
             flight,
@@ -317,20 +324,26 @@ impl CachedExecutor {
             run_spec(&point.spec, &point.config)
         };
         guard.armed = false;
-        result.map_err(|e| format!("{}: {e}", point.label()))
+        match result {
+            Ok(metrics) => {
+                self.settle(key, &metrics);
+                flight.fulfill(metrics);
+            }
+            Err(e) => flight.poison(format!("{}: {e}", point.label()), attempt),
+        }
     }
 
     /// Executes `plan` against the cache and streams every point's
     /// [`PointOutcome`] — in expansion order, as soon as it is
     /// available — to `on_outcome`.
     ///
-    /// The points are claimed one by one in expansion order. While
-    /// every earlier point has been a hit, each hit is read, decoded and
-    /// emitted as soon as its probe returns. From the first point that
-    /// is not a hit on, the rest are only classified (hit, owned or
-    /// waited on); the owned points then go to the worker pool at once,
-    /// and each later hit is read when the in-order emit loop reaches
-    /// it.
+    /// The points go through [`pool::stream_in_order`]. A hit is a
+    /// ready point: read, decoded and emitted as soon as its probe
+    /// returns while every earlier point has been a hit, otherwise read
+    /// at its turn. A point another submission is simulating is
+    /// resolved at its turn, on this thread. A miss this submission
+    /// owns is a worker point; a failed attempt is taken over and
+    /// re-run at its turn, on this thread.
     ///
     /// # Errors
     ///
@@ -338,9 +351,11 @@ impl CachedExecutor {
     /// store *read* error, after the records before the bad point have
     /// streamed; or the first `on_outcome` error. An error among the
     /// leading hits returns at once (nothing later is claimed yet);
-    /// after that, the claimed simulations still complete and are
-    /// cached. A failing **point** is not an error: it streams as
-    /// [`PointOutcome::Failed`] and counts in [`PlanOutcome::failed`].
+    /// after that, the owned simulations still run and are cached, and
+    /// an owned point whose first attempt failed is left poisoned for
+    /// its next claimant to take over. A failing **point** is not an
+    /// error: it streams as [`PointOutcome::Failed`] and counts in
+    /// [`PlanOutcome::failed`].
     pub fn run_plan(
         &self,
         plan: &ExperimentPlan,
@@ -354,116 +369,78 @@ impl CachedExecutor {
             points: points.len() as u64,
             ..PlanOutcome::default()
         };
-        let mut keys = Vec::with_capacity(points.len());
-        // Every point after the leading hits, by index into `points`.
-        let mut slots: Vec<(usize, Slot)> = Vec::new();
-        let mut owned: Vec<(usize, Arc<Flight>)> = Vec::new();
-        for (i, point) in points.iter().enumerate() {
-            let key = cache_key(&self.fingerprint, point);
-            keys.push(key);
-            let slot = self.claim(key);
-            match &slot {
-                Slot::Cached => {
-                    outcome.hits += 1;
-                    if slots.is_empty() {
-                        on_outcome(&self.read_hit(point, key)?)?;
-                        continue;
-                    }
-                }
-                Slot::Wait(_) => outcome.waited += 1,
-                Slot::Own(flight) => {
-                    outcome.executed += 1;
-                    owned.push((i, Arc::clone(flight)));
-                }
-            }
-            slots.push((i, slot));
-        }
-
-        let mut err: Option<io::Error> = None;
-        std::thread::scope(|scope| {
-            if !owned.is_empty() {
-                let threads = self
-                    .threads
-                    .unwrap_or_else(|| pool::worker_threads(owned.len()));
-                let owned = &owned;
-                let points = &points;
-                let keys = &keys;
-                scope.spawn(move || {
-                    pool::parallel_map_streamed_on(
-                        threads,
-                        owned.len(),
-                        |j| {
-                            let (i, flight) = &owned[j];
-                            match self.attempt(&points[*i], flight, 1) {
-                                Ok(metrics) => {
-                                    self.settle(keys[*i], &metrics);
-                                    flight.fulfill(metrics);
-                                }
-                                Err(error) => flight.poison(error, 1),
-                            }
-                        },
-                        |_, ()| {},
-                    );
-                });
-            }
-            // Stream in expansion order while the pool works: each slot
-            // is either in the store, will resolve under an owner (ours
-            // on the pool above, or another client's), or — after a
-            // poisoning — is taken over and re-run right here. After an
-            // error, hits are skipped but flights are still drained.
-            for &(i, ref slot) in &slots {
-                let point_outcome = match slot {
-                    Slot::Cached if err.is_some() => continue,
-                    Slot::Cached => match self.read_hit(&points[i], keys[i]) {
-                        Ok(point_outcome) => point_outcome,
-                        Err(e) => {
-                            err = Some(e);
-                            continue;
-                        }
-                    },
-                    Slot::Own(flight) | Slot::Wait(flight) => loop {
-                        match flight.wait_or_take() {
-                            Waited::Done(metrics) => {
-                                break PointOutcome::Record(Box::new(RunRecord::new(
-                                    points[i].clone(),
-                                    *metrics,
-                                )));
-                            }
-                            Waited::Failed(error) => {
-                                self.abandon(keys[i], flight);
-                                outcome.failed += 1;
-                                break PointOutcome::Failed {
-                                    label: points[i].label(),
-                                    error,
-                                };
-                            }
-                            Waited::TakeOver { attempts } => {
-                                outcome.executed += 1;
-                                match self.attempt(&points[i], flight, attempts + 1) {
-                                    Ok(metrics) => {
-                                        self.settle(keys[i], &metrics);
-                                        flight.fulfill(metrics);
-                                    }
-                                    Err(error) => flight.poison(error, attempts + 1),
-                                }
-                                // Loop: observe the state we just set
-                                // (or whatever a racer set since).
-                            }
-                        }
-                    },
+        let threads = self
+            .threads
+            .unwrap_or_else(|| pool::worker_threads(points.len()));
+        pool::stream_in_order(
+            threads,
+            &points,
+            |point| {
+                let key = cache_key(&self.fingerprint, point);
+                let slot = self.claim(key);
+                let kind = match slot {
+                    Slot::Cached => Claim::Ready,
+                    Slot::Wait(_) => Claim::AtTurn,
+                    Slot::Own(_) => Claim::Worker,
                 };
-                if err.is_some() {
-                    continue; // keep draining so owned work still caches
+                (kind, (key, slot))
+            },
+            |point, (key, slot)| {
+                if let Slot::Own(flight) = slot {
+                    self.attempt(point, *key, flight, 1);
                 }
-                if let Err(e) = on_outcome(&point_outcome) {
-                    err = Some(e);
+            },
+            |point, (key, slot), _| {
+                let point_outcome = match slot {
+                    Slot::Cached => {
+                        outcome.hits += 1;
+                        self.read_hit(point, *key)?
+                    }
+                    Slot::Own(flight) => {
+                        outcome.executed += 1;
+                        self.resolve(point, *key, flight, &mut outcome)
+                    }
+                    Slot::Wait(flight) => {
+                        outcome.waited += 1;
+                        self.resolve(point, *key, flight, &mut outcome)
+                    }
+                };
+                on_outcome(&point_outcome)
+            },
+        )?;
+        Ok(outcome)
+    }
+
+    /// Waits for `flight` to resolve, taking it over and re-running the
+    /// point on this thread whenever it is poisoned.
+    fn resolve(
+        &self,
+        point: &RunPoint,
+        key: CacheKey,
+        flight: &Arc<Flight>,
+        outcome: &mut PlanOutcome,
+    ) -> PointOutcome {
+        loop {
+            match flight.wait_or_take() {
+                Waited::Done(metrics) => {
+                    return PointOutcome::Record(Box::new(RunRecord::new(point.clone(), *metrics)));
+                }
+                Waited::Failed(error) => {
+                    self.abandon(key, flight);
+                    outcome.failed += 1;
+                    return PointOutcome::Failed {
+                        label: point.label(),
+                        error,
+                    };
+                }
+                Waited::TakeOver { attempts } => {
+                    outcome.executed += 1;
+                    // Loop: observe the state this attempt set (or
+                    // whatever a racer set since).
+                    self.attempt(point, key, flight, attempts + 1);
                 }
             }
-        });
-        if let Some(e) = err {
-            return Err(e);
         }
-        Ok(outcome)
     }
 
     /// Publishes a finished simulation: store first, then drop the
@@ -850,6 +827,44 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(hits, 2);
         assert_eq!(records, 2, "the two misses streamed before the bad read");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `[fft, radix]` on one worker, so both run inline: the client
+    /// hangs up on fft's record, then radix's first attempt (the
+    /// submission's second execution) fails. Emission has stopped, so
+    /// nothing takes radix over and its flight stays poisoned; a
+    /// resubmission claims it, takes it over and completes instead of
+    /// waiting forever.
+    #[test]
+    fn an_emit_error_leaves_a_failed_flight_for_the_next_claimant() {
+        let dir = scratch_dir("emit-poison");
+        let mut exec = executor(&dir);
+        exec.set_faults(Faults::plan(FaultPlan::new().fail(FaultSite::PointRun, 1)));
+        let exec = Arc::new(exec);
+        let plan = splash_plan(&[Fft, Radix]).page_policies([false]);
+        let err = exec
+            .run_plan(&plan, |_| Err(io::Error::other("client hung up")))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "client hung up");
+        assert_eq!(
+            exec.executed_total(),
+            2,
+            "radix ran, and was not taken over"
+        );
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let resubmit = Arc::clone(&exec);
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(resubmit.run_plan(&plan, |_| Ok(())));
+        });
+        let out = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("resubmission blocked on a poisoned flight")
+            .unwrap();
+        handle.join().unwrap();
+        assert_eq!((out.hits, out.waited, out.executed), (1, 1, 1));
+        assert_eq!(out.failed, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

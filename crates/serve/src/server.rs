@@ -1,6 +1,8 @@
 //! The TCP accept loop behind `mot3d serve`.
 //!
-//! One thread per connection; every connection shares the process-wide
+//! One thread per connection, at most [`CONNECTIONS_PER_WORKER`] times
+//! the worker count live at once (the kernel backlog holds the rest);
+//! every connection shares the process-wide
 //! [`CachedExecutor`], so concurrent clients dedupe against the same
 //! store and in-flight table. The response stream is written by the
 //! bench crate's [`JsonLinesSink`], which keeps served bytes identical
@@ -24,12 +26,15 @@ use crate::exec::{CachedExecutor, PlanOutcome, PointOutcome};
 use crate::fault::{FaultSite, Faults};
 use crate::protocol::{self, PlanRequest};
 use crate::store::ResultStore;
+use crate::sync::{lock_recover, wait_recover};
+use mot3d_bench::pool;
 use mot3d_bench::sink::{JsonLinesSink, PlanMeta, RecordSink};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Per-read deadline of every accepted socket: an idle client that
@@ -40,6 +45,11 @@ pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// draining its response stream is dropped once one write blocks this
 /// long.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Live connections per resolved worker. At this many times the worker
+/// count the accept loop stops accepting, and the kernel backlog holds
+/// the connections that arrive meanwhile.
+pub const CONNECTIONS_PER_WORKER: usize = 4;
 
 /// Everything `serve` needs to come up.
 #[derive(Debug, Clone)]
@@ -90,6 +100,7 @@ pub struct BoundServer {
     listener: TcpListener,
     exec: CachedExecutor,
     accept_limit: Option<u64>,
+    max_live: usize,
 }
 
 impl ServerConfig {
@@ -107,6 +118,10 @@ impl ServerConfig {
             listener: TcpListener::bind(&self.addr)?,
             exec,
             accept_limit: self.accept_limit,
+            max_live: CONNECTIONS_PER_WORKER
+                * self
+                    .threads
+                    .unwrap_or_else(|| pool::worker_threads(usize::MAX)),
         })
     }
 }
@@ -145,11 +160,13 @@ impl BoundServer {
     /// Runs the accept loop until the accept limit is reached or a
     /// shutdown request arrives, then drains: every connection thread
     /// joins before this returns, and the store is flushed. One thread
-    /// per connection; per-connection I/O errors (and even panics) are
-    /// reported to stderr and do not stop the server.
+    /// per connection, at most [`CONNECTIONS_PER_WORKER`] per worker at
+    /// a time; per-connection I/O errors (and even panics) are reported
+    /// to stderr and do not stop the server.
     pub fn run(self) {
         let shutdown = AtomicBool::new(false);
         let mut budget = AcceptBudget::new(self.accept_limit);
+        let (live, freed) = (Mutex::new(0), Condvar::new());
         std::thread::scope(|scope| {
             for conn in self.listener.incoming() {
                 if shutdown.load(Ordering::SeqCst) {
@@ -159,7 +176,8 @@ impl BoundServer {
                     Ok(stream) => {
                         let exec = &self.exec;
                         let listener = &self.listener;
-                        let shutdown = &shutdown;
+                        let (shutdown, live, freed) = (&shutdown, &live, &freed);
+                        *lock_recover(live) += 1;
                         scope.spawn(move || {
                             let peer = peer_label(&stream);
                             let outcome = catch_unwind(AssertUnwindSafe(|| handle(exec, stream)));
@@ -175,9 +193,17 @@ impl BoundServer {
                                     eprintln!("mot3d serve: {peer}: connection thread panicked")
                                 }
                             }
+                            *lock_recover(live) -= 1;
+                            freed.notify_one();
                         });
                         if budget.spend() {
                             break;
+                        }
+                        // At the cap, the next connection waits in the
+                        // kernel backlog until a live one closes.
+                        let mut n = lock_recover(live);
+                        while *n >= self.max_live {
+                            n = wait_recover(freed, n);
                         }
                     }
                     Err(e) => eprintln!("mot3d serve: accept failed: {e}"),

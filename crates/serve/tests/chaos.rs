@@ -11,9 +11,12 @@
 use mot3d_bench::sink::JsonLinesSink;
 use mot3d_serve::client::{self, submit_with_retry};
 use mot3d_serve::fault::FAULT_SITES;
+use mot3d_serve::server::CONNECTIONS_PER_WORKER;
 use mot3d_serve::{FaultPlan, FaultSite, Faults, Fingerprint, PlanRequest, ServerConfig};
 use proptest::prelude::*;
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -238,6 +241,54 @@ fn shutdown_request_drains_and_flushes_the_store() {
         let outcome = client::submit(&addr, &req, &mut Vec::new()).unwrap();
         handle.join().unwrap();
         assert_eq!(outcome.hits, outcome.points, "the shutdown flushed");
+    });
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// At the live-connection cap the accept loop leaves the next
+/// connection in the kernel backlog: a submission behind a cap's worth
+/// of idle sockets is served only once one of them closes, and then
+/// byte-identically to the offline stream.
+#[test]
+fn a_submission_past_the_connection_cap_waits_for_a_free_slot() {
+    let dir = scratch_dir("cap");
+    let cap = CONNECTIONS_PER_WORKER; // times one worker
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: Some(1),
+        accept_limit: Some(cap as u64 + 1),
+        fingerprint: Fingerprint::custom("chaos/5"),
+        ..ServerConfig::new(&dir)
+    };
+    let server = config.bind().unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let req = request("fft");
+
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run());
+        let mut idle: Vec<TcpStream> = (0..cap)
+            .map(|_| TcpStream::connect(&addr).unwrap())
+            .collect();
+        let (tx, rx) = mpsc::channel();
+        let (addr, req) = (&addr, &req);
+        scope.spawn(move || {
+            let mut bytes = Vec::new();
+            let outcome = client::submit(addr, req, &mut bytes);
+            let _ = tx.send(outcome.map(|_| bytes));
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(500)).is_err(),
+            "served past the connection cap"
+        );
+        drop(idle.pop());
+        let bytes = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a closed idle socket frees a slot")
+            .unwrap();
+        assert_eq!(bytes, offline_stream(req));
+        drop(idle);
+        handle.join().unwrap();
     });
 
     std::fs::remove_dir_all(&dir).unwrap();
