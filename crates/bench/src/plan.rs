@@ -7,12 +7,14 @@
 //! list per axis plus a length scale and repeat count; [`points`]
 //! expands it to an ordered list of typed [`RunPoint`]s;
 //! [`ExperimentPlan::run_with`] runs every point as a worker point of
-//! the one plan driver, [`pool::stream_in_order`] (each worker
+//! the one plan driver, [`pool::stream_to`] (each worker
 //! re-targeting its one cluster, see
 //! [`mot3d_sim::runner::ClusterPool`]), and streams one typed
 //! [`RunRecord`] per finished point — in deterministic expansion order,
 //! whatever the thread count — through any number of [`RecordSink`]s.
-//! Records reach the sinks on the calling thread. With one worker, and
+//! Records reach the sinks on the calling thread, and every sink is
+//! [flushed](RecordSink::flush) whenever that thread is about to wait
+//! for a simulation. With one worker, and
 //! always under [`ExperimentPlan::run_traced_with`], the points run
 //! inline on the calling thread and no thread is spawned. After a sink
 //! error the remaining points still run, but no further record is
@@ -438,10 +440,11 @@ impl ExperimentPlan {
     }
 
     /// Check, expand, `begin` every sink, run every point through
-    /// `run_point` as a worker point of [`pool::stream_in_order`] on
-    /// `threads` workers, hand each record to the sinks at its turn on
-    /// this thread, `finish`. A point whose `run_point` fails is its
-    /// record's error: the sinks stop at the record before it.
+    /// `run_point` as a worker point of [`pool::stream_to`] on `threads`
+    /// workers, hand each record to the sinks at its turn on this
+    /// thread and flush them whenever the driver is about to wait,
+    /// `finish`. A point whose `run_point` fails is its record's error:
+    /// the sinks stop at the record before it.
     fn stream(
         &self,
         threads: usize,
@@ -464,8 +467,11 @@ impl ExperimentPlan {
             sink.begin(&meta)?;
         }
         let done = AtomicUsize::new(0);
-        let mut records = Vec::with_capacity(total);
-        pool::stream_in_order(
+        let mut out = Recording {
+            sinks: &mut *sinks,
+            records: Vec::with_capacity(total),
+        };
+        pool::stream_to(
             threads,
             &points,
             |_| (Claim::Worker, ()),
@@ -474,19 +480,42 @@ impl ExperimentPlan {
                 progress(done.fetch_add(1, Ordering::Relaxed) + 1, total, &p.label());
                 io::Result::Ok(metrics)
             },
-            |p, (), metrics| {
-                let record = RunRecord::new(p.clone(), metrics.expect("a worker point's result")?);
-                for sink in sinks.iter_mut() {
-                    sink.record(&record)?;
-                }
-                records.push(record);
-                io::Result::Ok(())
-            },
+            &mut out,
         )?;
+        let records = out.records;
         for sink in sinks.iter_mut() {
             sink.finish()?;
         }
         Ok(records)
+    }
+}
+
+/// [`ExperimentPlan`]'s emitter: each record goes through every sink
+/// and is kept; the idle hook flushes every sink.
+struct Recording<'a, 'b> {
+    sinks: &'a mut [&'b mut dyn RecordSink],
+    records: Vec<RunRecord>,
+}
+
+impl pool::Emit<RunPoint, (), io::Result<Metrics>> for Recording<'_, '_> {
+    type Error = io::Error;
+
+    fn emit(
+        &mut self,
+        p: &RunPoint,
+        (): &(),
+        metrics: Option<io::Result<Metrics>>,
+    ) -> io::Result<()> {
+        let record = RunRecord::new(p.clone(), metrics.expect("a worker point's result")?);
+        for sink in self.sinks.iter_mut() {
+            sink.record(&record)?;
+        }
+        self.records.push(record);
+        Ok(())
+    }
+
+    fn idle(&mut self) -> io::Result<()> {
+        self.sinks.iter_mut().try_for_each(|sink| sink.flush())
     }
 }
 

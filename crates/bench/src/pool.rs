@@ -5,8 +5,8 @@
 //! The sweeps behind Fig. 6–8 are grids of completely independent
 //! (interconnect × power state × workload) simulations. Offline plans
 //! ([`crate::plan::ExperimentPlan::run_with`]) and served submissions
-//! (the serve crate's `CachedExecutor::run_plan`) both run them through
-//! [`stream_in_order`]. Each point is claimed as one of three kinds:
+//! (the serve crate's `CachedExecutor::run_plan_to`) both run them
+//! through [`stream_to`]. Each point is claimed as one of three kinds:
 //!
 //! * [`Claim::Ready`]: emitted at once during the claim walk while every
 //!   earlier point has been emitted, otherwise at its turn (a served
@@ -23,9 +23,19 @@
 //! so the calling thread's warm [`mot3d_sim::runner::ClusterPool`]
 //! cluster is reused across plans.
 //!
-//! After the first `emit` error the driver emits nothing more: it skips
-//! ready and at-turn points but still runs every worker point it
-//! claimed, so no work a caller registered is left unfinished.
+//! Right before the calling thread can block, the driver calls the
+//! emitter's [`Emit::idle`] hook, where a caller flushes buffered
+//! output: before it runs a worker point inline, before it waits on the
+//! channel for a worker point's result that has not arrived, and before
+//! it emits an at-turn point. It never calls the hook during the
+//! leading run of ready points, so a plan of hits goes out in whole
+//! buffers, while a record that waits on a simulation leaves before the
+//! wait.
+//!
+//! After the first `emit` or `idle` error the driver emits nothing more
+//! and calls no hook: it skips ready and at-turn points but still runs
+//! every worker point it claimed, so no work a caller registered is
+//! left unfinished.
 //!
 //! [`worker_threads`] is the default worker count when none was asked
 //! for. Results are bit-identical for every thread count, including 1.
@@ -42,7 +52,7 @@ pub fn worker_threads(jobs: usize) -> usize {
         .min(jobs.max(1))
 }
 
-/// Where [`stream_in_order`] resolves a claimed point.
+/// Where [`stream_to`] resolves a claimed point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Claim {
     /// Emitted during the claim walk while every earlier point has
@@ -54,14 +64,75 @@ pub enum Claim {
     Worker,
 }
 
+/// What [`stream_to`] hands each claimed point to, on the calling
+/// thread. Every `FnMut(&P, &S, Option<R>) -> Result<(), E>` closure is
+/// one, with a hook that does nothing.
+pub trait Emit<P, S, R> {
+    /// The error that stops emission.
+    type Error;
+
+    /// Receives `point` at its turn: `result` is `Some(work(point,
+    /// state))` for a worker point and `None` otherwise.
+    ///
+    /// # Errors
+    ///
+    /// An error stops emission (see [`stream_to`]).
+    fn emit(&mut self, point: &P, state: &S, result: Option<R>) -> Result<(), Self::Error>;
+
+    /// Called right before the driver can block (see the module doc):
+    /// the place to flush what was emitted so far.
+    ///
+    /// # Errors
+    ///
+    /// An error stops emission, as an [`Emit::emit`] error does.
+    fn idle(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+impl<P, S, R, E, F> Emit<P, S, R> for F
+where
+    F: FnMut(&P, &S, Option<R>) -> Result<(), E>,
+{
+    type Error = E;
+
+    fn emit(&mut self, point: &P, state: &S, result: Option<R>) -> Result<(), E> {
+        self(point, state, result)
+    }
+}
+
+/// [`stream_to`] with a closure as the emitter, so with no idle hook.
+///
+/// # Errors
+///
+/// Returns the first `emit` error, as [`stream_to`] does.
+///
+/// # Panics
+///
+/// Propagates a panic from `work` once every worker has stopped.
+pub fn stream_in_order<P, S, R, E>(
+    threads: usize,
+    points: &[P],
+    claim: impl FnMut(&P) -> (Claim, S),
+    work: impl Fn(&P, &S) -> R + Sync,
+    mut emit: impl FnMut(&P, &S, Option<R>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    P: Sync,
+    S: Sync,
+    R: Send,
+{
+    stream_to(threads, points, claim, work, &mut emit)
+}
+
 /// Drives `points` in expansion order. On the calling thread, `claim`
 /// first classifies every point and returns its state; leading
 /// [`Claim::Ready`] points are emitted as they are claimed. Then every
-/// remaining point is emitted in order: `emit(point, state, result)`
-/// gets `Some(work(point, state))` for a worker point and `None`
-/// otherwise. Worker points run on `threads` scoped threads (clamped to
-/// the number of worker points), or inline at their turn when that is
-/// one.
+/// remaining point is emitted in order: `out.emit(point, state,
+/// result)` gets `Some(work(point, state))` for a worker point and
+/// `None` otherwise, and `out.idle()` runs before each wait. Worker
+/// points run on `threads` scoped threads (clamped to the number of
+/// worker points), or inline at their turn when that is one.
 ///
 /// Inline execution cannot deadlock two callers whose `emit` waits on
 /// each other's worker points (as served submissions wait on flights
@@ -74,32 +145,33 @@ pub enum Claim {
 ///
 /// # Errors
 ///
-/// Returns the first `emit` error. An error during the claim walk
-/// returns at once (only ready points have been claimed). After a
-/// later one, ready and at-turn points are skipped, and every worker
-/// point still runs before the driver returns.
+/// Returns the first `emit` or `idle` error. An error during the claim
+/// walk returns at once (only ready points have been claimed). After a
+/// later one, ready and at-turn points are skipped, no hook runs, and
+/// every worker point still runs before the driver returns.
 ///
 /// # Panics
 ///
 /// Propagates a panic from `work` once every worker has stopped.
-pub fn stream_in_order<P, S, R, E>(
+pub fn stream_to<P, S, R, O>(
     threads: usize,
     points: &[P],
     mut claim: impl FnMut(&P) -> (Claim, S),
     work: impl Fn(&P, &S) -> R + Sync,
-    mut emit: impl FnMut(&P, &S, Option<R>) -> Result<(), E>,
-) -> Result<(), E>
+    out: &mut O,
+) -> Result<(), O::Error>
 where
     P: Sync,
     S: Sync,
     R: Send,
+    O: Emit<P, S, R>,
 {
     let mut claimed: Vec<(&P, Claim, S)> = Vec::new();
     let mut jobs = Vec::new();
     for point in points {
         let (kind, state) = claim(point);
         if kind == Claim::Ready && claimed.is_empty() {
-            emit(point, &state, None)?;
+            out.emit(point, &state, None)?;
             continue;
         }
         if kind == Claim::Worker {
@@ -108,16 +180,24 @@ where
         claimed.push((point, kind, state));
     }
     let mut err = None;
-    let mut emit_in_turn = |point: &P, state: &S, result: Option<R>| {
+    // `None` is the idle hook; every call stops at the first error.
+    let mut in_turn = |turn: Option<(&P, &S, Option<R>)>| {
         if err.is_none() {
-            err = emit(point, state, result).err();
+            err = match turn {
+                Some((point, state, result)) => out.emit(point, state, result),
+                None => out.idle(),
+            }
+            .err();
         }
     };
     let threads = threads.clamp(1, jobs.len().max(1));
     if threads == 1 {
         for (point, kind, state) in &claimed {
+            if *kind != Claim::Ready {
+                in_turn(None);
+            }
             let result = (*kind == Claim::Worker).then(|| work(point, state));
-            emit_in_turn(point, state, result);
+            in_turn(Some((point, state, result)));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -137,13 +217,20 @@ where
             drop(tx);
             let mut done: Vec<Option<R>> = claimed.iter().map(|_| None).collect();
             for (k, (point, kind, state)) in claimed.iter().enumerate() {
+                if *kind == Claim::AtTurn {
+                    in_turn(None);
+                }
                 while *kind == Claim::Worker && done[k].is_none() {
+                    let got = rx.try_recv().or_else(|_| {
+                        in_turn(None);
+                        rx.recv()
+                    });
                     // Every sender gone with a result missing: a job
                     // panicked, and the scope re-raises it.
-                    let Ok((j, result)) = rx.recv() else { return };
+                    let Ok((j, result)) = got else { return };
                     done[j] = Some(result);
                 }
-                emit_in_turn(point, state, done[k].take());
+                in_turn(Some((point, state, done[k].take())));
             }
         });
     }
@@ -190,7 +277,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn preserves_index_order() {
@@ -348,5 +436,163 @@ mod tests {
         result.unwrap();
         let elsewhere = parallel_map_streamed_on(2, 4, |_| std::thread::current().id(), |_, _| {});
         assert!(elsewhere.iter().all(|&t| t != caller));
+    }
+
+    /// The turns (the next point to emit) at which the hook ran, shared
+    /// with `work`.
+    #[derive(Default)]
+    struct Turns {
+        at: Mutex<Vec<usize>>,
+        changed: Condvar,
+    }
+
+    impl Turns {
+        /// Blocks until the hook has run at turn `i`; a driver that
+        /// waits for point `i`'s result without calling the hook first
+        /// never gets there, and the bounded wait fails the test.
+        fn wait_for(&self, i: usize) {
+            let at = self.at.lock().unwrap();
+            let waited = self
+                .changed
+                .wait_timeout_while(at, Duration::from_secs(20), |at| !at.contains(&i))
+                .unwrap();
+            assert!(
+                !waited.1.timed_out(),
+                "no hook before waiting for point {i}"
+            );
+        }
+    }
+
+    /// An emitter that logs every call; with `failing`, every idle call
+    /// fails.
+    struct Logged<'a> {
+        turns: &'a Turns,
+        log: Vec<String>,
+        next: usize,
+        failing: bool,
+    }
+
+    impl<'a> Logged<'a> {
+        fn new(turns: &'a Turns) -> Self {
+            Logged {
+                turns,
+                log: Vec::new(),
+                next: 0,
+                failing: false,
+            }
+        }
+
+        fn idles(&self) -> usize {
+            self.log.iter().filter(|l| *l == "idle").count()
+        }
+    }
+
+    impl Emit<usize, (), ()> for Logged<'_> {
+        type Error = &'static str;
+
+        fn emit(&mut self, &i: &usize, (): &(), _: Option<()>) -> Result<(), Self::Error> {
+            assert_eq!(i, self.next, "emitted in order");
+            self.log.push(format!("emit {i}"));
+            self.next += 1;
+            Ok(())
+        }
+
+        fn idle(&mut self) -> Result<(), Self::Error> {
+            self.log.push("idle".to_string());
+            self.turns.at.lock().unwrap().push(self.next);
+            self.turns.changed.notify_all();
+            if self.failing {
+                return Err("flush failed");
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_all_ready_plan_never_calls_the_hook() {
+        let points: Vec<usize> = (0..20).collect();
+        for threads in [1, 2, 7] {
+            let turns = Turns::default();
+            let mut out = Logged::new(&turns);
+            stream_to(
+                threads,
+                &points,
+                |_| (Claim::Ready, ()),
+                |_, _| {},
+                &mut out,
+            )
+            .unwrap();
+            assert_eq!(out.idles(), 0, "threads = {threads}");
+            assert_eq!(out.next, 20);
+        }
+    }
+
+    #[test]
+    fn the_hook_runs_before_every_wait_and_never_for_leading_ready_points() {
+        let points: Vec<usize> = (0..30).collect();
+        for threads in [1, 2, 7] {
+            let turns = Turns::default();
+            let mut out = Logged::new(&turns);
+            stream_to(
+                threads,
+                &points,
+                |&i| (kind_of(i), ()),
+                |&i, _| turns.wait_for(i),
+                &mut out,
+            )
+            .unwrap();
+            let log = &out.log;
+            assert_eq!(
+                log[..3],
+                ["emit 0", "emit 1", "emit 2"],
+                "threads = {threads}"
+            );
+            for i in (3..30).filter(|&i| kind_of(i) != Claim::Ready) {
+                let at = log.iter().position(|l| *l == format!("emit {i}")).unwrap();
+                if kind_of(i) == Claim::AtTurn || threads == 1 {
+                    assert_eq!(log[at - 1], "idle", "point {i}, threads = {threads}");
+                }
+            }
+            if threads == 1 {
+                // Inline: exactly one hook per at-turn or worker point.
+                assert_eq!(
+                    out.idles(),
+                    (3..30).filter(|&i| kind_of(i) != Claim::Ready).count()
+                );
+            }
+        }
+    }
+
+    /// Point 3, the first worker point, waits for the hook, so the
+    /// first hook call comes at its turn; it fails, and no hook or emit
+    /// follows.
+    #[test]
+    fn a_hook_error_stops_emission_but_every_worker_still_runs() {
+        let points: Vec<usize> = (0..30).collect();
+        let workers = points
+            .iter()
+            .filter(|&&i| kind_of(i) == Claim::Worker)
+            .count();
+        for threads in [1, 2, 7] {
+            let turns = Turns::default();
+            let ran = AtomicUsize::new(0);
+            let mut out = Logged::new(&turns);
+            out.failing = true;
+            let result = stream_to(
+                threads,
+                &points,
+                |&i| (kind_of(i), ()),
+                |&i, _| {
+                    if i == 3 {
+                        turns.wait_for(i);
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                },
+                &mut out,
+            );
+            assert_eq!(result, Err("flush failed"), "threads = {threads}");
+            assert_eq!(out.log, ["emit 0", "emit 1", "emit 2", "idle"]);
+            assert_eq!(ran.into_inner(), workers, "every worker point ran");
+        }
     }
 }

@@ -64,6 +64,19 @@ pub trait RecordSink {
     /// I/O errors abort record emission for the run.
     fn record(&mut self, record: &RunRecord) -> io::Result<()>;
 
+    /// Called whenever the plan is about to wait for a simulation
+    /// (never between records that are ready back to back): a sink
+    /// that buffers its output pushes out what it holds, so a reader
+    /// sees each record before the wait rather than once later records
+    /// fill the buffer. The default does nothing.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors abort record emission for the run.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
     /// Called once after a plan's last record.
     ///
     /// # Errors
@@ -268,6 +281,10 @@ impl<W: Write> RecordSink for JsonLinesSink<W> {
         writeln!(self.out, "{}", record_json_line(record))
     }
 
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+
     fn finish(&mut self) -> io::Result<()> {
         self.out.flush()
     }
@@ -368,6 +385,10 @@ impl<W: Write> RecordSink for CsvSink<W> {
             d.energy_j,
             d.edp_js,
         )
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
     }
 
     fn finish(&mut self) -> io::Result<()> {

@@ -4,9 +4,10 @@
 //! Resubmission is **idempotent**: every point the server completed on
 //! an earlier attempt replays from its result cache, so the retried
 //! stream is byte-identical to what an uninterrupted submission would
-//! have produced. [`submit_with_retry`] buffers each attempt and only
-//! copies the *successful* attempt to the caller's writer, so a stream
-//! that dies halfway never leaves half-written output behind.
+//! have produced. When it may retry, [`submit_with_retry`] buffers each
+//! attempt and only copies the *successful* attempt to the caller's
+//! writer, so a stream that dies halfway never leaves half-written
+//! output behind; a single attempt streams like [`submit`].
 
 use crate::exec::PlanOutcome;
 use crate::protocol::{self, PlanRequest};
@@ -126,8 +127,9 @@ fn classify(line: &str) -> Result<Option<PlanOutcome>, String> {
 /// exponential backoff, each buffered so `out` receives only the one
 /// complete, successful stream. Completed points replay from the
 /// server's cache, so the result is byte-identical to an uninterrupted
-/// run. This is what `mot3d submit` calls; the default policy is a
-/// single attempt.
+/// run. With no retries there is nothing to repeat, so lines reach
+/// `out` as they arrive, as with [`submit`]. This is what `mot3d
+/// submit` calls; the default policy is a single attempt.
 ///
 /// # Errors
 ///
@@ -139,6 +141,9 @@ pub fn submit_with_retry(
     out: &mut impl Write,
     policy: RetryPolicy,
 ) -> io::Result<SubmitReport> {
+    if policy.retries == 0 {
+        return attempt(addr, request, out);
+    }
     let mut delay = policy.backoff;
     let mut failed = 0u32;
     loop {
@@ -254,6 +259,75 @@ mod tests {
         for line in &lines {
             assert_eq!(classify(line), protocol::parse_summary(line), "{line}");
         }
+    }
+
+    /// Counts newlines written and reports the second one: the end of
+    /// the first record line after the header.
+    struct FirstRecord {
+        lines: usize,
+        seen: std::sync::mpsc::Sender<()>,
+    }
+
+    impl Write for FirstRecord {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.lines += buf.iter().filter(|&&b| b == b'\n').count();
+            if self.lines >= 2 {
+                let _ = self.seen.send(());
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A hand-rolled server sends the header and one record, and the
+    /// summary only once the client's writer has that record (or after
+    /// a bounded wait): a single attempt must relay it before the
+    /// stream ends.
+    #[test]
+    fn a_single_attempt_relays_each_line_as_it_arrives() {
+        use crate::store::StoreStats;
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (seen, relayed) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            BufReader::new(&stream)
+                .read_line(&mut String::new())
+                .unwrap();
+            let mut w = &stream;
+            writeln!(w, "{{\"plan\": \"sweep\", \"points\": 1}}").unwrap();
+            writeln!(w, "{{\"index\": 0, \"workload\": \"fft\"}}").unwrap();
+            let in_time = relayed.recv_timeout(Duration::from_secs(10)).is_ok();
+            let outcome = PlanOutcome {
+                points: 1,
+                executed: 1,
+                ..PlanOutcome::default()
+            };
+            writeln!(
+                w,
+                "{}",
+                protocol::summary_line(outcome, StoreStats::default(), None)
+            )
+            .unwrap();
+            in_time
+        });
+        let mut out = FirstRecord { lines: 0, seen };
+        let report = submit_with_retry(
+            &addr,
+            &PlanRequest::new("sweep"),
+            &mut out,
+            RetryPolicy::default(),
+        )
+        .unwrap();
+        assert!(
+            server.join().unwrap(),
+            "the record reached `out` only with the summary"
+        );
+        assert_eq!((report.outcome.points, out.lines), (1, 2));
     }
 
     #[test]

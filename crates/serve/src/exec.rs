@@ -11,7 +11,7 @@
 //!
 //! [`CachedExecutor::run_plan`] streams [`PointOutcome`]s **in
 //! expansion order** through the same driver as
-//! `ExperimentPlan::run_with`, [`pool::stream_in_order`]. Claiming is an
+//! `ExperimentPlan::run_with`, [`pool::stream_to`]. Claiming is an
 //! index lookup per point, on the connection thread. Hits are ready
 //! points and stay on the connection thread: the plan's leading hits go
 //! out one by one as they are probed, and a later hit is read when its
@@ -20,7 +20,10 @@
 //! are resolved at their turn on the connection thread. Owned misses are
 //! the only worker points: on pool workers, or inline at their turn when
 //! the submission has one worker (see the driver's doc for why inline
-//! owners cannot deadlock each other).
+//! owners cannot deadlock each other). Right before the connection
+//! thread can block on a simulation, [`CachedExecutor::run_plan_to`]
+//! calls [`Outcomes::idle`], where the server flushes its socket
+//! buffer.
 //!
 //! ## Failure semantics
 //!
@@ -194,6 +197,36 @@ pub enum PointOutcome {
     },
 }
 
+/// Where [`CachedExecutor::run_plan_to`] streams a submission. Every
+/// `FnMut(&PointOutcome) -> io::Result<()>` closure is one, with an
+/// idle hook that does nothing.
+pub trait Outcomes {
+    /// Receives the next point's outcome, in expansion order.
+    ///
+    /// # Errors
+    ///
+    /// An error fails the submission after the outcomes before it.
+    fn outcome(&mut self, outcome: &PointOutcome) -> io::Result<()>;
+
+    /// Called right before the submission may wait on a simulation
+    /// (never between hits that stream back to back): the place to
+    /// flush buffered output.
+    ///
+    /// # Errors
+    ///
+    /// An error fails the submission, as an [`Outcomes::outcome`] error
+    /// does.
+    fn idle(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl<F: FnMut(&PointOutcome) -> io::Result<()>> Outcomes for F {
+    fn outcome(&mut self, outcome: &PointOutcome) -> io::Result<()> {
+        self(outcome)
+    }
+}
+
 /// Per-submission outcome counters (the wire summary reports these
 /// alongside the store's process-lifetime totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -337,7 +370,7 @@ impl CachedExecutor {
     /// [`PointOutcome`] — in expansion order, as soon as it is
     /// available — to `on_outcome`.
     ///
-    /// The points go through [`pool::stream_in_order`]. A hit is a
+    /// The points go through [`pool::stream_to`]. A hit is a
     /// ready point: read, decoded and emitted as soon as its probe
     /// returns while every earlier point has been a hit, otherwise read
     /// at its turn. A point another submission is simulating is
@@ -361,18 +394,40 @@ impl CachedExecutor {
         plan: &ExperimentPlan,
         mut on_outcome: impl FnMut(&PointOutcome) -> io::Result<()>,
     ) -> io::Result<PlanOutcome> {
+        self.run_plan_to(plan, &mut on_outcome)
+    }
+
+    /// [`CachedExecutor::run_plan`] into an [`Outcomes`], whose idle
+    /// hook runs right before this thread can block: before an owned
+    /// miss runs inline, before it waits for a worker's result, and
+    /// before it waits on another submission's flight. It never runs
+    /// while the plan's leading hits stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`CachedExecutor::run_plan`]; an `idle` error counts as an
+    /// outcome error.
+    pub fn run_plan_to(
+        &self,
+        plan: &ExperimentPlan,
+        out: &mut impl Outcomes,
+    ) -> io::Result<PlanOutcome> {
         if let Err(msg) = plan.check() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         }
         let points = plan.points();
-        let mut outcome = PlanOutcome {
-            points: points.len() as u64,
-            ..PlanOutcome::default()
-        };
         let threads = self
             .threads
             .unwrap_or_else(|| pool::worker_threads(points.len()));
-        pool::stream_in_order(
+        let mut resolving = Resolving {
+            exec: self,
+            outcome: PlanOutcome {
+                points: points.len() as u64,
+                ..PlanOutcome::default()
+            },
+            out,
+        };
+        pool::stream_to(
             threads,
             &points,
             |point| {
@@ -390,25 +445,9 @@ impl CachedExecutor {
                     self.attempt(point, *key, flight, 1);
                 }
             },
-            |point, (key, slot), _| {
-                let point_outcome = match slot {
-                    Slot::Cached => {
-                        outcome.hits += 1;
-                        self.read_hit(point, *key)?
-                    }
-                    Slot::Own(flight) => {
-                        outcome.executed += 1;
-                        self.resolve(point, *key, flight, &mut outcome)
-                    }
-                    Slot::Wait(flight) => {
-                        outcome.waited += 1;
-                        self.resolve(point, *key, flight, &mut outcome)
-                    }
-                };
-                on_outcome(&point_outcome)
-            },
+            &mut resolving,
         )?;
-        Ok(outcome)
+        Ok(resolving.outcome)
     }
 
     /// Waits for `flight` to resolve, taking it over and re-running the
@@ -465,6 +504,46 @@ impl CachedExecutor {
         if inflight.get(&key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
             inflight.remove(&key);
         }
+    }
+}
+
+/// [`CachedExecutor::run_plan_to`]'s emitter: resolves each claimed
+/// point at its turn, counts it, and hands its outcome to `out`.
+struct Resolving<'a, O> {
+    exec: &'a CachedExecutor,
+    outcome: PlanOutcome,
+    out: &'a mut O,
+}
+
+impl<O: Outcomes> pool::Emit<RunPoint, (CacheKey, Slot), ()> for Resolving<'_, O> {
+    type Error = io::Error;
+
+    fn emit(
+        &mut self,
+        point: &RunPoint,
+        (key, slot): &(CacheKey, Slot),
+        _: Option<()>,
+    ) -> io::Result<()> {
+        let (exec, outcome) = (self.exec, &mut self.outcome);
+        let point_outcome = match slot {
+            Slot::Cached => {
+                outcome.hits += 1;
+                exec.read_hit(point, *key)?
+            }
+            Slot::Own(flight) => {
+                outcome.executed += 1;
+                exec.resolve(point, *key, flight, outcome)
+            }
+            Slot::Wait(flight) => {
+                outcome.waited += 1;
+                exec.resolve(point, *key, flight, outcome)
+            }
+        };
+        self.out.outcome(&point_outcome)
+    }
+
+    fn idle(&mut self) -> io::Result<()> {
+        self.out.idle()
     }
 }
 

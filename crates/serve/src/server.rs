@@ -6,7 +6,10 @@
 //! [`CachedExecutor`], so concurrent clients dedupe against the same
 //! store and in-flight table. The response stream is written by the
 //! bench crate's [`JsonLinesSink`], which keeps served bytes identical
-//! to offline `mot3d sweep --json` output.
+//! to offline `mot3d sweep --json` output. It goes through a buffer that
+//! is flushed whenever the submission is about to wait on a simulation,
+//! so a record never waits behind later ones, and a run of hits still
+//! leaves in whole buffers.
 //!
 //! ## Connection hygiene & shutdown
 //!
@@ -22,7 +25,7 @@
 //! [`JsonLinesSink`]: mot3d_bench::sink::JsonLinesSink
 
 use crate::codec::Fingerprint;
-use crate::exec::{CachedExecutor, PlanOutcome, PointOutcome};
+use crate::exec::{CachedExecutor, Outcomes, PlanOutcome, PointOutcome};
 use crate::fault::{FaultSite, Faults};
 use crate::protocol::{self, PlanRequest};
 use crate::store::ResultStore;
@@ -329,37 +332,55 @@ fn respond(
     }
     // The header + records must be the exact bytes `mot3d sweep --json`
     // writes, so the same sink serialises them.
-    let faults = exec.faults().clone();
-    let mut sink = JsonLinesSink::new(&mut *out);
-    sink.begin(&PlanMeta {
+    let mut stream = Streamed {
+        sink: JsonLinesSink::new(&mut *out),
+        faults: exec.faults().clone(),
+    };
+    stream.sink.begin(&PlanMeta {
         plan: &request.name,
         points: plan.len(),
         scale: scale.scale,
         seed: scale.seed,
     })?;
-    let outcome = exec.run_plan(&plan, |po| {
-        // An injected mid-stream drop: the line is *not* written and
-        // the connection dies, exactly like a yanked network cable.
-        if faults.should_fail(FaultSite::StreamWrite) {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "injected fault: stream drop",
-            ));
-        }
-        match po {
-            PointOutcome::Record(record) => sink.record(record),
-            PointOutcome::Failed { label, error } => {
-                sink.raw_line(&protocol::failed_line(label, error))
-            }
-        }
-    })?;
-    sink.finish()?;
+    let outcome = exec.run_plan_to(&plan, &mut stream)?;
+    stream.sink.finish()?;
     writeln!(
         out,
         "{}",
         protocol::summary_line(outcome, exec.store_stats(), None)
     )?;
     Ok(())
+}
+
+/// An untraced submission's response stream: records and failure lines
+/// go into the socket's buffer, which is flushed whenever the
+/// submission is about to wait on a simulation.
+struct Streamed<'a> {
+    sink: JsonLinesSink<&'a mut BufWriter<TcpStream>>,
+    faults: Faults,
+}
+
+impl Outcomes for Streamed<'_> {
+    fn outcome(&mut self, po: &PointOutcome) -> io::Result<()> {
+        // An injected mid-stream drop: the line is *not* written and
+        // the connection dies, exactly like a yanked network cable.
+        if self.faults.should_fail(FaultSite::StreamWrite) {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionReset,
+                "injected fault: stream drop",
+            ));
+        }
+        match po {
+            PointOutcome::Record(record) => self.sink.record(record),
+            PointOutcome::Failed { label, error } => {
+                self.sink.raw_line(&protocol::failed_line(label, error))
+            }
+        }
+    }
+
+    fn idle(&mut self) -> io::Result<()> {
+        self.sink.flush()
+    }
 }
 
 /// Serves a `"trace": true` submission: every point runs fresh with the

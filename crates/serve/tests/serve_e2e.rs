@@ -8,6 +8,7 @@ use mot3d_bench::sink::{record_json_line, JsonLinesSink};
 use mot3d_serve::client::{submit, submit_with_retry, RetryPolicy};
 use mot3d_serve::exec::PlanOutcome;
 use mot3d_serve::{Fingerprint, PlanRequest, ServerConfig};
+use std::io::Write;
 use std::path::PathBuf;
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -233,6 +234,70 @@ fn seeded_repeat_submissions_match_offline_sweeps() {
             record.point.label()
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A client writer that, when the first record line is complete, notes
+/// how many results the server's store has indexed at that moment.
+struct IndexAtFirstRecord {
+    index: PathBuf,
+    newlines: usize,
+    entries: Option<usize>,
+}
+
+impl Write for IndexAtFirstRecord {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.newlines += buf.iter().filter(|&&b| b == b'\n').count();
+        if self.newlines >= 2 && self.entries.is_none() {
+            let index = std::fs::read_to_string(&self.index).unwrap_or_default();
+            self.entries = Some(index.lines().count());
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A cold two-point plan on one worker: record 0 leaves the server
+/// before point 1 is simulated, not with the summary. When the client
+/// holds record 0, only point 0's result is in the store.
+#[test]
+fn a_cold_record_reaches_the_client_before_the_next_point_is_simulated() {
+    let dir = scratch_dir("first-record");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: Some(1),
+        accept_limit: Some(1),
+        fingerprint: Fingerprint::custom("e2e/6"),
+        ..ServerConfig::new(&dir)
+    };
+    let server = config.bind().unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let req = PlanRequest {
+        bench: Some("volrend,radix".to_string()),
+        dram: Some("63ns".to_string()),
+        scale: Some("0.2".to_string()),
+        ..PlanRequest::new("sweep")
+    };
+    let mut out = IndexAtFirstRecord {
+        index: dir.join("index.jsonl"),
+        newlines: 0,
+        entries: None,
+    };
+    let outcome = std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run());
+        let outcome = submit(&addr, &req, &mut out).unwrap();
+        handle.join().unwrap();
+        outcome
+    });
+    assert_eq!((outcome.points, outcome.executed), (2, 2));
+    assert_eq!(
+        out.entries,
+        Some(1),
+        "results indexed when record 0 arrived"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
