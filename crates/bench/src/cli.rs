@@ -122,7 +122,7 @@ COMMANDS:
              tracer attached (open the file at ui.perfetto.dev)
   serve      long-running sweep service with a persistent result cache
   submit     send a sweep to a running server (see `mot3d serve --help`)
-  lint       run the mot3d-lint static-analysis pass (see `lint --help`)
+  lint       count first-party code lines per crate (see `lint --help`)
   perf       `perf check` — compare a fresh run against BENCH_results.json
   help       print this message
 

@@ -1,26 +1,22 @@
-//! A minimal Rust token scanner for lint-rule matching.
+//! A minimal Rust token scanner for code-line counting.
 //!
 //! This is **not** a full Rust lexer: it produces just enough structure
-//! for the lexical rules in [`crate::rules`] — identifiers and
-//! punctuation with line numbers — while being exactly right about the
-//! parts that would otherwise cause false findings:
+//! for [`crate::rules`] — identifiers and punctuation with line numbers,
+//! and the lines literals touch — while being exactly right about the
+//! parts that would otherwise be miscounted or misread:
 //!
 //! * line comments (`//`, `///`, `//!`) and **nested** block comments
 //!   (`/* /* */ */`) produce no tokens;
 //! * string literals, byte strings, and raw strings (`r"…"`,
 //!   `r#"…"#`, any hash depth, with `b`/`br` prefixes) produce no
-//!   tokens, so `let s = "HashMap::new()";` never matches a rule;
+//!   tokens, so `let s = "HashMap::new()";` never reads as code;
 //! * char literals (`'a'`, `'\n'`, `'\u{1F600}'`) are distinguished
 //!   from lifetimes (`'a`), so `'"'` cannot desynchronise string
 //!   tracking;
 //! * number literals (including `0x1E`, `1_000`, `2.5e-3`) are consumed
 //!   whole so their digits and exponent signs never leak as tokens.
-//!
-//! Comments are skipped, with one exception: line comments carrying a
-//! `mot3d-lint:` marker are surfaced as [`Directive`]s — the `no-alloc`
-//! annotation channel.
 
-/// One token kind the rules can match on.
+/// One token kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
     /// An identifier or keyword (`fn`, `HashMap`, `unwrap`, …).
@@ -38,49 +34,17 @@ pub struct Token {
     pub tok: Tok,
 }
 
-/// A parsed `mot3d-lint:` comment marker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DirectiveKind {
-    /// `// mot3d-lint: no-alloc` — the next `fn`/`impl`/`mod` item (or
-    /// the whole file for the inner `//!` form) must not allocate.
-    NoAlloc {
-        /// `true` for the inner-doc form (`//! mot3d-lint: no-alloc`),
-        /// which covers the entire file.
-        whole_file: bool,
-    },
-    /// A `mot3d-lint:` marker that does not parse — surfaced as an `S1`
-    /// finding so typos cannot silently disable enforcement.
-    Malformed {
-        /// Human-readable description of what is wrong.
-        why: String,
-    },
-}
-
-/// A directive with its 1-based source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Directive {
-    /// 1-based line of the comment carrying the marker.
-    pub line: u32,
-    /// What the marker said.
-    pub kind: DirectiveKind,
-}
-
-/// The scanner's output: the token stream plus any lint directives.
+/// The scanner's output: the token stream and the lines literals touch.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Tokens in source order.
     pub tokens: Vec<Token>,
-    /// Directives in source order.
-    pub directives: Vec<Directive>,
     /// Every line a string, char or number literal touches: literals
     /// produce no tokens, but a line holding one is still a code line.
     /// (Identifier lines are in here too, redundantly with `tokens`.)
     /// Ascending; a line may repeat.
     pub literal_lines: Vec<u32>,
 }
-
-/// The marker every directive comment starts with.
-pub const MARKER: &str = "mot3d-lint:";
 
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
@@ -90,7 +54,7 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Scans `src` into tokens and directives. Never panics, whatever the
+/// Scans `src` into tokens. Never panics, whatever the
 /// input: unterminated strings or comments simply end at end-of-file.
 pub fn lex(src: &str) -> Lexed {
     Lexer {
@@ -160,19 +124,8 @@ impl Lexer {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        self.bump();
-        self.bump(); // consume `//`
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
-        }
-        if let Some(directive) = parse_directive(&text, line) {
-            self.out.directives.push(directive);
         }
     }
 
@@ -180,23 +133,14 @@ impl Lexer {
         self.bump();
         self.bump(); // consume `/*`
         let mut depth = 1usize;
-        while depth > 0 {
-            match (self.peek(0), self.peek(1)) {
-                (Some('/'), Some('*')) => {
-                    self.bump();
-                    self.bump();
-                    depth += 1;
-                }
-                (Some('*'), Some('/')) => {
-                    self.bump();
-                    self.bump();
-                    depth -= 1;
-                }
-                (Some(_), _) => {
-                    self.bump();
-                }
-                (None, _) => break, // unterminated: swallow to EOF
+        // An unterminated comment swallows the rest of the file.
+        while depth > 0 && self.peek(0).is_some() {
+            match (self.bump(), self.peek(0)) {
+                (Some('/'), Some('*')) => depth += 1,
+                (Some('*'), Some('/')) => depth -= 1,
+                _ => continue,
             }
+            self.bump();
         }
     }
 
@@ -311,8 +255,9 @@ impl Lexer {
             self.bump();
         }
         match (ident.as_str(), self.peek(0)) {
-            // r"…" / b"…" / br"…" / rb"…" plain-quote forms.
-            ("r" | "b" | "br" | "rb", Some('"')) => self.string_or_raw(&ident, 0),
+            // b"…" and the r"…" / br"…" / rb"…" plain-quote raw forms.
+            ("b", Some('"')) => self.string_literal(),
+            ("r" | "br" | "rb", Some('"')) => self.raw_string(0),
             // r#"…"# (any hash depth) or the r#ident raw-identifier form.
             ("r" | "br" | "rb", Some('#')) => {
                 let mut hashes = 0usize;
@@ -340,33 +285,6 @@ impl Lexer {
             }),
         }
     }
-
-    fn string_or_raw(&mut self, prefix: &str, hashes: usize) {
-        if prefix.contains('r') {
-            self.raw_string(hashes);
-        } else {
-            self.string_literal();
-        }
-    }
-}
-
-/// Parses a `mot3d-lint:` marker out of a line comment's text (the part
-/// after `//`). Returns `None` for ordinary comments.
-fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
-    // Doc-comment sigils: `///` and `//!` arrive as leading `/` or `!`.
-    let inner_doc = comment.starts_with('!');
-    let text = comment.trim_start_matches(['/', '!']).trim();
-    let rest = text.strip_prefix(MARKER)?.trim();
-    let kind = if rest == "no-alloc" {
-        DirectiveKind::NoAlloc {
-            whole_file: inner_doc,
-        }
-    } else {
-        DirectiveKind::Malformed {
-            why: format!("unknown directive {rest:?} (expected `no-alloc`)"),
-        }
-    };
-    Some(Directive { line, kind })
 }
 
 #[cfg(test)]
@@ -474,44 +392,5 @@ mod tests {
         // Hex `E` must not swallow a following `+`.
         let l = lex("0x1E + 2");
         assert!(l.tokens.iter().any(|t| t.tok == Tok::Punct('+')));
-    }
-
-    #[test]
-    fn directive_no_alloc_outer_and_inner() {
-        let l = lex("// mot3d-lint: no-alloc\nfn f() {}\n");
-        assert_eq!(
-            l.directives,
-            [Directive {
-                line: 1,
-                kind: DirectiveKind::NoAlloc { whole_file: false }
-            }]
-        );
-        let l = lex("//! mot3d-lint: no-alloc\n");
-        assert_eq!(
-            l.directives[0].kind,
-            DirectiveKind::NoAlloc { whole_file: true }
-        );
-    }
-
-    #[test]
-    fn directives_other_than_no_alloc_are_malformed() {
-        for bad in [
-            "// mot3d-lint: allow(P1) -- invariant: peeked first",
-            "// mot3d-lint: allow(P1)",
-            "// mot3d-lint: no-allok",
-            "// mot3d-lint:",
-        ] {
-            let l = lex(bad);
-            assert!(
-                matches!(l.directives[0].kind, DirectiveKind::Malformed { .. }),
-                "{bad} should be malformed"
-            );
-        }
-    }
-
-    #[test]
-    fn directives_inside_strings_are_not_directives() {
-        let l = lex(r#"let s = "// mot3d-lint: no-alloc";"#);
-        assert!(l.directives.is_empty());
     }
 }

@@ -1,19 +1,14 @@
-//! # mot3d-lint — workspace static analysis for determinism invariants
+//! # mot3d-lint — first-party code lines per crate
 //!
-//! The repo's verification story rests on two invariants: results must
-//! be **bit-identical** across runs and thread counts (the
-//! golden-equivalence suites), and the active-cycle hot paths must stay
-//! **allocation-free** (the flat-storage rewrites). Clippy checks what
-//! it can resolve by type (`clippy.toml`, `[workspace.lints]`); this
-//! crate keeps the rules that hang on a path or a comment marker, with a
-//! hand-rolled token scanner (no dependencies, so it builds offline and
-//! when the workspace does not), and counts code lines per crate. See
-//! [`rules`] for the rule table and [`lexer`] for what the scanner
-//! understands.
+//! Counts the lines that carry code in every first-party crate's `src/`,
+//! with a hand-rolled token scanner (no dependencies, so it builds
+//! offline and when the workspace does not). CI holds each crate under
+//! its ceiling in `.github/loc-ceiling.json`. See [`rules`] for what
+//! counts as a code line and for where the workspace's invariants are
+//! checked, and [`lexer`] for what the scanner understands.
 //!
-//! Run it as `cargo run -p mot3d-lint -- --deny`, or through the CLI as
-//! `mot3d lint --deny`. `--json` emits a machine-readable report; CI
-//! gates on `--deny` (any finding fails the job).
+//! Run it as `cargo run -p mot3d-lint`, or through the CLI as
+//! `mot3d lint`. `--json` emits a machine-readable report.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -21,105 +16,48 @@
 pub mod lexer;
 pub mod rules;
 
-use rules::Finding;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directory names never descended into, and path prefixes excluded
-/// from the scan (the lint fixtures deliberately contain violations).
-const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", ".github"];
-const SKIP_PREFIXES: [&str; 1] = ["crates/lint/tests/fixtures"];
+/// Directory names never descended into, besides hidden ones.
+const SKIP_DIRS: [&str; 2] = ["target", "vendor"];
 
 /// Aggregated result of scanning a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings, ordered by (file, line).
-    pub findings: Vec<Finding>,
     /// Files scanned.
     pub files: usize,
-    /// Code lines per first-party crate (see [`rules::crate_of`]): lines
-    /// carrying at least one non-comment token, outside test items.
+    /// Code lines per first-party crate (see [`rules::crate_of`] and
+    /// [`rules::code_lines`]).
     pub loc: BTreeMap<String, usize>,
 }
 
 impl Report {
     /// Renders the human-readable report.
     pub fn render_human(&self) -> String {
-        let mut out = String::new();
-        for f in &self.findings {
-            let _ = writeln!(out, "{}", f.render());
-        }
-        let _ = writeln!(
-            out,
-            "mot3d-lint: {} finding{} across {} files, {} first-party code lines",
-            self.findings.len(),
-            if self.findings.len() == 1 { "" } else { "s" },
+        format!(
+            "mot3d-lint: {} files, {} first-party code lines\n",
             self.files,
             self.loc.values().sum::<usize>()
-        );
-        out
+        )
     }
 
     /// Renders the machine-readable (`--json`) report: one object with
-    /// the per-crate code-line counts and a findings array. Assembled by
-    /// hand like the bench perf document — the schema is flat and the
-    /// build stays offline.
+    /// the file count and the per-crate code-line counts.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": 2,");
-        let _ = writeln!(out, "  \"files\": {},", self.files);
         let loc: Vec<String> = self
             .loc
             .iter()
-            .map(|(krate, lines)| format!("{}: {lines}", json_string(krate)))
+            .map(|(krate, lines)| format!("{krate:?}: {lines}"))
             .collect();
-        let _ = writeln!(out, "  \"loc\": {{{}}},", loc.join(", "));
-        let _ = writeln!(out, "  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            let comma = if i + 1 < self.findings.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"file\": {}, \"line\": {}, \"rule\": \"{}\", \"message\": {}, \"rationale\": {}}}{}",
-                json_string(&f.file),
-                f.line,
-                f.rule,
-                json_string(&f.message),
-                json_string(rules::rationale(f.rule)),
-                comma
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
+        format!(
+            "{{\n  \"schema\": 3,\n  \"files\": {},\n  \"loc\": {{{}}}\n}}\n",
+            self.files,
+            loc.join(", ")
+        )
     }
-}
-
-/// Minimal JSON string escaping. The workspace's shared escaper is
-/// `mot3d_phys::json`; this private copy stays because this crate is
-/// dependency-free on purpose, so that it builds — and can say what is
-/// wrong — when the workspace does not.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Finds the workspace root by walking up from `start` until a
@@ -139,8 +77,8 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Collects every `.rs` file under `root` (sorted, workspace-relative)
-/// that the scan covers — the scan itself must be deterministic too.
+/// Collects every `.rs` file under `root` (sorted) that the scan covers
+/// — the scan itself must be deterministic too.
 fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -151,15 +89,9 @@ fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
-                    continue;
+                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+                    stack.push(path);
                 }
-                let rel = path.strip_prefix(root).unwrap_or(&path);
-                let rel = rel.to_string_lossy().replace('\\', "/");
-                if SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
-                    continue;
-                }
-                stack.push(path);
             } else if name.ends_with(".rs") {
                 files.push(path);
             }
@@ -169,7 +101,7 @@ fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Scans the workspace rooted at `root` with every rule.
+/// Scans the workspace rooted at `root`.
 ///
 /// # Errors
 ///
@@ -183,16 +115,11 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(&path)?;
-        let file_report = rules::check_file(&rel, &src);
         report.files += 1;
         if let Some(krate) = rules::crate_of(&rel) {
-            *report.loc.entry(krate.to_string()).or_default() += file_report.code_lines;
+            *report.loc.entry(krate.to_string()).or_default() += rules::code_lines(&src);
         }
-        report.findings.extend(file_report.findings);
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(report)
 }
 
@@ -205,8 +132,6 @@ pub struct LintOptions {
     /// stdout or to the given path (`--json <path>` when the next
     /// argument is not a flag).
     pub json: Option<Option<PathBuf>>,
-    /// Exit non-zero when findings remain (`--deny`) — the CI gate.
-    pub deny: bool,
 }
 
 impl LintOptions {
@@ -234,7 +159,6 @@ impl LintOptions {
                     }
                     opts.json = Some(target);
                 }
-                "--deny" => opts.deny = true,
                 "--help" | "-h" => return Err(usage()),
                 other => return Err(format!("unknown option {other:?}\n\n{}", usage())),
             }
@@ -245,71 +169,58 @@ impl LintOptions {
 
 fn usage() -> String {
     "\
-mot3d-lint — workspace static analysis for determinism and hot-path invariants
+mot3d-lint — first-party code lines per crate
 
-USAGE: mot3d-lint [--root <dir>] [--json [path]] [--deny]
+USAGE: mot3d-lint [--root <dir>] [--json [path]]
 
   --root <dir>   workspace root (default: walk up from the current directory)
   --json [path]  machine-readable report to stdout or <path>
-  --deny         exit 1 when any finding remains (CI gate)
 
-Rules: D2 hash-order iteration on report paths · A1 allocation in
-`// mot3d-lint: no-alloc` regions · S1 malformed or orphan markers.
-Default hashers, BinaryHeap, clock/env reads and library panics are
-clippy's (clippy.toml, [workspace.lints])."
+A code line carries code outside comments and test items, in a crate's
+src/; CI holds each crate under .github/loc-ceiling.json. Invariants are
+checked elsewhere: by type in clippy.toml and [workspace.lints], and by a
+counting allocator in crates/{sim,trace}/tests/no_alloc.rs."
         .to_string()
 }
 
 /// Entry point shared by the `mot3d-lint` binary and the `mot3d lint`
-/// subcommand. Returns the process exit code: 0 clean (or findings
-/// without `--deny`), 1 findings under `--deny`, 2 usage/I-O errors.
+/// subcommand. Returns the process exit code: 0 on success, 2 on usage
+/// or I/O errors.
 pub fn run_cli(args: &[String]) -> i32 {
-    let opts = match LintOptions::parse(args) {
-        Ok(opts) => opts,
+    match run(args) {
+        Ok(()) => 0,
         Err(msg) => {
             eprintln!("{msg}");
-            return 2;
+            2
         }
-    };
-    let root = match &opts.root {
-        Some(r) => r.clone(),
+    }
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    let opts = LintOptions::parse(args)?;
+    let root = match opts.root {
+        Some(root) => root,
         None => {
             let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-            match find_workspace_root(&cwd) {
-                Some(r) => r,
-                None => {
-                    eprintln!(
-                        "mot3d-lint: no workspace root found above {}",
-                        cwd.display()
-                    );
-                    return 2;
-                }
-            }
+            find_workspace_root(&cwd).ok_or_else(|| {
+                format!(
+                    "mot3d-lint: no workspace root found above {}",
+                    cwd.display()
+                )
+            })?
         }
     };
-    let report = match scan_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mot3d-lint: scan failed: {e}");
-            return 2;
-        }
-    };
+    let report = scan_workspace(&root).map_err(|e| format!("mot3d-lint: scan failed: {e}"))?;
     match &opts.json {
         Some(Some(path)) => {
-            if let Err(e) = fs::write(path, report.render_json()) {
-                eprintln!("mot3d-lint: cannot write {}: {e}", path.display());
-                return 2;
-            }
+            fs::write(path, report.render_json())
+                .map_err(|e| format!("mot3d-lint: cannot write {}: {e}", path.display()))?;
             eprint!("{}", report.render_human());
         }
         Some(None) => print!("{}", report.render_json()),
         None => print!("{}", report.render_human()),
     }
-    if opts.deny && !report.findings.is_empty() {
-        1
-    } else {
-        0
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -319,38 +230,34 @@ mod tests {
     #[test]
     fn options_parse_all_forms() {
         let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
-        let o = LintOptions::parse(&argv("--deny --json out.json --root /tmp/ws")).unwrap();
-        assert!(o.deny);
+        let o = LintOptions::parse(&argv("--json out.json --root /tmp/ws")).unwrap();
         assert_eq!(o.json, Some(Some(PathBuf::from("out.json"))));
         assert_eq!(o.root, Some(PathBuf::from("/tmp/ws")));
-        // --json without a path streams to stdout; --deny after it must
+        // --json without a path streams to stdout; a flag after it must
         // not be eaten as the path.
-        let o = LintOptions::parse(&argv("--json --deny")).unwrap();
+        let o = LintOptions::parse(&argv("--json --root /tmp/ws")).unwrap();
         assert_eq!(o.json, Some(None));
-        assert!(o.deny);
-        assert!(LintOptions::parse(&argv("--wat")).is_err());
-        assert!(LintOptions::parse(&argv("--root")).is_err());
+        assert_eq!(o.root, Some(PathBuf::from("/tmp/ws")));
+        for bad in ["--wat", "--root", "--deny"] {
+            assert!(LintOptions::parse(&argv(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn json_report_is_balanced_and_escaped() {
         let report = Report {
-            findings: vec![Finding {
-                file: "crates/sim/src/x.rs".into(),
-                line: 3,
-                rule: "D2",
-                message: "`m.keys()` \"quoted\"".into(),
-            }],
             files: 10,
-            loc: BTreeMap::from([("sim".to_string(), 1200), ("phys".to_string(), 800)]),
+            loc: BTreeMap::from([
+                ("sim".to_string(), 1200),
+                ("phys".to_string(), 800),
+                ("a\"b".to_string(), 1),
+            ]),
         };
         let json = report.render_json();
-        assert!(json.contains("\"loc\": {\"phys\": 800, \"sim\": 1200},"));
+        assert!(json.contains("\"loc\": {\"a\\\"b\": 1, \"phys\": 800, \"sim\": 1200}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"schema\": 2,"));
-        assert!(!json.contains("suppressed"));
-        assert!(json.contains("\"rule\": \"D2\""));
+        assert!(json.contains("\"schema\": 3,"));
+        assert!(json.contains("\"files\": 10,"));
     }
 
     #[test]

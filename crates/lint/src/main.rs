@@ -1,5 +1,5 @@
-//! The `mot3d-lint` binary: scan the workspace, report findings, gate
-//! CI with `--deny`. All logic lives in the library (shared with the
+//! The `mot3d-lint` binary: scan the workspace and report its code
+//! lines per crate. All logic lives in the library (shared with the
 //! `mot3d lint` subcommand).
 
 fn main() {

@@ -304,7 +304,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     }
 
     /// Reads a line: on hit, touches LRU state and returns the data token.
-    // mot3d-lint: no-alloc
     pub fn read(&mut self, line: LineAddr) -> Option<u64> {
         let set = self.set_index(line);
         match self.find_slot(set, line) {
@@ -323,7 +322,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// Writes a line in place: on hit, stores the token, sets dirty, and
     /// returns `true`. On miss returns `false` (write-allocate is the
     /// caller's job via [`SetAssocCache::fill`]).
-    // mot3d-lint: no-alloc
     pub fn write(&mut self, line: LineAddr, data: u64) -> bool {
         let set = self.set_index(line);
         match self.find_slot(set, line) {
@@ -346,7 +344,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     ///
     /// If the line is already present it is overwritten in place (no
     /// eviction).
-    // mot3d-lint: no-alloc
     pub fn fill(&mut self, line: LineAddr, data: u64, dirty: bool) -> Option<EvictedLine<P>> {
         self.fill_slot(line, data, dirty).1
     }
@@ -354,7 +351,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// [`SetAssocCache::fill`] that also hands back the filled line's
     /// [`SlotHandle`], so refill paths can keep accessing the line
     /// without re-probing the tags.
-    // mot3d-lint: no-alloc
     pub fn fill_slot(
         &mut self,
         line: LineAddr,
@@ -410,7 +406,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// replacement state or counters (like [`SetAssocCache::peek`], this
     /// is not an access — the handle-taking accessors do the per-access
     /// bookkeeping).
-    // mot3d-lint: no-alloc
     #[inline]
     pub fn find(&self, line: LineAddr) -> Option<SlotHandle> {
         let set = self.set_index(line);
@@ -433,7 +428,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// Reads through a resolved handle: touches LRU state, counts a read
     /// hit, returns the data token — identical side effects to a hitting
     /// [`SetAssocCache::read`].
-    // mot3d-lint: no-alloc
     #[inline]
     pub fn read_at(&mut self, h: SlotHandle) -> u64 {
         let slot = self.slot_of(h);
@@ -445,7 +439,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// Writes through a resolved handle: touches LRU state, counts a
     /// write hit, stores the token, sets dirty — identical side effects
     /// to a hitting [`SetAssocCache::write`].
-    // mot3d-lint: no-alloc
     #[inline]
     pub fn write_at(&mut self, h: SlotHandle, data: u64) {
         let slot = self.slot_of(h);
@@ -458,7 +451,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// Data token and dirty bit through a resolved handle, without
     /// touching replacement state or counters (the handle analogue of
     /// [`SetAssocCache::peek`]).
-    // mot3d-lint: no-alloc
     #[inline]
     pub fn peek_at(&self, h: SlotHandle) -> (u64, bool) {
         let slot = self.slot_of(h);
@@ -466,7 +458,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     }
 
     /// Shared payload access through a resolved handle.
-    // mot3d-lint: no-alloc
     #[inline]
     pub fn payload_at(&self, h: SlotHandle) -> &P {
         let slot = self.slot_of(h);
@@ -474,7 +465,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     }
 
     /// Mutable payload access through a resolved handle.
-    // mot3d-lint: no-alloc
     #[inline]
     pub fn payload_at_mut(&mut self, h: SlotHandle) -> &mut P {
         let slot = self.slot_of(h);
@@ -482,7 +472,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
     }
 
     /// Looks at a line without touching replacement state or counters.
-    // mot3d-lint: no-alloc
     pub fn peek(&self, line: LineAddr) -> Option<(u64, bool)> {
         let set = self.set_index(line);
         self.find_slot(set, line)

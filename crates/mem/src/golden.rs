@@ -43,7 +43,14 @@ impl GoldenMemory {
         self.store.insert(line, data);
     }
 
-    /// Number of lines ever written.
+    /// Forgets every write, so that every line reads 0 again, and keeps
+    /// the capacity the writes grew.
+    pub fn clear(&mut self) {
+        self.store.clear();
+    }
+
+    /// Number of lines written since construction or the last
+    /// [`GoldenMemory::clear`].
     pub fn written_lines(&self) -> usize {
         self.store.len()
     }
@@ -72,6 +79,15 @@ mod tests {
         g.write(LineAddr(1), 20);
         assert_eq!(g.read(LineAddr(1)), 20);
         assert_eq!(g.written_lines(), 1);
+    }
+
+    #[test]
+    fn clear_forgets_every_write() {
+        let mut g = GoldenMemory::new();
+        g.write(LineAddr(1), 10);
+        g.clear();
+        assert_eq!(g.read(LineAddr(1)), 0);
+        assert_eq!((g.written_lines(), g.iter().count()), (0, 0));
     }
 
     #[test]

@@ -118,9 +118,7 @@ impl MotNetwork {
         params: &MotTimingParams,
         state: PowerState,
     ) -> Result<Self, MotError> {
-        let cfg = MotConfiguration::new(topology, state)?;
-        let latency = MotLatency::derive(tech, floorplan, topology, params, state)?;
-        let energy_model = MotEnergyModel::derive(tech, floorplan, &cfg, params)?;
+        let (cfg, latency, energy_model) = derive(tech, floorplan, topology, params, state)?;
         let banks = topology.banks();
         let cores = topology.cores();
         assert!(cores <= 32, "wait masks hold at most 32 cores per bank");
@@ -164,6 +162,29 @@ impl MotNetwork {
         )
     }
 
+    /// Moves the network to power state `state` in place. The
+    /// configuration, latency and energy model are re-derived for the
+    /// same topology and installed only if all three derive, so after an
+    /// `Err` the network is unchanged. Queues, arbiters, statistics and
+    /// accumulated energy are kept: a drained network carries its
+    /// accounting across the change, and [`Interconnect::reset`]
+    /// afterwards leaves it as [`MotNetwork::new`] would build it.
+    ///
+    /// # Errors
+    ///
+    /// The [`MotError`]s of [`MotNetwork::new`].
+    pub fn reconfigure(
+        &mut self,
+        tech: &Technology,
+        floorplan: &Floorplan,
+        params: &MotTimingParams,
+        state: PowerState,
+    ) -> Result<(), MotError> {
+        (self.cfg, self.latency, self.energy_model) =
+            derive(tech, floorplan, self.cfg.topology(), params, state)?;
+        Ok(())
+    }
+
     /// The resolved configuration (power state, remap, switch modes).
     pub fn configuration(&self) -> &MotConfiguration {
         &self.cfg
@@ -203,12 +224,25 @@ impl MotNetwork {
     }
 }
 
+/// The parts of a [`MotNetwork`] its power state determines.
+fn derive(
+    tech: &Technology,
+    floorplan: &Floorplan,
+    topology: MotTopology,
+    params: &MotTimingParams,
+    state: PowerState,
+) -> Result<(MotConfiguration, MotLatency, MotEnergyModel), MotError> {
+    let cfg = MotConfiguration::new(topology, state)?;
+    let latency = MotLatency::derive(tech, floorplan, topology, params, state)?;
+    let energy_model = MotEnergyModel::derive(tech, floorplan, &cfg, params)?;
+    Ok((cfg, latency, energy_model))
+}
+
 impl Interconnect for MotNetwork {
     fn name(&self) -> &str {
         "3-D MoT"
     }
 
-    // mot3d-lint: no-alloc
     fn tick(&mut self, now: u64) {
         if let Some(last) = self.last_tick {
             debug_assert!(now >= last, "tick must not go backwards");
@@ -526,6 +560,43 @@ mod tests {
         let mut net = MotNetwork::date16(PowerState::pc4_mb32()).unwrap();
         // PC4 keeps cores {6,7,8,9}; core 0 is gated.
         net.inject_request(0, req(0, 1, 1));
+    }
+
+    #[test]
+    fn reconfigure_keeps_accounting_and_reset_completes_a_fresh_build() {
+        let (tech, floorplan) = (Technology::lp45(), Floorplan::date16());
+        let params = MotTimingParams::default();
+        let mut net = MotNetwork::date16(PowerState::full()).unwrap();
+        net.inject_request(0, req(0, 0, 1));
+        let _ = run_until_arrivals(&mut net, 20);
+        let (stats, energy) = (net.stats(), net.dynamic_energy());
+
+        // A state that does not fit changes nothing.
+        let too_wide = PowerState::new(32, 64).unwrap();
+        assert!(net
+            .reconfigure(&tech, &floorplan, &params, too_wide)
+            .is_err());
+        assert_eq!(net.configuration().state(), PowerState::full());
+
+        let gated = PowerState::pc16_mb8();
+        net.reconfigure(&tech, &floorplan, &params, gated).unwrap();
+        assert_eq!((net.stats(), net.dynamic_energy()), (stats, energy));
+        let fresh = MotNetwork::date16(gated).unwrap();
+        let remap = |n: &MotNetwork| {
+            (0..32)
+                .map(|b| n.configuration().remap_bank(b))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(remap(&net), remap(&fresh));
+        assert_eq!(net.latency(), fresh.latency());
+        assert_eq!(net.leakage_power(), fresh.leakage_power());
+
+        net.reset();
+        assert_eq!(net.stats(), InterconnectStats::default());
+        assert_eq!(net.dynamic_energy(), Joules::ZERO);
+        let arrivals = run_until_arrivals(&mut net, 20);
+        assert!(arrivals.is_empty());
+        assert_eq!(net.next_activity(0), None);
     }
 
     #[test]

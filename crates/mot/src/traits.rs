@@ -135,8 +135,11 @@ pub trait Interconnect {
     /// Resets traffic state to construction time: in-flight messages,
     /// arbitration/round-robin positions, statistics, and accumulated
     /// dynamic energy are cleared. Topology and derived latency/energy
-    /// models persist, which is what makes resetting much cheaper than
-    /// rebuilding.
+    /// models persist, and so does the capacity of every queue, so a
+    /// reset network runs traffic it has carried before without
+    /// allocating. The simulator's re-targetable cluster resets the
+    /// network it keeps for an interconnect kind instead of building a
+    /// new one for every point.
     fn reset(&mut self);
 
     /// Uncontended one-way transit in cycles (used by the simulator to

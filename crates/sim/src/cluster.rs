@@ -44,12 +44,14 @@
 //! | group | what | written by |
 //! |-------|------|------------|
 //! | fixed | technology, floorplan, address map, SRAM and core power models | [`Cluster::new`], once |
-//! | storage | L1 and L2 arrays, Miss bus, DRAM, transaction slab, event wheel | allocated by `new`; cleared, O(touched), by [`Cluster::retarget`] |
-//! | configured | `Configured`: interconnect, bank remap, active cores, DRAM timing and energy, golden memory | `Configured::derive`, whose value `new`, `retarget` and [`Cluster::switch_power_state`] store whole |
+//! | storage | L1 and L2 arrays, Miss bus, DRAM, transaction slab, event wheel, golden memory, one interconnect per kind run | allocated by `new` (an interconnect, the first time its kind is run); cleared, O(touched), by [`Cluster::retarget`] |
+//! | configured | `Configured`: bank remap, active cores, DRAM timing and energy | `Configured::derive`, whose value `new`, `retarget` and [`Cluster::switch_power_state`] store whole |
 //! | run | `Run`: cores, statuses and masks, the clock, the metric counters | `Run::start`, whose value `new` and `retarget` store whole |
 //!
 //! `new` is *derive → allocate storage → `Run::start`*; `retarget` is
-//! *derive → clear storage → `Run::start`*. The configured and run state
+//! *derive → clear storage → `Run::start`*, where clearing an
+//! interconnect re-points the one the cluster holds for that kind (the
+//! MoT at the new power state) and resets it. The configured and run state
 //! a re-targeted cluster holds is therefore the very value a new one
 //! would hold, by construction: a field added to either group cannot
 //! reach one path and miss the other. What construction cannot show —
@@ -71,7 +73,7 @@ use mot3d_mot::latency::MotTimingParams;
 use mot3d_mot::reconfig::MotConfiguration;
 use mot3d_mot::topology::MotTopology;
 use mot3d_mot::traits::{Interconnect, MemRequest, MemResponse, ReqKind};
-use mot3d_mot::{MotNetwork, PowerState};
+use mot3d_mot::{MotError, MotNetwork, PowerState};
 use mot3d_noc::NocNetwork;
 use mot3d_phys::geometry::Floorplan;
 use mot3d_phys::power::{CorePowerModel, DramEnergyModel, EnergyBreakdown};
@@ -183,6 +185,55 @@ enum ClusterNet {
 }
 
 impl ClusterNet {
+    /// A new network for `config`'s interconnect.
+    fn build(
+        tech: &Technology,
+        floorplan: &Floorplan,
+        config: &SimConfig,
+    ) -> Result<Self, SimError> {
+        Ok(match config.interconnect {
+            InterconnectChoice::Mot => ClusterNet::Mot(MotNetwork::new(
+                tech,
+                floorplan,
+                MotTopology::date16(),
+                &MotTimingParams::default(),
+                config.power_state,
+            )?),
+            InterconnectChoice::Noc(kind) => {
+                ClusterNet::Noc(NocNetwork::new(tech, floorplan, kind))
+            }
+        })
+    }
+
+    /// The interconnect this is.
+    fn choice(&self) -> InterconnectChoice {
+        match self {
+            ClusterNet::Mot(_) => InterconnectChoice::Mot,
+            ClusterNet::Noc(n) => InterconnectChoice::Noc(n.kind()),
+        }
+    }
+
+    /// Moves a MoT to `state` in place ([`MotNetwork::reconfigure`]); a
+    /// baseline has the one state.
+    fn reconfigure(
+        &mut self,
+        tech: &Technology,
+        floorplan: &Floorplan,
+        state: PowerState,
+    ) -> Result<(), SimError> {
+        if let ClusterNet::Mot(n) = self {
+            n.reconfigure(tech, floorplan, &MotTimingParams::default(), state)?;
+        }
+        Ok(())
+    }
+
+    fn reset(&mut self) {
+        match self {
+            ClusterNet::Mot(n) => n.reset(),
+            ClusterNet::Noc(n) => n.reset(),
+        }
+    }
+
     #[inline]
     fn get(&self) -> &dyn Interconnect {
         match self {
@@ -251,7 +302,7 @@ impl ClusterNet {
 
 /// The *configured* state: everything about a cluster that its
 /// [`SimConfig`] determines — and nothing that it does not (cache
-/// arrays, queues, physical models).
+/// arrays, queues, interconnects, physical models).
 ///
 /// Built only by [`Configured::derive`] and stored whole as
 /// `Cluster::cfg`: [`Cluster::new`], [`Cluster::retarget`] and
@@ -259,7 +310,6 @@ impl ClusterNet {
 /// returns, so a part that starts to depend on the configuration cannot
 /// reach one of them and miss another.
 struct Configured {
-    interconnect: ClusterNet,
     mot_cfg: Option<MotConfiguration>,
     /// Physical ids of the active cores, in rank order.
     active_cores: Vec<usize>,
@@ -271,19 +321,13 @@ struct Configured {
     dram_timing: DramTiming,
     dram_power: DramEnergyModel,
     bus_occupancy: u64,
-    golden: Option<GoldenMemory>,
 }
 
 impl Configured {
     /// Checks `config` (against `streams` workload streams) and builds
     /// its parts. Touches no cluster, so a caller that gets an `Err`
     /// has changed nothing.
-    fn derive(
-        tech: &Technology,
-        floorplan: &Floorplan,
-        config: &SimConfig,
-        streams: usize,
-    ) -> Result<Self, SimError> {
+    fn derive(config: &SimConfig, streams: usize) -> Result<Self, SimError> {
         let state = config.power_state;
         state.check_fits(TOTAL_CORES, TOTAL_BANKS)?;
         if streams != state.active_cores() {
@@ -293,27 +337,14 @@ impl Configured {
             });
         }
 
-        let (interconnect, mot_cfg) = match config.interconnect {
+        let mot_cfg = match config.interconnect {
             InterconnectChoice::Mot => {
-                let net = MotNetwork::new(
-                    tech,
-                    floorplan,
-                    MotTopology::date16(),
-                    &MotTimingParams::default(),
-                    state,
-                )?;
-                let cfg = net.configuration().clone();
-                (ClusterNet::Mot(net), Some(cfg))
+                Some(MotConfiguration::new(MotTopology::date16(), state).map_err(MotError::from)?)
             }
-            InterconnectChoice::Noc(kind) => {
-                if state != PowerState::full() {
-                    return Err(SimError::NocNeedsFullState(kind));
-                }
-                (
-                    ClusterNet::Noc(NocNetwork::new(tech, floorplan, kind)),
-                    None,
-                )
+            InterconnectChoice::Noc(kind) if state != PowerState::full() => {
+                return Err(SimError::NocNeedsFullState(kind));
             }
+            InterconnectChoice::Noc(_) => None,
         };
 
         let active_cores: Vec<usize> = match &mot_cfg {
@@ -328,7 +359,6 @@ impl Configured {
 
         let latency = config.dram.latency_cycles();
         Ok(Configured {
-            interconnect,
             bank_powered: std::array::from_fn(|b| {
                 mot_cfg.as_ref().is_none_or(|c| c.is_bank_active(b))
             }),
@@ -346,7 +376,6 @@ impl Configured {
                 DramKind::Weis3d => DramEnergyModel::weis_3d(),
             },
             bus_occupancy: config.miss_bus_occupancy,
-            golden: config.check_golden.then(GoldenMemory::new),
         })
     }
 
@@ -535,6 +564,14 @@ pub struct Cluster {
     events: TimingWheel<Action>,
     /// Reused victim/holder scratch for coherence fan-outs.
     scratch_cores: Vec<usize>,
+    /// The interconnect `config.interconnect` names.
+    net: ClusterNet,
+    /// Every other interconnect this cluster has run, one per kind, kept
+    /// with its storage for the next `retarget` to that kind.
+    parked: Vec<ClusterNet>,
+    /// The oracle every store updates and every load is checked against
+    /// while `config.check_golden` is set.
+    golden: GoldenMemory,
     // --- configured: replaced whole by `retarget` -----------------------
     config: SimConfig,
     cfg: Configured,
@@ -548,7 +585,7 @@ impl std::fmt::Debug for Cluster {
             .field("now", &self.run.now)
             .field("cores", &self.run.cores.len())
             .field("state", &self.config.power_state.to_string())
-            .field("interconnect", &self.cfg.interconnect.get().name())
+            .field("interconnect", &self.net.get().name())
             .finish_non_exhaustive()
     }
 }
@@ -568,7 +605,8 @@ impl Cluster {
         let tech = Technology::lp45();
         let floorplan = Floorplan::date16();
         let map = AddressMap::date16();
-        let cfg = Configured::derive(&tech, &floorplan, &config, streams.len())?;
+        let cfg = Configured::derive(&config, streams.len())?;
+        let net = ClusterNet::build(&tech, &floorplan, &config)?;
 
         let l1s = (0..TOTAL_CORES)
             .map(|_| SetAssocCache::new(CacheConfig::l1_date16()))
@@ -600,6 +638,9 @@ impl Cluster {
             txs: GenSlab::new(),
             events: TimingWheel::new(),
             scratch_cores: Vec::new(),
+            net,
+            parked: Vec::new(),
+            golden: GoldenMemory::new(),
             run: Run::start(&cfg.active_cores, streams),
             config,
             cfg,
@@ -636,7 +677,7 @@ impl Cluster {
         });
         debug_assert_ne!(tag, WB_TAG);
         let physical = self.run.cores[core_idx].physical;
-        self.cfg.interconnect.inject_request(
+        self.net.inject_request(
             self.run.now,
             MemRequest {
                 core: physical,
@@ -666,7 +707,7 @@ impl Cluster {
             value: 0,
         });
         debug_assert_ne!(tag, WB_TAG);
-        self.cfg.interconnect.inject_request(
+        self.net.inject_request(
             self.run.now,
             MemRequest {
                 core: physical,
@@ -698,7 +739,6 @@ impl Cluster {
 
     /// Services a request at its bank. Mutates architectural state now;
     /// schedules the response at the right time.
-    // mot3d-lint: no-alloc
     fn service_bank(&mut self, bank_idx: usize, tag: u64, at_cycle: u64) {
         #[expect(
             clippy::expect_used,
@@ -759,7 +799,6 @@ impl Cluster {
     /// L2-hit path and the post-refill path (a concurrent miss to the
     /// same line may find it already filled and owned — the
     /// blocking-cache equivalent of an MSHR merge).
-    // mot3d-lint: no-alloc
     fn access_resident_line(&mut self, bank_idx: usize, tag: u64, slot: SlotHandle) -> u64 {
         #[expect(
             clippy::expect_used,
@@ -769,7 +808,7 @@ impl Cluster {
         let physical = self.run.cores[tx.core_idx].physical;
         let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
         let mut extra = 0u64;
-        let oneway = self.cfg.interconnect.oneway_latency_hint();
+        let oneway = self.net.oneway_latency_hint();
 
         let dir_owner = self.banks[bank_idx].cache.payload_at(slot).owner();
         if let Some(owner) = dir_owner {
@@ -811,8 +850,8 @@ impl Cluster {
             self.scratch_cores = victims;
             // Store becomes architecturally visible now.
             self.banks[bank_idx].cache.write_at(slot, tx.value);
-            if let Some(golden) = &mut self.cfg.golden {
-                golden.write(tx.line, tx.value);
+            if self.config.check_golden {
+                self.golden.write(tx.line, tx.value);
             }
             self.banks[bank_idx].writes += 1;
         } else {
@@ -824,10 +863,10 @@ impl Cluster {
             // The load is architecturally ordered *here*; the golden
             // comparison must use this point, not the delivery time (a
             // store ordered in between is not a violation).
-            if let Some(golden) = &self.cfg.golden {
+            if self.config.check_golden {
                 assert_eq!(
                     value,
-                    golden.read(tx.line),
+                    self.golden.read(tx.line),
                     "load mismatch at {:?} cycle {} (ordering point)",
                     tx.line,
                     self.run.now
@@ -845,7 +884,6 @@ impl Cluster {
     }
 
     /// DRAM refill arrives at the bank: fill, handle the victim, respond.
-    // mot3d-lint: no-alloc
     fn refill_bank(&mut self, bank_idx: usize, tag: u64) {
         #[expect(
             clippy::expect_used,
@@ -917,7 +955,6 @@ impl Cluster {
     }
 
     /// A response arrived back at its core: complete the instruction.
-    // mot3d-lint: no-alloc
     fn complete_delivery(&mut self, tag: u64, at_cycle: u64) {
         #[expect(
             clippy::expect_used,
@@ -963,7 +1000,6 @@ impl Cluster {
     }
 
     /// One core issue step.
-    // mot3d-lint: no-alloc
     fn step_core(&mut self, idx: usize) {
         match self.run.statuses[idx] {
             CoreStatus::Computing { until } if self.run.now >= until => {
@@ -998,10 +1034,10 @@ impl Cluster {
                 self.run.count.l1_reads += 1;
                 if let Some(value) = self.l1s[idx].read(line) {
                     self.run.count.l1_hits += 1;
-                    if let Some(golden) = &self.cfg.golden {
+                    if self.config.check_golden {
                         assert_eq!(
                             value,
-                            golden.read(line),
+                            self.golden.read(line),
                             "L1 load mismatch at {line:?} cycle {}",
                             self.run.now
                         );
@@ -1036,8 +1072,8 @@ impl Cluster {
                         if let Some(bank_slot) = bank_slot {
                             self.banks[bank].cache.write_at(bank_slot, token);
                         }
-                        if let Some(golden) = &mut self.cfg.golden {
-                            golden.write(line, token);
+                        if self.config.check_golden {
+                            self.golden.write(line, token);
                         }
                         self.run.set_status(
                             idx,
@@ -1078,10 +1114,9 @@ impl Cluster {
     /// [`Cluster::step`] with an [`Observer`] sampled at the end of the
     /// step (before `now` advances). With [`NullObserver`] the guard
     /// folds away and this *is* `step` — same machine code, no branch.
-    // mot3d-lint: no-alloc
     pub fn step_with<O: Observer>(&mut self, obs: &mut O) {
         let now = self.run.now;
-        self.cfg.interconnect.tick(now);
+        self.net.tick(now);
 
         // Scheduled actions due this cycle.
         while let Some((_, action)) = self.events.pop_due(now) {
@@ -1099,7 +1134,7 @@ impl Cluster {
                     bank,
                     write,
                 } => {
-                    self.cfg.interconnect.inject_response(
+                    self.net.inject_response(
                         now,
                         MemResponse {
                             core,
@@ -1156,12 +1191,12 @@ impl Cluster {
         }
 
         // Requests arriving at banks.
-        while let Some(a) = self.cfg.interconnect.pop_arrival() {
+        while let Some(a) = self.net.pop_arrival() {
             self.service_bank(a.bank, a.request.tag, a.at_cycle);
         }
 
         // Responses arriving at cores.
-        while let Some(d) = self.cfg.interconnect.pop_delivery() {
+        while let Some(d) = self.net.pop_delivery() {
             self.complete_delivery(d.response.tag, d.at_cycle);
         }
 
@@ -1201,7 +1236,6 @@ impl Cluster {
     /// grants, and the interconnect neither lands a transit nor arbitrates
     /// (its grant logic does not mutate round-robin state when no request
     /// is asserted, so skipping preserves grant order bit-for-bit).
-    // mot3d-lint: no-alloc
     fn next_wake(&self) -> Option<u64> {
         let mut wake: Option<u64> = None;
         let merge = |w: &mut Option<u64>, t: u64| *w = Some(w.map_or(t, |x| x.min(t)));
@@ -1241,7 +1275,7 @@ impl Cluster {
         if let Some(t) = self.bus.next_activity(self.run.now) {
             merge(&mut wake, t);
         }
-        if let Some(t) = self.cfg.interconnect.next_activity(self.run.now) {
+        if let Some(t) = self.net.next_activity(self.run.now) {
             merge(&mut wake, t);
         }
         if let Some(t) = self.dram.next_activity(self.run.now) {
@@ -1254,7 +1288,6 @@ impl Cluster {
     /// `limit`) and steps once. With no upcoming wake-up, jumps straight
     /// to `limit` so the caller's cycle-limit check fires — exactly where
     /// per-cycle stepping would have idled its way to.
-    // mot3d-lint: no-alloc
     fn advance_with<O: Observer>(&mut self, limit: u64, obs: &mut O) {
         match self.next_wake() {
             Some(wake) => {
@@ -1267,8 +1300,8 @@ impl Cluster {
         if self.run.now < limit {
             self.step_with(obs);
             if O::ENABLED {
-                // Between steps: outside the no-alloc hot path, so a
-                // buffered observer can drain its ring here.
+                // Between steps, where a buffered observer may drain
+                // its ring (and allocate).
                 obs.maintain();
             }
         }
@@ -1361,14 +1394,19 @@ impl Cluster {
     /// "clear": derive the configured state, clear the storage, start
     /// the run. No [`SimConfig`] field changes the geometry of the
     /// caches, so the L1 and L2 arrays (megabytes), the timing wheel, the
-    /// transaction slab and the DRAM's line map all stay, and the caches
-    /// clear only the sets the previous run filled
+    /// transaction slab, the DRAM's line map and the golden memory all
+    /// stay, and the caches clear only the sets the previous run filled
     /// ([`SetAssocCache::clear`]): a sweep of short points pays for what
-    /// each point touched, not for what a cluster holds. The configured
-    /// and run states are small and are replaced whole, in microseconds,
-    /// by the values `new` would have installed. This is what lets one
-    /// cluster per thread serve a whole design-space grid (see
-    /// [`crate::runner::ClusterPool`]).
+    /// each point touched, not for what a cluster holds. The cluster
+    /// keeps one interconnect per kind it has run, so a sweep that
+    /// alternates kinds builds each once: the one `config` names is
+    /// re-pointed (the MoT at the new power state) and reset, and only a
+    /// kind run for the first time is built. The configured and run
+    /// states are small and are replaced whole, in microseconds, by the
+    /// values `new` would have installed. This is what lets one cluster
+    /// per thread serve a whole design-space grid (see
+    /// [`crate::runner::ClusterPool`]) without allocating while it runs
+    /// a point it has run before (pinned by `tests/no_alloc.rs`).
     ///
     /// # Errors
     ///
@@ -1381,7 +1419,8 @@ impl Cluster {
         config: SimConfig,
         streams: Vec<CoreStream>,
     ) -> Result<(), SimError> {
-        let cfg = Configured::derive(&self.tech, &self.floorplan, &config, streams.len())?;
+        let cfg = Configured::derive(&config, streams.len())?;
+        self.select_net(&config)?;
         // Every check has passed; nothing below fails. (A zero bus
         // occupancy panics here as it does in `new`: first, while the
         // cluster is still whole.)
@@ -1398,9 +1437,39 @@ impl Cluster {
         }
         self.txs.clear();
         self.events.clear();
+        self.net.reset();
+        self.golden.clear();
         self.run = Run::start(&cfg.active_cores, streams);
         self.config = config;
         self.cfg = cfg;
+        Ok(())
+    }
+
+    /// Makes the interconnect `config` names the active one, at its
+    /// power state: the network this cluster holds for that kind, or a
+    /// new one the first time the kind is run. The one fallible part —
+    /// building a network, or re-deriving the MoT's state — comes first,
+    /// so after an `Err` nothing has changed. Traffic state is left as it
+    /// was: [`Cluster::retarget`] resets it.
+    fn select_net(&mut self, config: &SimConfig) -> Result<(), SimError> {
+        let want = config.interconnect;
+        let at = self.parked.iter().position(|n| n.choice() == want);
+        let held = if self.net.choice() == want {
+            Some(&mut self.net)
+        } else {
+            at.map(|i| &mut self.parked[i])
+        };
+        match held {
+            Some(net) => net.reconfigure(&self.tech, &self.floorplan, config.power_state)?,
+            None => {
+                let built = ClusterNet::build(&self.tech, &self.floorplan, config)?;
+                self.parked.push(built);
+            }
+        }
+        if self.net.choice() != want {
+            let i = at.unwrap_or(self.parked.len() - 1);
+            std::mem::swap(&mut self.net, &mut self.parked[i]);
+        }
         Ok(())
     }
 
@@ -1426,7 +1495,7 @@ impl Cluster {
     pub fn metrics(&self, label: impl Into<String>) -> Metrics {
         let cycles = self.run.now;
         let count = &self.run.count;
-        let net = self.cfg.interconnect.get();
+        let net = self.net.get();
         let exec_time = self.tech.period() * cycles as f64;
         let instructions: u64 = self.run.cores.iter().map(|c| c.retired).sum();
 
@@ -1469,9 +1538,11 @@ impl Cluster {
     }
 
     /// Runtime power-state transition (§III): drain, flush the lines that
-    /// no longer belong (dirty ones to DRAM over the Miss bus), swap the
-    /// interconnect configuration, resume. Core counts must match — core
-    /// migration is an OS concern outside this model.
+    /// no longer belong (dirty ones to DRAM over the Miss bus), move the
+    /// interconnect to the new state in place, resume. Core counts must
+    /// match — core migration is an OS concern outside this model. The
+    /// run goes on: the golden memory, the interconnect's statistics,
+    /// dynamic energy and arbitration positions all carry across.
     ///
     /// # Errors
     ///
@@ -1493,8 +1564,9 @@ impl Cluster {
             power_state: new_state,
             ..self.config
         };
-        let new_cfg =
-            Configured::derive(&self.tech, &self.floorplan, &config, self.run.cores.len())?;
+        let new_cfg = Configured::derive(&config, self.run.cores.len())?;
+        self.net
+            .reconfigure(&self.tech, &self.floorplan, new_state)?;
 
         // Flush every line whose serving bank changes (covers both
         // gating — bank turns off — and un-gating — folded lines going
@@ -1536,26 +1608,21 @@ impl Cluster {
         // before power-off).
         self.drain()?;
 
-        // The run goes on: its golden memory is the one thing of the old
-        // configured state that carries over.
-        self.cfg = Configured {
-            golden: self.cfg.golden.take(),
-            ..new_cfg
-        };
+        self.cfg = new_cfg;
         self.config = config;
         Ok(())
     }
 
     /// Read-only view of the golden memory (when `check_golden` is on).
     pub fn golden(&self) -> Option<&GoldenMemory> {
-        self.cfg.golden.as_ref()
+        self.config.check_golden.then_some(&self.golden)
     }
 
     /// Verifies the entire cache hierarchy against the golden memory:
     /// every L2-resident line and every golden line must agree (L1s are
     /// kept coherent with L2 by construction). Panics on mismatch.
     pub fn verify_against_golden(&self) {
-        let Some(golden) = &self.cfg.golden else {
+        let Some(golden) = self.golden() else {
             return;
         };
         for (line, want) in golden.iter() {
@@ -1572,7 +1639,7 @@ impl Cluster {
 /// Read-only observability probes: the surface [`Observer`]
 /// implementations sample from. All of these are plain field reads or
 /// O(components) scans — none allocates, so calling them from
-/// [`Observer::sample`] respects the hot-path `no-alloc` invariant.
+/// [`Observer::sample`] keeps a traced run allocation-free.
 impl Cluster {
     /// Number of active (ungated) cores; observer core indices range
     /// over `0..active_core_count()`.
@@ -1642,7 +1709,7 @@ impl Cluster {
 
     /// Occupancy snapshot of whichever interconnect this cluster runs.
     pub fn interconnect_probe(&self) -> InterconnectProbe {
-        match &self.cfg.interconnect {
+        match &self.net {
             ClusterNet::Mot(n) => {
                 let topo = n.configuration().topology();
                 InterconnectProbe::Mot(MotProbe {
@@ -1736,9 +1803,9 @@ mod tests {
         for interconnect in choices {
             let config = SimConfig::date16().with_interconnect(interconnect);
             let (tech, floorplan) = (Technology::lp45(), Floorplan::date16());
-            let mut net = Configured::derive(&tech, &floorplan, &config, TOTAL_CORES)
-                .expect("a Full-connection configuration")
-                .interconnect;
+            let mut net = ClusterNet::build(&tech, &floorplan, &config)
+                .expect("a Full-connection configuration");
+            assert_eq!(net.choice(), interconnect);
             round_trip(&mut net);
 
             // The same four reads on the concrete network, no `dyn`.

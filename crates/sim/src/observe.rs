@@ -18,9 +18,10 @@
 //! ([`Cluster::core_activity`], [`Cluster::bank_busy`],
 //! [`Cluster::interconnect_probe`], …), which allocates nothing.
 //!
-//! [`Observer::maintain`] runs between steps (outside the `no-alloc`
-//! hot-path regions); buffered observers such as `mot3d_trace`'s
-//! `TraceObserver` flush their pre-sized event ring there.
+//! [`Observer::maintain`] runs between steps, outside the step that
+//! `tests/no_alloc.rs` pins allocation-free; buffered observers such as
+//! `mot3d_trace`'s `TraceObserver` flush their pre-sized event ring
+//! there.
 //!
 //! [`Cluster::step_with`]: crate::Cluster::step_with
 //! [`Cluster::run_to_completion_with`]: crate::Cluster::run_to_completion_with
@@ -44,16 +45,16 @@ pub trait Observer {
 
     /// Called at the end of every executed [`Cluster::step`], before
     /// `now` advances, with the cluster in its post-step state. Runs
-    /// inside the `no-alloc` hot path: implementations must not
-    /// allocate here (buffer into pre-sized storage and flush from
-    /// [`Observer::maintain`] instead).
+    /// inside the step, which allocates nothing once the cluster has run
+    /// the point before (`tests/no_alloc.rs`): implementations must not
+    /// allocate here either (buffer into pre-sized storage and flush
+    /// from [`Observer::maintain`] instead).
     ///
     /// [`Cluster::step`]: crate::Cluster::step
     fn sample(&mut self, cluster: &Cluster);
 
-    /// Called between steps, outside the hot-path `no-alloc` regions.
-    /// Buffered observers drain their rings here; the default does
-    /// nothing.
+    /// Called between steps, where allocating is allowed. Buffered
+    /// observers drain their rings here; the default does nothing.
     fn maintain(&mut self) {}
 }
 

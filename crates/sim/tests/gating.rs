@@ -48,6 +48,20 @@ fn bank_gating_mid_run_preserves_all_stores() {
 }
 
 #[test]
+fn a_switch_keeps_the_interconnect_accounting() {
+    let cfg = checked_config(PowerState::full());
+    let mut cluster = Cluster::new(cfg, streams(&spec(), 16, 5)).unwrap();
+    run_some(&mut cluster, 5_000);
+    cluster.drain().unwrap();
+    let before = cluster.metrics("m");
+    assert!(before.interconnect.requests > 0);
+    // Drained, a switch to the same state changes nothing the run has
+    // counted: the interconnect's requests and dynamic energy included.
+    cluster.switch_power_state(PowerState::full()).unwrap();
+    assert_eq!(cluster.metrics("m"), before);
+}
+
+#[test]
 fn repeated_transitions_are_stable() {
     let cfg = checked_config(PowerState::full());
     let s = spec();

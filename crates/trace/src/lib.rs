@@ -14,9 +14,10 @@
 //! [`TraceObserver`] attached, per-step samples diff the cluster's
 //! probe surface against shadow state and stage compact events into a
 //! pre-sized ring, drained through the buffered [`TraceWriter`] between
-//! steps — the simulator's `no-alloc` hot-path invariants hold either
-//! way, and the traced run's metrics are bit-identical to the untraced
-//! run's (pinned by this crate's differential test suite).
+//! steps — a traced step allocates nothing, as an untraced one does
+//! (pinned by `tests/no_alloc.rs` here and in `mot3d-sim`), and the
+//! traced run's metrics are bit-identical to the untraced run's (pinned
+//! by this crate's differential test suite).
 //!
 //! Timestamps are simulated cycles (shown as microseconds: one cycle of
 //! the 1 GHz cluster displays as 1 µs). Wall-clock reads are banned

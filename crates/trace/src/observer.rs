@@ -4,10 +4,10 @@
 //! One observer traces one run into one file. It plugs into the
 //! simulator through [`mot3d_sim::observe::Observer`]; samples diff the
 //! cluster's probe surface against shadow state and append compact
-//! events to a pre-sized ring (no allocation on the sample path — rule
-//! A1 enforces the marked region). The ring drains through the
-//! [`TraceWriter`] from [`Observer::maintain`], which the run loop calls
-//! *between* steps, outside the `no-alloc` hot path.
+//! events to a pre-sized ring, so the sample path allocates nothing
+//! after the first sample registers the tracks (`tests/no_alloc.rs`
+//! counts it). The ring drains through the [`TraceWriter`] from
+//! [`Observer::maintain`], which the run loop calls *between* steps.
 
 use crate::chrome::TraceWriter;
 use mot3d_sim::cluster::Cluster;
@@ -333,7 +333,6 @@ impl TraceObserver {
 impl Observer for TraceObserver {
     const ENABLED: bool = true;
 
-    // mot3d-lint: no-alloc
     fn sample(&mut self, c: &Cluster) {
         if !self.ready {
             self.init(c);
