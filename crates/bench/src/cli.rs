@@ -513,7 +513,7 @@ fn fig8(ctx: &mut Ctx, stream: bool) -> io::Result<Vec<experiments::Fig7Row>> {
     let mut rows63 = Vec::new();
     for dram in [DramKind::WideIo, DramKind::Weis3d] {
         let plan = ExperimentPlan::fig8_at(ctx.scale, dram);
-        let perf_name = format!("fig8@{}", crate::plan::dram_tag(dram));
+        let perf_name = format!("fig8@{}", axes::dram_token(dram));
         let rows = experiments::fig7_rows(&ctx.run_plan(plan, Some(&perf_name), stream, None)?);
         print!("{}", report::render_fig7(&rows, dram_label(dram)));
         println!();

@@ -48,6 +48,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+use crate::axes::dram_token;
 use crate::experiments::ExperimentScale;
 use crate::pool::{self, Claim};
 use crate::sink::{PlanMeta, RecordSink};
@@ -55,11 +56,10 @@ use mot3d_mem::dram::DramKind;
 use mot3d_mot::PowerState;
 use mot3d_sim::{run_spec, InterconnectChoice, Metrics, SimConfig};
 use mot3d_trace::TraceError;
-use mot3d_workloads::{SplashBenchmark, WorkloadSource, WorkloadSpec};
+use mot3d_workloads::{SplashBenchmark, WorkloadSpec};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// The most runs one plan may expand to. The whole paper grid is under
 /// 1 000; the bound stops one request line from asking
@@ -73,7 +73,7 @@ pub struct RunPoint {
     /// Position in the plan's expansion order (also the record order
     /// every sink observes).
     pub index: usize,
-    /// Workload display name (from [`WorkloadSource::source_name`]).
+    /// Workload display name ([`SplashBenchmark::name`]).
     pub workload: String,
     /// The resolved, already-scaled workload spec.
     pub spec: WorkloadSpec,
@@ -155,7 +155,7 @@ impl RunRecord {
 #[derive(Debug, Clone)]
 pub struct ExperimentPlan {
     name: String,
-    workloads: Vec<Arc<dyn WorkloadSource>>,
+    benches: Vec<SplashBenchmark>,
     interconnects: Vec<InterconnectChoice>,
     power_states: Vec<PowerState>,
     drams: Vec<DramKind>,
@@ -172,10 +172,7 @@ impl ExperimentPlan {
     pub fn new(name: impl Into<String>) -> Self {
         ExperimentPlan {
             name: name.into(),
-            workloads: SplashBenchmark::all()
-                .into_iter()
-                .map(|b| Arc::new(b) as Arc<dyn WorkloadSource>)
-                .collect(),
+            benches: SplashBenchmark::all().to_vec(),
             interconnects: vec![InterconnectChoice::Mot],
             power_states: vec![PowerState::full()],
             drams: vec![DramKind::OffChipDdr3],
@@ -191,20 +188,10 @@ impl ExperimentPlan {
         &self.name
     }
 
-    /// Replaces the workload axis with arbitrary [`WorkloadSource`]s
-    /// (synthetic specs today, trace-driven backends tomorrow).
-    pub fn workloads(mut self, sources: impl IntoIterator<Item = Arc<dyn WorkloadSource>>) -> Self {
-        self.workloads = sources.into_iter().collect();
-        self
-    }
-
     /// Replaces the workload axis with SPLASH presets.
-    pub fn splash(self, benches: impl IntoIterator<Item = SplashBenchmark>) -> Self {
-        self.workloads(
-            benches
-                .into_iter()
-                .map(|b| Arc::new(b) as Arc<dyn WorkloadSource>),
-        )
+    pub fn splash(mut self, benches: impl IntoIterator<Item = SplashBenchmark>) -> Self {
+        self.benches = benches.into_iter().collect();
+        self
     }
 
     /// Replaces the interconnect axis.
@@ -264,7 +251,7 @@ impl ExperimentPlan {
             self.repeats as usize,
         ]
         .into_iter()
-        .fold(self.workloads.len(), usize::saturating_mul)
+        .fold(self.benches.len(), usize::saturating_mul)
     }
 
     /// Whether the plan expands to no runs (an axis is empty).
@@ -309,9 +296,9 @@ impl ExperimentPlan {
     /// axis nesting; see the type docs).
     pub fn points(&self) -> Vec<RunPoint> {
         let mut points = Vec::with_capacity(self.len());
-        for source in &self.workloads {
-            let workload = source.source_name();
-            let spec = source.resolve(self.scale.scale);
+        for &bench in &self.benches {
+            let workload = bench.name();
+            let spec = bench.spec().scaled(self.scale.scale);
             for &interconnect in &self.interconnects {
                 for &power_state in &self.power_states {
                     for &dram in &self.drams {
@@ -325,7 +312,7 @@ impl ExperimentPlan {
                                 config.seed = self.scale.seed.wrapping_add(u64::from(repeat));
                                 points.push(RunPoint {
                                     index: points.len(),
-                                    workload: workload.clone(),
+                                    workload: workload.to_string(),
                                     spec,
                                     config,
                                     repeat,
@@ -521,15 +508,6 @@ impl pool::Emit<RunPoint, (), io::Result<Metrics>> for Recording<'_, '_> {
 
 // ------------------------------------------------- canned constructors
 
-/// Short DRAM tag used in canned plan / perf sweep names.
-pub fn dram_tag(dram: DramKind) -> &'static str {
-    match dram {
-        DramKind::OffChipDdr3 => "200ns",
-        DramKind::WideIo => "63ns",
-        DramKind::Weis3d => "42ns",
-    }
-}
-
 impl ExperimentPlan {
     /// Fig. 6: all benchmarks × the four interconnects (Full state,
     /// 200 ns DRAM).
@@ -543,7 +521,7 @@ impl ExperimentPlan {
     /// one DRAM option (Fig. 7 proper uses 200 ns; Fig. 8 reuses the
     /// shape at 63/42 ns — see [`ExperimentPlan::fig8_at`]).
     pub fn fig7_at(scale: ExperimentScale, dram: DramKind) -> Self {
-        ExperimentPlan::new(format!("fig7@{}", dram_tag(dram)))
+        ExperimentPlan::new(format!("fig7@{}", dram_token(dram)))
             .power_states(PowerState::date16_states())
             .drams([dram])
             .scale(scale)
@@ -557,13 +535,13 @@ impl ExperimentPlan {
     /// One half of Fig. 8: the power-state sweep at an on-chip DRAM
     /// latency (63 ns Wide I/O or 42 ns Weis 3-D).
     pub fn fig8_at(scale: ExperimentScale, dram: DramKind) -> Self {
-        ExperimentPlan::fig7_at(scale, dram).named(format!("fig8@{}", dram_tag(dram)))
+        ExperimentPlan::fig7_at(scale, dram).named(format!("fig8@{}", dram_token(dram)))
     }
 
     /// Open-page DRAM study: all benchmarks under flat vs open-page
     /// timing at one DRAM option (Full connection).
     pub fn open_page_at(scale: ExperimentScale, dram: DramKind) -> Self {
-        ExperimentPlan::new(format!("open_page@{}", dram_tag(dram)))
+        ExperimentPlan::new(format!("open_page@{}", dram_token(dram)))
             .drams([dram])
             .page_policies([false, true])
             .scale(scale)

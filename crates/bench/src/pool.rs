@@ -101,30 +101,6 @@ where
     }
 }
 
-/// [`stream_to`] with a closure as the emitter, so with no idle hook.
-///
-/// # Errors
-///
-/// Returns the first `emit` error, as [`stream_to`] does.
-///
-/// # Panics
-///
-/// Propagates a panic from `work` once every worker has stopped.
-pub fn stream_in_order<P, S, R, E>(
-    threads: usize,
-    points: &[P],
-    claim: impl FnMut(&P) -> (Claim, S),
-    work: impl Fn(&P, &S) -> R + Sync,
-    mut emit: impl FnMut(&P, &S, Option<R>) -> Result<(), E>,
-) -> Result<(), E>
-where
-    P: Sync,
-    S: Sync,
-    R: Send,
-{
-    stream_to(threads, points, claim, work, &mut emit)
-}
-
 /// Drives `points` in expansion order. On the calling thread, `claim`
 /// first classifies every point and returns its state; leading
 /// [`Claim::Ready`] points are emitted as they are claimed. Then every
@@ -238,7 +214,7 @@ where
 }
 
 /// Runs `jobs` independent jobs `f(0..jobs)` on `threads` workers
-/// through [`stream_in_order`] (every job a worker point) and returns
+/// through [`stream_to`] (every job a worker point) and returns
 /// the results in index order — bit-identical to
 /// `(0..jobs).map(f).collect()` for deterministic `f`. `on_done(index,
 /// &result)` is called on the worker as each job completes (in
@@ -260,12 +236,12 @@ where
         on_done(i, &r);
         r
     };
-    let collected: Result<(), std::convert::Infallible> = stream_in_order(
+    let collected: Result<(), std::convert::Infallible> = stream_to(
         threads,
         &indices,
         |_| (Claim::Worker, ()),
         work,
-        |_, _, r| {
+        &mut |_: &usize, _: &(), r| {
             out.extend(r);
             Ok(())
         },
@@ -337,12 +313,12 @@ mod tests {
     fn leading_ready_points_go_out_before_any_worker_starts() {
         let points: Vec<usize> = (0..12).collect();
         let log = Mutex::new(Vec::new());
-        let result: Result<(), ()> = stream_in_order(
+        let result: Result<(), ()> = stream_to(
             2,
             &points,
             |&i| (kind_of(i), ()),
             |&i, _| log.lock().unwrap().push(format!("work {i}")),
-            |&i, _, _| {
+            &mut |&i: &usize, _: &(), _| {
                 log.lock().unwrap().push(format!("emit {i}"));
                 Ok(())
             },
@@ -358,7 +334,7 @@ mod tests {
         let points: Vec<usize> = (0..40).collect();
         for threads in [1, 2, 7] {
             let mut emitted = Vec::new();
-            let result: Result<(), ()> = stream_in_order(
+            let result: Result<(), ()> = stream_to(
                 threads,
                 &points,
                 |&i| (kind_of(i), i * 10),
@@ -366,7 +342,7 @@ mod tests {
                     assert_eq!(state, i * 10, "work gets the claimed state");
                     i + 1000
                 },
-                |&i, &state, result| {
+                &mut |&i: &usize, &state: &usize, result| {
                     assert_eq!(state, i * 10);
                     let want = (kind_of(i) == Claim::Worker).then_some(i + 1000);
                     assert_eq!(result, want, "point {i}");
@@ -385,14 +361,14 @@ mod tests {
         for threads in [1, 3] {
             let ran = AtomicUsize::new(0);
             let mut emitted = Vec::new();
-            let result = stream_in_order(
+            let result = stream_to(
                 threads,
                 &points,
                 |&i| (if i == 5 { Claim::AtTurn } else { Claim::Worker }, ()),
                 |_, _| {
                     ran.fetch_add(1, Ordering::Relaxed);
                 },
-                |&i, _, _| {
+                &mut |&i: &usize, _: &(), _| {
                     emitted.push(i);
                     if i == 7 {
                         Err("sink full")
@@ -411,12 +387,12 @@ mod tests {
     fn a_panicking_job_propagates_instead_of_hanging() {
         let points: Vec<usize> = (0..16).collect();
         let outcome = std::panic::catch_unwind(|| {
-            stream_in_order(
+            stream_to(
                 3,
                 &points,
                 |_| (Claim::Worker, ()),
                 |&i, _| assert_ne!(i, 4, "job 4 panics"),
-                |_, _, _| Ok::<(), ()>(()),
+                &mut |_: &usize, _: &(), _| Ok::<(), ()>(()),
             )
         });
         assert!(outcome.is_err());
@@ -426,12 +402,12 @@ mod tests {
     fn one_worker_runs_worker_points_on_the_calling_thread() {
         let points: Vec<usize> = (0..6).collect();
         let caller = std::thread::current().id();
-        let result: Result<(), ()> = stream_in_order(
+        let result: Result<(), ()> = stream_to(
             1,
             &points,
             |_| (Claim::Worker, ()),
             |_, _| assert_eq!(std::thread::current().id(), caller),
-            |_, _, _| Ok(()),
+            &mut |_: &usize, _: &(), _| Ok(()),
         );
         result.unwrap();
         let elsewhere = parallel_map_streamed_on(2, 4, |_| std::thread::current().id(), |_, _| {});

@@ -18,14 +18,13 @@
 
 mod replacement;
 
-pub use replacement::ReplacementPolicy;
 use replacement::ReplacerTable;
 
 use crate::addr::LineAddr;
 use std::error::Error;
 use std::fmt;
 
-/// Cache geometry and policy.
+/// Cache geometry (replacement is always LRU, Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -34,8 +33,6 @@ pub struct CacheConfig {
     pub line_bytes: usize,
     /// Ways per set.
     pub associativity: usize,
-    /// Replacement policy.
-    pub policy: ReplacementPolicy,
     /// How many low line-address bits to skip when forming the set index
     /// (L2 banks skip their bank-index bits; L1 uses 0).
     pub index_shift: u32,
@@ -48,7 +45,6 @@ impl CacheConfig {
             capacity_bytes: 4 * 1024,
             line_bytes: 32,
             associativity: 4,
-            policy: ReplacementPolicy::Lru,
             index_shift: 0,
         }
     }
@@ -60,7 +56,6 @@ impl CacheConfig {
             capacity_bytes: 64 * 1024,
             line_bytes: 32,
             associativity: 8,
-            policy: ReplacementPolicy::Lru,
             index_shift: 5,
         }
     }
@@ -149,23 +144,6 @@ pub struct EvictedLine<P> {
     pub payload: P,
 }
 
-/// Hit/miss counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Read hits.
-    pub read_hits: u64,
-    /// Read misses.
-    pub read_misses: u64,
-    /// Write hits.
-    pub write_hits: u64,
-    /// Write misses.
-    pub write_misses: u64,
-    /// Lines filled.
-    pub fills: u64,
-    /// Dirty lines pushed out (evictions + invalidations + flushes).
-    pub writebacks: u64,
-}
-
 /// Way-slot flag bit: the slot holds a line.
 const FLAG_VALID: u8 = 1 << 0;
 /// Way-slot flag bit: the line has been written since fill.
@@ -177,7 +155,7 @@ const FLAG_DIRTY: u8 = 1 << 1;
 /// [`SetAssocCache::find`] (or get it back from
 /// [`SetAssocCache::fill_slot`]) and then use the `*_at` accessors,
 /// instead of paying the associative tag scan again for every
-/// `peek`/`payload`/`read`/`write` on the same line.
+/// `payload`/`read`/`write` on the same line.
 ///
 /// A handle is a plain coordinate, not a lock: it stays valid only while
 /// the line stays resident. Any intervening `fill`/`invalidate`/`clear`
@@ -243,7 +221,6 @@ pub struct SetAssocCache<P> {
     /// validates a line, and replacement state moves only on accesses to
     /// valid lines.
     touched: Box<[u64]>,
-    stats: CacheStats,
 }
 
 impl<P: Default + Clone> SetAssocCache<P> {
@@ -268,20 +245,14 @@ impl<P: Default + Clone> SetAssocCache<P> {
                 .map(|_| P::default())
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            replacer: ReplacerTable::new(config.policy, sets, ways),
+            replacer: ReplacerTable::new(sets, ways),
             touched: vec![0; sets.div_ceil(64)].into_boxed_slice(),
-            stats: CacheStats::default(),
         })
     }
 
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     #[inline]
@@ -306,17 +277,9 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// Reads a line: on hit, touches LRU state and returns the data token.
     pub fn read(&mut self, line: LineAddr) -> Option<u64> {
         let set = self.set_index(line);
-        match self.find_slot(set, line) {
-            Some(slot) => {
-                self.replacer.touch(set, slot - self.base(set));
-                self.stats.read_hits += 1;
-                Some(self.data[slot])
-            }
-            None => {
-                self.stats.read_misses += 1;
-                None
-            }
-        }
+        let slot = self.find_slot(set, line)?;
+        self.replacer.touch(set, slot - self.base(set));
+        Some(self.data[slot])
     }
 
     /// Writes a line in place: on hit, stores the token, sets dirty, and
@@ -324,19 +287,13 @@ impl<P: Default + Clone> SetAssocCache<P> {
     /// caller's job via [`SetAssocCache::fill`]).
     pub fn write(&mut self, line: LineAddr, data: u64) -> bool {
         let set = self.set_index(line);
-        match self.find_slot(set, line) {
-            Some(slot) => {
-                self.replacer.touch(set, slot - self.base(set));
-                self.stats.write_hits += 1;
-                self.data[slot] = data;
-                self.flags[slot] |= FLAG_DIRTY;
-                true
-            }
-            None => {
-                self.stats.write_misses += 1;
-                false
-            }
-        }
+        let Some(slot) = self.find_slot(set, line) else {
+            return false;
+        };
+        self.replacer.touch(set, slot - self.base(set));
+        self.data[slot] = data;
+        self.flags[slot] |= FLAG_DIRTY;
+        true
     }
 
     /// Inserts a line (after a miss was serviced below), evicting a victim
@@ -358,7 +315,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
         dirty: bool,
     ) -> (SlotHandle, Option<EvictedLine<P>>) {
         let set = self.set_index(line);
-        self.stats.fills += 1;
         self.touched[set / 64] |= 1 << (set % 64);
         if let Some(slot) = self.find_slot(set, line) {
             self.data[slot] = data;
@@ -366,7 +322,7 @@ impl<P: Default + Clone> SetAssocCache<P> {
                 self.flags[slot] |= FLAG_DIRTY;
             }
             let way = slot - self.base(set);
-            self.replacer.fill(set, way);
+            self.replacer.touch(set, way);
             return (
                 SlotHandle {
                     set: set as u32,
@@ -385,14 +341,11 @@ impl<P: Default + Clone> SetAssocCache<P> {
             dirty: self.flags[slot] & FLAG_DIRTY != 0,
             payload: std::mem::take(&mut self.payloads[slot]),
         });
-        if evicted.as_ref().is_some_and(|e| e.dirty) {
-            self.stats.writebacks += 1;
-        }
         self.tags[slot] = line.0;
         self.flags[slot] = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
         self.data[slot] = data;
         self.payloads[slot] = P::default();
-        self.replacer.fill(set, way);
+        self.replacer.touch(set, way);
         (
             SlotHandle {
                 set: set as u32,
@@ -403,8 +356,8 @@ impl<P: Default + Clone> SetAssocCache<P> {
     }
 
     /// Resolves a resident line to its [`SlotHandle`] without touching
-    /// replacement state or counters (like [`SetAssocCache::peek`], this
-    /// is not an access — the handle-taking accessors do the per-access
+    /// replacement state (like [`SetAssocCache::peek`], this is not an
+    /// access — the handle-taking accessors do the per-access
     /// bookkeeping).
     #[inline]
     pub fn find(&self, line: LineAddr) -> Option<SlotHandle> {
@@ -425,36 +378,25 @@ impl<P: Default + Clone> SetAssocCache<P> {
         h.set as usize * self.ways + h.way as usize
     }
 
-    /// Reads through a resolved handle: touches LRU state, counts a read
-    /// hit, returns the data token — identical side effects to a hitting
+    /// Reads through a resolved handle: touches LRU state and returns the
+    /// data token — identical side effects to a hitting
     /// [`SetAssocCache::read`].
     #[inline]
     pub fn read_at(&mut self, h: SlotHandle) -> u64 {
         let slot = self.slot_of(h);
         self.replacer.touch(h.set as usize, h.way as usize);
-        self.stats.read_hits += 1;
         self.data[slot]
     }
 
-    /// Writes through a resolved handle: touches LRU state, counts a
-    /// write hit, stores the token, sets dirty — identical side effects
-    /// to a hitting [`SetAssocCache::write`].
+    /// Writes through a resolved handle: touches LRU state, stores the
+    /// token, sets dirty — identical side effects to a hitting
+    /// [`SetAssocCache::write`].
     #[inline]
     pub fn write_at(&mut self, h: SlotHandle, data: u64) {
         let slot = self.slot_of(h);
         self.replacer.touch(h.set as usize, h.way as usize);
-        self.stats.write_hits += 1;
         self.data[slot] = data;
         self.flags[slot] |= FLAG_DIRTY;
-    }
-
-    /// Data token and dirty bit through a resolved handle, without
-    /// touching replacement state or counters (the handle analogue of
-    /// [`SetAssocCache::peek`]).
-    #[inline]
-    pub fn peek_at(&self, h: SlotHandle) -> (u64, bool) {
-        let slot = self.slot_of(h);
-        (self.data[slot], self.flags[slot] & FLAG_DIRTY != 0)
     }
 
     /// Shared payload access through a resolved handle.
@@ -471,7 +413,7 @@ impl<P: Default + Clone> SetAssocCache<P> {
         &mut self.payloads[slot]
     }
 
-    /// Looks at a line without touching replacement state or counters.
+    /// Looks at a line without touching replacement state.
     pub fn peek(&self, line: LineAddr) -> Option<(u64, bool)> {
         let set = self.set_index(line);
         self.find_slot(set, line)
@@ -499,9 +441,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
         let slot = self.find_slot(set, line)?;
         let dirty = self.flags[slot] & FLAG_DIRTY != 0;
         self.flags[slot] = 0;
-        if dirty {
-            self.stats.writebacks += 1;
-        }
         Some(EvictedLine {
             addr: LineAddr(self.tags[slot]),
             data: self.data[slot],
@@ -517,14 +456,10 @@ impl<P: Default + Clone> SetAssocCache<P> {
         let mut out = Vec::new();
         for slot in 0..self.flags.len() {
             if self.flags[slot] & FLAG_VALID != 0 {
-                let dirty = self.flags[slot] & FLAG_DIRTY != 0;
-                if dirty {
-                    self.stats.writebacks += 1;
-                }
                 out.push(EvictedLine {
                     addr: LineAddr(self.tags[slot]),
                     data: self.data[slot],
-                    dirty,
+                    dirty: self.flags[slot] & FLAG_DIRTY != 0,
                     payload: std::mem::take(&mut self.payloads[slot]),
                 });
                 self.flags[slot] = 0;
@@ -533,8 +468,8 @@ impl<P: Default + Clone> SetAssocCache<P> {
         out
     }
 
-    /// Empties the cache and resets replacement state and statistics to
-    /// construction time, without reallocating the line arrays. A cleared
+    /// Empties the cache and resets replacement state to construction
+    /// time, without reallocating the line arrays. A cleared
     /// cache behaves bit-identically to a freshly built one.
     ///
     /// Only the sets filled since the last clear are rewritten (see the
@@ -560,7 +495,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
                 self.replacer.reset_sets(sets);
             }
         }
-        self.stats = CacheStats::default();
     }
 
     /// Number of resident lines.
@@ -600,8 +534,6 @@ mod tests {
         assert_eq!(c.read(LineAddr(100)), None);
         c.fill(LineAddr(100), 5, false);
         assert_eq!(c.read(LineAddr(100)), Some(5));
-        assert_eq!(c.stats().read_hits, 1);
-        assert_eq!(c.stats().read_misses, 1);
     }
 
     #[test]
@@ -617,7 +549,6 @@ mod tests {
         let mut c = l1();
         assert!(!c.write(LineAddr(3), 9));
         assert_eq!(c.peek(LineAddr(3)), None);
-        assert_eq!(c.stats().write_misses, 1);
     }
 
     #[test]
@@ -649,7 +580,6 @@ mod tests {
         assert_eq!(evicted.addr, lines[0]);
         assert!(evicted.dirty);
         assert_eq!(evicted.data, 42);
-        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
@@ -729,7 +659,8 @@ mod tests {
     #[test]
     fn handle_ops_match_line_ops_side_effects() {
         // Drive one cache through line ops and a twin through handle
-        // ops: stats, dirty bits, and LRU victim choice must agree.
+        // ops: returned tokens, dirty bits, and LRU victim choice must
+        // agree.
         let mut by_line = l1();
         let mut by_handle = l1();
         let sets = by_line.config().sets() as u64;
@@ -746,15 +677,17 @@ mod tests {
         assert!(by_line.write(lines[1], 77));
         let h1 = by_handle.find(lines[1]).unwrap();
         by_handle.write_at(h1, 77);
-        assert_eq!(by_handle.peek_at(h1), (77, true));
-        assert_eq!(by_line.stats(), by_handle.stats());
-        // Same victim on the next conflict fill.
+        for &line in &lines {
+            assert_eq!(by_line.peek(line), by_handle.peek(line));
+        }
+        assert_eq!(by_handle.peek(lines[1]), Some((77, true)));
+        // Same victim on the next conflict fill, and the same lines left.
         let newcomer = LineAddr(9 + 4 * sets);
-        let ev_line = by_line.fill(newcomer, 5, false).unwrap();
+        let ev_line = by_line.fill(newcomer, 5, false);
         let (_, ev_handle) = by_handle.fill_slot(newcomer, 5, false);
-        let ev_handle = ev_handle.unwrap();
-        assert_eq!(ev_line.addr, ev_handle.addr);
-        assert_eq!(ev_line.dirty, ev_handle.dirty);
+        assert!(ev_line.is_some());
+        assert_eq!(ev_line, ev_handle);
+        assert!(by_line.resident_addrs().eq(by_handle.resident_addrs()));
     }
 
     #[test]
@@ -763,7 +696,7 @@ mod tests {
         let line = LineAddr(0x1234);
         let (h, _) = c.fill_slot(line, 11, false);
         assert_eq!(c.find(line), Some(h));
-        assert_eq!(c.peek_at(h), (11, false));
+        assert_eq!(c.peek(line), Some((11, false)));
         *c.payload_at_mut(h) = 42;
         assert_eq!(c.payload(line), Some(&42));
         assert_eq!(c.payload_at(h), &42);
@@ -771,7 +704,7 @@ mod tests {
         let (h2, ev) = c.fill_slot(line, 12, true);
         assert_eq!(h2, h);
         assert!(ev.is_none());
-        assert_eq!(c.peek_at(h), (12, true));
+        assert_eq!(c.peek(line), Some((12, true)));
     }
 
     #[test]
@@ -782,10 +715,8 @@ mod tests {
         for &line in lines.iter().take(4) {
             c.fill(line, 0, false);
         }
-        let stats_before = *c.stats();
         assert!(c.find(lines[0]).is_some());
         assert!(c.find(LineAddr(0xdead_0000)).is_none());
-        assert_eq!(*c.stats(), stats_before);
         // lines[0] was only `find`-ed, not touched: still the LRU victim.
         let ev = c.fill(lines[4], 0, false).unwrap();
         assert_eq!(ev.addr, lines[0]);

@@ -7,7 +7,7 @@
 //!
 //! * [`addr`] — line/bank address decomposition (32 B lines interleaved
 //!   over 32 banks);
-//! * [`cache`] — a generic set-associative cache (LRU/PLRU/FIFO) used for
+//! * [`cache`] — a generic set-associative LRU cache used for
 //!   both the 4 KB 4-way L1s and the 64 KB 8-way L2 banks, with full-tag
 //!   storage so the power-gating fold needs no cache changes;
 //! * [`coherence`] — per-L2-line MSI directory state for the private L1s;

@@ -1,4 +1,4 @@
-//! Property-based tests for the memory substrate (DESIGN.md §5).
+//! Property-based tests for the memory substrate.
 //!
 //! The central invariant: a write-back cache in front of a backing store
 //! never loses or reorders architectural stores — any load and the final
@@ -6,7 +6,7 @@
 
 use mot3d_mem::addr::LineAddr;
 use mot3d_mem::bus::{MissBus, Transfer};
-use mot3d_mem::cache::{CacheConfig, ReplacementPolicy, SetAssocCache};
+use mot3d_mem::cache::{CacheConfig, SetAssocCache};
 use mot3d_mem::golden::GoldenMemory;
 use proptest::prelude::*;
 
@@ -27,12 +27,8 @@ fn op_strategy(lines: u64) -> impl Strategy<Value = Op> {
 /// Runs a write-back, write-allocate cache over a backing store, checking
 /// every load against the golden memory, then flushes and checks the final
 /// backing state.
-fn check_cache_against_golden(policy: ReplacementPolicy, ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut cache: SetAssocCache<()> = SetAssocCache::new(CacheConfig {
-        policy,
-        ..CacheConfig::l1_date16()
-    })
-    .unwrap();
+fn check_cache_against_golden(ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut cache: SetAssocCache<()> = SetAssocCache::new(CacheConfig::l1_date16()).unwrap();
     let mut backing = GoldenMemory::new(); // plays the next level
     let mut golden = GoldenMemory::new(); // plays the oracle
 
@@ -91,20 +87,7 @@ proptest! {
     /// LRU write-back cache is transparent wrt the golden memory.
     #[test]
     fn lru_cache_matches_golden(ops in prop::collection::vec(op_strategy(512), 1..400)) {
-        check_cache_against_golden(ReplacementPolicy::Lru, &ops)?;
-    }
-
-    /// Tree-PLRU is equally transparent (policy changes performance, never
-    /// correctness).
-    #[test]
-    fn plru_cache_matches_golden(ops in prop::collection::vec(op_strategy(512), 1..400)) {
-        check_cache_against_golden(ReplacementPolicy::TreePlru, &ops)?;
-    }
-
-    /// FIFO too.
-    #[test]
-    fn fifo_cache_matches_golden(ops in prop::collection::vec(op_strategy(512), 1..400)) {
-        check_cache_against_golden(ReplacementPolicy::Fifo, &ops)?;
+        check_cache_against_golden(&ops)?;
     }
 
     /// Residency never exceeds capacity, and every resident address is

@@ -1,42 +1,28 @@
 //! Differential tests for the structure-of-arrays cache layout.
 //!
 //! `SetAssocCache` stores tags/flags/data/payloads in flat boxed slices
-//! with replacement state in a flat table. These tests pin its observable
-//! behaviour — hit/miss results, victim choice, eviction contents, and
-//! every `CacheStats` counter — against an independently-written
-//! array-of-structs reference model, over random operation sequences and
-//! all three replacement policies. Any layout change that alters a single
-//! decision shows up as a counter or victim mismatch.
+//! with LRU state in a flat table. These tests pin its observable
+//! behaviour — hit/miss results, victim choice, eviction contents and the
+//! final resident lines — against an independently-written
+//! array-of-structs reference model over random operation sequences. Any
+//! layout change that alters a single decision shows up as a result or
+//! victim mismatch.
 
 use mot3d_mem::addr::LineAddr;
-use mot3d_mem::cache::{CacheConfig, EvictedLine, ReplacementPolicy, SetAssocCache};
+use mot3d_mem::cache::{CacheConfig, EvictedLine, SetAssocCache};
 use proptest::prelude::*;
 
-/// Reference model: one struct per line, recency/insertion kept as
-/// explicit per-set order lists (LRU/FIFO) or a plain node tree (PLRU).
+/// Reference model: one struct per line, recency kept as an explicit
+/// per-set order list.
 struct RefCache {
     config: CacheConfig,
     sets: Vec<RefSet>,
-    stats: RefStats,
-}
-
-#[derive(Default, Clone, Copy, PartialEq, Eq, Debug)]
-struct RefStats {
-    read_hits: u64,
-    read_misses: u64,
-    write_hits: u64,
-    write_misses: u64,
-    fills: u64,
-    writebacks: u64,
 }
 
 struct RefSet {
     lines: Vec<Option<RefLine>>, // per way
-    /// Way indices, least-recently-used first (LRU) or oldest-fill first
-    /// (FIFO). Unused for PLRU.
+    /// Way indices, least-recently-used first.
     order: Vec<usize>,
-    /// PLRU decision bits, root-first (one per internal node).
-    plru: Vec<bool>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,10 +42,8 @@ impl RefCache {
                 .map(|_| RefSet {
                     lines: vec![None; ways],
                     order: Vec::new(),
-                    plru: vec![false; ways.saturating_sub(1)],
                 })
                 .collect(),
-            stats: RefStats::default(),
         }
     }
 
@@ -75,122 +59,55 @@ impl RefCache {
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        let ways = self.config.associativity;
-        match self.config.policy {
-            ReplacementPolicy::Lru => {
-                let s = &mut self.sets[set];
-                s.order.retain(|&w| w != way);
-                s.order.push(way); // most recent last
-            }
-            ReplacementPolicy::Fifo => {} // hits do not reorder FIFO
-            ReplacementPolicy::TreePlru => {
-                // Point every node on the root→leaf path away from `way`.
-                let (mut node, mut lo, mut hi) = (0usize, 0usize, ways);
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let right = way >= mid;
-                    self.sets[set].plru[node] = !right;
-                    node = 2 * node + if right { 2 } else { 1 };
-                    if right {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-            }
-        }
-    }
-
-    fn note_fill(&mut self, set: usize, way: usize) {
-        match self.config.policy {
-            ReplacementPolicy::Fifo => {
-                let s = &mut self.sets[set];
-                s.order.retain(|&w| w != way);
-                s.order.push(way); // newest fill last
-            }
-            _ => self.touch(set, way),
-        }
+        let s = &mut self.sets[set];
+        s.order.retain(|&w| w != way);
+        s.order.push(way); // most recent last
     }
 
     fn victim(&self, set: usize) -> usize {
-        let ways = self.config.associativity;
         if let Some(free) = self.sets[set].lines.iter().position(|l| l.is_none()) {
             return free;
         }
-        match self.config.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.sets[set].order[0],
-            ReplacementPolicy::TreePlru => {
-                let (mut node, mut lo, mut hi) = (0usize, 0usize, ways);
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let right = self.sets[set].plru[node];
-                    node = 2 * node + if right { 2 } else { 1 };
-                    if right {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            }
-        }
+        self.sets[set].order[0]
     }
 
     fn read(&mut self, line: u64) -> Option<u64> {
         let set = self.set_of(line);
-        match self.way_of(set, line) {
-            Some(way) => {
-                self.touch(set, way);
-                self.stats.read_hits += 1;
-                Some(self.sets[set].lines[way].unwrap().data)
-            }
-            None => {
-                self.stats.read_misses += 1;
-                None
-            }
-        }
+        let way = self.way_of(set, line)?;
+        self.touch(set, way);
+        Some(self.sets[set].lines[way].unwrap().data)
     }
 
     fn write(&mut self, line: u64, data: u64) -> bool {
         let set = self.set_of(line);
-        match self.way_of(set, line) {
-            Some(way) => {
-                self.touch(set, way);
-                self.stats.write_hits += 1;
-                let l = self.sets[set].lines[way].as_mut().unwrap();
-                l.data = data;
-                l.dirty = true;
-                true
-            }
-            None => {
-                self.stats.write_misses += 1;
-                false
-            }
-        }
+        let Some(way) = self.way_of(set, line) else {
+            return false;
+        };
+        self.touch(set, way);
+        let l = self.sets[set].lines[way].as_mut().unwrap();
+        l.data = data;
+        l.dirty = true;
+        true
     }
 
     fn fill(&mut self, line: u64, data: u64, dirty: bool) -> Option<(u64, u64, bool)> {
         let set = self.set_of(line);
-        self.stats.fills += 1;
         if let Some(way) = self.way_of(set, line) {
             let l = self.sets[set].lines[way].as_mut().unwrap();
             l.data = data;
             l.dirty |= dirty;
-            self.note_fill(set, way);
+            self.touch(set, way);
             return None;
         }
         let way = self.victim(set);
         let evicted = self.sets[set].lines[way].map(|l| (l.addr, l.data, l.dirty));
-        if evicted.is_some_and(|(_, _, d)| d) {
-            self.stats.writebacks += 1;
-        }
         self.sets[set].lines[way] = Some(RefLine {
             addr: line,
             dirty,
             data,
             payload: 0,
         });
-        self.note_fill(set, way);
+        self.touch(set, way);
         evicted
     }
 
@@ -198,10 +115,7 @@ impl RefCache {
         let set = self.set_of(line);
         let way = self.way_of(set, line)?;
         let l = self.sets[set].lines[way].take().unwrap();
-        if l.dirty {
-            self.stats.writebacks += 1;
-        }
-        // Dropping a way does not rewind LRU/FIFO order in the real cache
+        // Dropping a way does not rewind LRU order in the real cache
         // either: victim selection prefers free ways first.
         Some((l.addr, l.data, l.dirty))
     }
@@ -238,12 +152,11 @@ const FEW_SETS: [u64; 6] = [0, 1, 2, 63, 64, 127];
 
 /// 128 sets × 2 ways: the touched-set bitmap spans two words, and four
 /// candidate lines per set keep every set evicting.
-fn clear_config(policy: ReplacementPolicy) -> CacheConfig {
+fn clear_config() -> CacheConfig {
     CacheConfig {
         capacity_bytes: 8 * 1024,
         line_bytes: 32,
         associativity: 2,
-        policy,
         index_shift: 0,
     }
 }
@@ -283,14 +196,8 @@ fn apply(cache: &mut SetAssocCache<u32>, op: CacheOp) -> Observed {
     }
 }
 
-fn check_against_reference(
-    policy: ReplacementPolicy,
-    ops: &[CacheOp],
-) -> Result<(), TestCaseError> {
-    let config = CacheConfig {
-        policy,
-        ..CacheConfig::l1_date16()
-    };
+fn check_against_reference(ops: &[CacheOp]) -> Result<(), TestCaseError> {
+    let config = CacheConfig::l1_date16();
     let mut soa: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
     let mut reference = RefCache::new(config);
 
@@ -313,15 +220,6 @@ fn check_against_reference(
         }
     }
 
-    let s = *soa.stats();
-    let r = reference.stats;
-    prop_assert_eq!(s.read_hits, r.read_hits);
-    prop_assert_eq!(s.read_misses, r.read_misses);
-    prop_assert_eq!(s.write_hits, r.write_hits);
-    prop_assert_eq!(s.write_misses, r.write_misses);
-    prop_assert_eq!(s.fills, r.fills);
-    prop_assert_eq!(s.writebacks, r.writebacks);
-
     // Final resident population agrees line for line.
     let mut resident: Vec<u64> = soa.resident_addrs().map(|l| l.0).collect();
     resident.sort_unstable();
@@ -339,71 +237,53 @@ proptest! {
     /// LRU: flat layout decisions match the ordered-list reference.
     #[test]
     fn lru_layout_matches_reference(ops in prop::collection::vec(op_strategy(256), 1..500)) {
-        check_against_reference(ReplacementPolicy::Lru, &ops)?;
-    }
-
-    /// Tree-PLRU: flat bit table matches the per-node reference tree.
-    #[test]
-    fn plru_layout_matches_reference(ops in prop::collection::vec(op_strategy(256), 1..500)) {
-        check_against_reference(ReplacementPolicy::TreePlru, &ops)?;
-    }
-
-    /// FIFO: flat stamps match the insertion-order reference.
-    #[test]
-    fn fifo_layout_matches_reference(ops in prop::collection::vec(op_strategy(256), 1..500)) {
-        check_against_reference(ReplacementPolicy::Fifo, &ops)?;
+        check_against_reference(&ops)?;
     }
 
     /// `clear()` is indistinguishable from a fresh cache, whatever the
     /// cache did before it and however much of it that touched: a cache
     /// dirtied by one random sequence (with a `flush_invalidate_all` in
     /// it) and cleared answers a second, unrelated sequence exactly as a
-    /// new cache does — hits, victims, evicted lines and stats — under
-    /// every replacement policy, after touching a handful of sets and
-    /// after touching all of them.
+    /// new cache does — hits, victims and evicted lines — after touching
+    /// a handful of sets and after touching all of them.
     #[test]
     fn cleared_cache_replays_identically(
         dirtying in prop::collection::vec(op_strategy(CLEAR_LINES), 1..300),
         flush_at in any::<usize>(),
         replay in prop::collection::vec(op_strategy(CLEAR_LINES), 1..300),
     ) {
-        let policies =
-            [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Fifo];
-        for policy in policies {
-            for touch_all in [false, true] {
-                let config = clear_config(policy);
-                let mut reused: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
-                if touch_all {
-                    for set in 0..config.sets() as u64 {
-                        reused.fill(LineAddr(set), 1, true);
-                    }
+        let config = clear_config();
+        for touch_all in [false, true] {
+            let mut reused: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
+            if touch_all {
+                for set in 0..config.sets() as u64 {
+                    reused.fill(LineAddr(set), 1, true);
                 }
-                for (i, &op) in dirtying.iter().enumerate() {
-                    if i == flush_at % dirtying.len() {
-                        reused.flush_invalidate_all();
-                    }
-                    let op = if touch_all { op } else { op.confined_to(&FEW_SETS, config) };
-                    apply(&mut reused, op);
-                }
-                reused.clear();
-
-                // Not just equivalent: the very same state, replacement
-                // stamps and touched-set marks included (`Debug` prints
-                // every array).
-                let mut fresh: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
-                prop_assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
-                for &op in &replay {
-                    prop_assert_eq!(
-                        apply(&mut reused, op),
-                        apply(&mut fresh, op),
-                        "{:?} after clear, {:?}, touch_all={}",
-                        op,
-                        policy,
-                        touch_all
-                    );
-                }
-                prop_assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
             }
+            for (i, &op) in dirtying.iter().enumerate() {
+                if i == flush_at % dirtying.len() {
+                    reused.flush_invalidate_all();
+                }
+                let op = if touch_all { op } else { op.confined_to(&FEW_SETS, config) };
+                apply(&mut reused, op);
+            }
+            reused.clear();
+
+            // Not just equivalent: the very same state, replacement
+            // stamps and touched-set marks included (`Debug` prints
+            // every array).
+            let mut fresh: SetAssocCache<u32> = SetAssocCache::new(config).unwrap();
+            prop_assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+            for &op in &replay {
+                prop_assert_eq!(
+                    apply(&mut reused, op),
+                    apply(&mut fresh, op),
+                    "{:?} after clear, touch_all={}",
+                    op,
+                    touch_all
+                );
+            }
+            prop_assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
         }
     }
 }

@@ -42,8 +42,9 @@ pub struct MotTimingParams {
 }
 
 impl Default for MotTimingParams {
-    /// Calibrated defaults (see `DESIGN.md` §7): 0.30 ns injection,
-    /// 0.10 ns ejection, 1 kΩ TSV driver.
+    /// Calibrated defaults: 0.30 ns injection, 0.10 ns ejection, 1 kΩ
+    /// TSV driver. Like [`mot3d_phys::Technology::lp45`], they are chosen
+    /// so that the derived round trips land on Table I's cycle counts.
     fn default() -> Self {
         MotTimingParams {
             injection: Seconds::from_ps(300.0),

@@ -1,4 +1,4 @@
-//! Property-based tests for the MoT invariants (DESIGN.md §5).
+//! Property-based tests for the MoT invariants.
 
 mod fabric;
 

@@ -1,4 +1,4 @@
-//! Property-based tests for the packet-switched baselines (DESIGN.md §5).
+//! Property-based tests for the packet-switched baselines.
 
 use mot3d_mot::traits::{Interconnect, MemRequest, MemResponse, ReqKind};
 use mot3d_noc::topo::{Hop, Topology, BANKS, CORES};

@@ -225,11 +225,10 @@ impl Floorplan {
     /// Rough total active wire length of a power state, used for leakage
     /// accounting (sum over all live MoT links, not just the longest path).
     ///
-    /// Approximation (documented in `DESIGN.md`): each active core owns a
-    /// routing tree reaching the active pillar region (approach run plus
-    /// twice the active-bank span, the geometric sum of binary-tree level
-    /// spans), and each active bank owns an arbitration tree spanning the
-    /// active cores along the spine.
+    /// Approximation: each active core owns a routing tree reaching the
+    /// active pillar region (approach run plus twice the active-bank span,
+    /// the geometric sum of binary-tree level spans), and each active bank
+    /// owns an arbitration tree spanning the active cores along the spine.
     ///
     /// # Errors
     ///

@@ -205,8 +205,8 @@ mod tests {
 
     #[test]
     fn calibration_ns_per_mm_band() {
-        // DESIGN.md §7: the calibrated node targets ≈ 0.42 ns/mm so Table I
-        // latencies are reproduced downstream.
+        // The calibrated node targets ≈ 0.42 ns/mm so Table I latencies
+        // are reproduced downstream.
         let tech = Technology::lp45();
         let d = RepeatedWire::new(&tech, Meters::from_mm(1.0)).delay();
         assert!(

@@ -11,7 +11,8 @@
 //! The [`Technology::lp45`] preset is *calibrated*, not measured: its
 //! constants are chosen so that the derived end-to-end MoT latencies land on
 //! the paper's Table I values (12/9/9/7 cycles at 1 GHz) given the Fig. 5
-//! geometry (5 mm × 5 mm die, ~40 µm vertical hop). See `DESIGN.md` §7.
+//! geometry (5 mm × 5 mm die, ~40 µm vertical hop); the targets are
+//! listed on [`Technology::lp45`].
 
 use crate::units::{Farads, FaradsPerMeter, Hertz, Ohms, OhmsPerMeter, Seconds, Volts, Watts};
 
@@ -99,7 +100,7 @@ pub struct Technology {
 impl Technology {
     /// Calibrated 45 nm-class low-power node at 1 GHz.
     ///
-    /// Calibration targets (see `DESIGN.md` §7):
+    /// Calibration targets:
     /// * optimally-repeated wire delay ≈ 0.42 ns/mm, so the ~7.5 mm
     ///   worst-case MoT path of the full configuration takes ≈ 4–4.5 ns one
     ///   way and Table I's 12-cycle round trip is reproduced;
@@ -140,7 +141,7 @@ impl Technology {
             // of cluster power (~190 mW over 32 banks) — the premise of
             // the paper's MB8 bank-gating states. LP cells would leak
             // less; the calibration follows the paper's energy balance
-            // rather than a specific foundry corner (DESIGN.md §7).
+            // rather than a specific foundry corner.
             sram_leakage_per_kb: Watts::from_uw(75.0),
             sram_cell_area_um2: 0.35,
         }

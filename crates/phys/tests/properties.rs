@@ -1,4 +1,4 @@
-//! Property-based tests for the physical models (DESIGN.md §5).
+//! Property-based tests for the physical models.
 
 use mot3d_phys::geometry::Floorplan;
 use mot3d_phys::rc::RepeatedWire;

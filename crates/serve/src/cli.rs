@@ -127,8 +127,6 @@ OPTIONS:
   --cache-dir <path>     result store, default ~/.cache/mot3d
   --threads <n>          worker threads per submission, default =
                          available parallelism
-  --pool-cap <n>         deprecated, ignored: every worker keeps exactly
-                         one re-targetable cluster, so nothing to cap
   --accept-limit <n>     exit after n connections (CI smoke tests)
   --fault <spec>         deterministic fault injection (chaos tests):
                          comma-separated <site>@<index> terms with
@@ -237,9 +235,6 @@ fn parse_serve(args: &[String]) -> Result<ServerConfig, UsageError> {
                 })?;
                 config.threads = Some(t);
             }
-            "--pool-cap" => eprintln!(
-                "note: --pool-cap is deprecated and ignored; every worker keeps one re-targetable cluster"
-            ),
             "--accept-limit" => {
                 let n: u64 = value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
                     bad(format!(
@@ -358,18 +353,13 @@ mod tests {
     #[test]
     fn serve_flags_parse() {
         let c = parse_serve(&argv(
-            "--addr 127.0.0.1:0 --cache-dir /tmp/x --threads 3 --pool-cap 4 --accept-limit 2",
+            "--addr 127.0.0.1:0 --cache-dir /tmp/x --threads 3 --accept-limit 2",
         ))
         .ok()
         .unwrap();
         assert_eq!(c.addr, "127.0.0.1:0");
         assert_eq!(c.cache_dir, PathBuf::from("/tmp/x"));
         assert_eq!(c.threads, Some(3));
-        assert_eq!(
-            c.pool_capacity,
-            ServerConfig::new("/tmp/x").pool_capacity,
-            "--pool-cap is accepted and ignored"
-        );
         assert_eq!(c.accept_limit, Some(2));
         assert!(!c.faults.is_active(), "no fault flag, no fault plan");
         assert!(parse_serve(&argv("--threads 0")).is_err());

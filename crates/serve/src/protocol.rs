@@ -180,8 +180,10 @@ impl PlanRequest {
             let _ = write!(s, ", \"repeat\": {r}");
         }
         if let Some(scale) = &self.scale {
-            // Emit bare factors as numbers so they round-trip as sent.
-            if scale.parse::<f64>().is_ok() {
+            // A factor goes out bare only if the server's reader takes
+            // the same text back as a number: Rust's `f64` parser also
+            // accepts `.5`, `+0.5`, `5.` and `005`, which JSON does not.
+            if matches!(json::parse(scale), Ok(JsonValue::Num(n)) if n == *scale) {
                 let _ = write!(s, ", \"scale\": {scale}");
             } else {
                 let _ = write!(s, ", \"scale\": {}", json_string(scale));
@@ -372,6 +374,23 @@ mod tests {
             req.to_line()
         );
         assert_eq!(PlanRequest::parse(&req.to_line()).unwrap(), req);
+    }
+
+    #[test]
+    fn every_scale_the_client_accepts_survives_the_wire() {
+        for scale in [".5", "+0.5", "5.", "005", "1e-1", "0.35", "tiny"] {
+            let req = PlanRequest {
+                scale: Some(scale.to_string()),
+                ..PlanRequest::new("s")
+            };
+            assert!(req.to_plan().is_ok(), "{scale}");
+            assert_eq!(
+                PlanRequest::parse(&req.to_line()).as_ref(),
+                Ok(&req),
+                "{}",
+                req.to_line()
+            );
+        }
     }
 
     #[test]

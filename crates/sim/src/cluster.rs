@@ -1352,14 +1352,8 @@ impl Cluster {
     /// between the last event before `cycle` and `cycle` itself change
     /// nothing.
     pub fn run_until(&mut self, cycle: u64) {
-        self.run_until_with(cycle, &mut NullObserver);
-    }
-
-    /// [`Cluster::run_until`] with an [`Observer`] (see
-    /// [`Cluster::run_to_completion_with`] for the sampling contract).
-    pub fn run_until_with<O: Observer>(&mut self, cycle: u64, obs: &mut O) {
         while !self.is_done() && self.run.now < cycle {
-            self.advance_with(cycle, obs);
+            self.advance_with(cycle, &mut NullObserver);
         }
     }
 

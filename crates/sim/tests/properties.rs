@@ -1,4 +1,4 @@
-//! Property-based tests of the whole simulated cluster (DESIGN.md §5).
+//! Property-based tests of the whole simulated cluster.
 
 use mot3d_mot::PowerState;
 use mot3d_noc::NocTopologyKind;

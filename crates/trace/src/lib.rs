@@ -31,7 +31,7 @@
 //! ```no_run
 //! use mot3d_trace::trace_spec;
 //! use mot3d_sim::SimConfig;
-//! use mot3d_workloads::{SplashBenchmark, WorkloadSource};
+//! use mot3d_workloads::SplashBenchmark;
 //!
 //! let spec = SplashBenchmark::Fft.spec().scaled(0.002);
 //! let (metrics, summary) = trace_spec(&spec, &SimConfig::date16(), "fft.trace.json")?;

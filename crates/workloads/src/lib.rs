@@ -6,13 +6,14 @@
 //! deterministic per-core operation stream whose parameters encode the
 //! two axes the paper's conclusions depend on — *parallel scalability*
 //! and *L2 capacity demand* — plus the secondary traffic knobs (memory
-//! intensity, writes, locality, sharing, synchronisation density). See
-//! `DESIGN.md` §2 for why this substitution preserves the experiments.
+//! intensity, writes, locality, sharing, synchronisation density). The
+//! substitution preserves the experiments because each figure compares
+//! interconnects and power states on the same program, and what decides
+//! those comparisons is how a program scales with cores and how much L2
+//! it needs, both of which a spec sets directly.
 //!
 //! * [`spec`] — the parameter set and the [`spec::Op`] vocabulary;
 //! * [`splash`] — presets for the eight evaluated programs;
-//! * [`source`] — the [`WorkloadSource`] abstraction experiment plans
-//!   sweep over (a future trace-driven backend is another implementor);
 //! * [`generator`] — deterministic stream generation (Amdahl serial
 //!   sections, rotating imbalance, barrier phases);
 //! * [`rng`] — the self-contained xoshiro256** generator.
@@ -34,11 +35,9 @@
 
 pub mod generator;
 pub mod rng;
-pub mod source;
 pub mod spec;
 pub mod splash;
 
 pub use generator::{streams, CoreStream, StreamOp};
-pub use source::WorkloadSource;
 pub use spec::{Op, WorkloadSpec};
 pub use splash::SplashBenchmark;

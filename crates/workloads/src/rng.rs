@@ -3,7 +3,7 @@
 //! The reproduction's workload streams must be bit-identical across
 //! platforms and releases — experiment tables are diffed against recorded
 //! results — so we implement the generator rather than depend on an
-//! external crate whose stream could change (see DESIGN.md §6).
+//! external crate whose stream could change.
 
 /// xoshiro256** by Blackman & Vigna, seeded via SplitMix64.
 ///

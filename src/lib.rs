@@ -61,5 +61,5 @@ pub mod prelude {
     pub use mot3d_sim::{
         run_benchmark, run_spec, Cluster, InterconnectChoice, Metrics, SimConfig, SimError,
     };
-    pub use mot3d_workloads::{SplashBenchmark, WorkloadSource, WorkloadSpec};
+    pub use mot3d_workloads::{SplashBenchmark, WorkloadSpec};
 }
