@@ -115,7 +115,7 @@ COMMANDS:
   fig7       Fig. 7 — EDP + exec time across the power states @ 200 ns DRAM
   fig8       Fig. 8 — power-state sweep @ 63/42 ns DRAM + open-page study
   open-page  flat vs open-page DRAM timing (Full connection)
-  ablation   sensitivity studies beyond the paper's figures
+  ablation   EDP and time over the full PC{16,8,4} x MB{32,16,8} grid
   all        everything above, as one report
   sweep      ad-hoc declarative grid over any combination of axes
   trace      single-point deep dive: run one cell with the timeline
@@ -263,9 +263,9 @@ fn dram_label(dram: DramKind) -> &'static str {
 /// sinks shared by every plan of the invocation.
 struct Ctx {
     scale: ExperimentScale,
-    /// Ablation 1's seed: the legacy `ablation` binary ran its grid at
-    /// the simulator's default seed, not the experiment seed; `--seed`
-    /// overrides either.
+    /// The ablation grid's seed: the legacy `ablation` binary ran its
+    /// grid at the simulator's default seed, not the experiment seed;
+    /// `--seed` overrides either.
     ablation_seed: u64,
     threads: Option<usize>,
     banner_threads: usize,
@@ -285,7 +285,9 @@ fn max_jobs(cmd: Cmd) -> usize {
     match cmd {
         Cmd::Table1 | Cmd::Fig5 => 1,
         Cmd::Fig6 | Cmd::Fig7 | Cmd::Fig8 | Cmd::All => benches * 4,
-        Cmd::OpenPage | Cmd::Ablation => benches * 2,
+        Cmd::OpenPage => benches * 2,
+        // One program's PC{16,8,4} × MB{32,16,8} grid at a time.
+        Cmd::Ablation => 9,
         Cmd::Sweep => usize::MAX,
         Cmd::Trace => 1,
     }
@@ -535,16 +537,10 @@ fn open_page(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
     Ok(())
 }
 
-/// `mot3d ablation`: the sensitivity studies beyond the paper's four
-/// figures (byte-identical to the legacy `ablation` binary).
+/// `mot3d ablation`: the full power-of-two power-state grid, the one
+/// study no other subcommand prints.
 fn ablation(ctx: &mut Ctx) -> io::Result<()> {
-    use mot3d_mot::latency::{MotLatency, MotTimingParams};
-    use mot3d_mot::topology::MotTopology;
-    use mot3d_phys::geometry::Floorplan;
-    use mot3d_phys::Technology;
-
-    let scale = ctx.scale;
-    println!("== Ablation 1: full power-state grid (EDP normalised to Full) ==");
+    println!("== Ablation: full power-state grid (EDP normalised to Full) ==");
     for bench in [SplashBenchmark::Fft, SplashBenchmark::OceanContiguous] {
         println!("\n{bench}:");
         println!(
@@ -553,7 +549,7 @@ fn ablation(ctx: &mut Ctx) -> io::Result<()> {
         );
         let grid_scale = ExperimentScale {
             seed: ctx.ablation_seed,
-            ..scale
+            ..ctx.scale
         };
         let grid = ExperimentPlan::ablation_grid(grid_scale, bench);
         let perf_name = format!("ablation@{bench}");
@@ -569,25 +565,6 @@ fn ablation(ctx: &mut Ctx) -> io::Result<()> {
                 rec.metrics.cycles as f64 / full.metrics.cycles as f64,
             );
         }
-    }
-
-    println!("\n== Ablation 2: flat vs open-page DRAM (Full connection) ==");
-    open_page(ctx, false)?;
-
-    println!("\n== Ablation 3: derived MoT latency by technology node ==");
-    println!("{:<16} {:>10} {:>10}", "state", "45nm-LP", "65nm-LP");
-    let fp = Floorplan::date16();
-    let topo = MotTopology::date16();
-    let params = MotTimingParams::default();
-    for state in PowerState::date16_states() {
-        let a = MotLatency::derive(&Technology::lp45(), &fp, topo, &params, state).unwrap();
-        let b = MotLatency::derive(&Technology::lp65(), &fp, topo, &params, state).unwrap();
-        println!(
-            "{:<16} {:>10} {:>10}",
-            state.to_string(),
-            a.round_trip(),
-            b.round_trip()
-        );
     }
     Ok(())
 }
@@ -789,7 +766,7 @@ mod tests {
     fn banner_thread_clamp_tracks_each_commands_grid() {
         assert_eq!(max_jobs(Cmd::Fig6), 32);
         assert_eq!(max_jobs(Cmd::OpenPage), 16);
-        assert_eq!(max_jobs(Cmd::Ablation), 16);
+        assert_eq!(max_jobs(Cmd::Ablation), 9);
         assert_eq!(max_jobs(Cmd::Table1), 1);
     }
 

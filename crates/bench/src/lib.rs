@@ -17,7 +17,7 @@
 //! | `mot3d fig7`   | Fig. 7 — EDP + execution time across the four power states @ 200 ns DRAM |
 //! | `mot3d fig8`   | Fig. 8 — EDP across power states @ 63 ns and 42 ns DRAM + open-page study |
 //! | `mot3d open-page` | flat vs open-page DRAM timing (Full connection) |
-//! | `mot3d ablation`  | sensitivity studies beyond the paper's figures |
+//! | `mot3d ablation`  | EDP and execution time over the full PC{16,8,4} × MB{32,16,8} power-state grid |
 //! | `mot3d all`    | everything above, as one report |
 //! | `mot3d sweep`  | any ad-hoc grid over the same axes |
 //!

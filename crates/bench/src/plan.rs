@@ -547,7 +547,7 @@ impl ExperimentPlan {
             .scale(scale)
     }
 
-    /// Ablation 1's full power-of-two power-state grid for one program
+    /// `mot3d ablation`'s full power-of-two power-state grid for one program
     /// (PC{16,8,4} × MB{32,16,8}, 200 ns DRAM).
     pub fn ablation_grid(scale: ExperimentScale, bench: SplashBenchmark) -> Self {
         let states = [16usize, 8, 4].iter().flat_map(|&cores| {

@@ -81,7 +81,8 @@ impl DramTiming {
         }
     }
 
-    /// Open-page refinement used by the ablation benches.
+    /// Open-page refinement: the `dram_open_page` axis of a plan
+    /// (`mot3d open-page`, the second half of `mot3d fig8`).
     pub fn open_page(base_cycles: u64) -> Self {
         DramTiming {
             base_cycles,

@@ -147,35 +147,6 @@ impl Technology {
         }
     }
 
-    /// A slower 65 nm-class LP node, used by ablation benches to explore the
-    /// technology sensitivity of the interconnect comparison.
-    pub fn lp65() -> Self {
-        Technology {
-            name: "65nm-LP",
-            vdd: Volts::new(1.2),
-            wire_resistance: OhmsPerMeter(110e3),
-            wire_capacitance: FaradsPerMeter(230e-12),
-            repeater: RepeaterParams {
-                drive_resistance: Ohms::from_kohms(6.5),
-                input_cap: Farads::from_ff(1.4),
-                output_cap: Farads::from_ff(1.4),
-                intrinsic_delay: Seconds::from_ps(28.0),
-                leakage: Watts::from_uw(0.04),
-            },
-            switch: SwitchTimings {
-                routing_switch_delay: Seconds::from_ps(160.0),
-                reconfig_mux_delay: Seconds::from_ps(16.0),
-                arbitration_switch_delay: Seconds::from_ps(70.0),
-                routing_switch_leakage: Watts::from_uw(0.6),
-                arbitration_switch_leakage: Watts::from_uw(0.75),
-                switch_traversal_energy_per_bit: Farads::from_ff(4.2),
-            },
-            sram_leakage_per_kb: Watts::from_uw(12.0),
-            sram_cell_area_um2: 0.52,
-            ..Technology::lp45()
-        }
-    }
-
     /// The clock period.
     #[inline]
     pub fn period(&self) -> Seconds {
@@ -230,14 +201,6 @@ mod tests {
     #[test]
     fn default_is_lp45() {
         assert_eq!(Technology::default(), Technology::lp45());
-    }
-
-    #[test]
-    fn lp65_is_slower_than_lp45() {
-        let a = Technology::lp45();
-        let b = Technology::lp65();
-        assert!(b.switch.routing_switch_delay > a.switch.routing_switch_delay);
-        assert!(b.repeater.intrinsic_delay > a.repeater.intrinsic_delay);
     }
 
     #[test]

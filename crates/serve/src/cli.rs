@@ -55,8 +55,7 @@ pub fn run_submit(args: &[String]) -> i32 {
     };
     let stdout = io::stdout();
     match client::submit_with_retry(&addr, &request, &mut stdout.lock(), policy) {
-        Ok(report) => {
-            let outcome = report.outcome;
+        Ok(outcome) => {
             let failed = if outcome.failed > 0 {
                 format!(", {} failed", outcome.failed)
             } else {
@@ -66,9 +65,6 @@ pub fn run_submit(args: &[String]) -> i32 {
                 "mot3d submit: {} points ({} cached, {} deduped, {} executed{failed})",
                 outcome.points, outcome.hits, outcome.waited, outcome.executed,
             );
-            if let Some(dir) = report.trace_dir {
-                eprintln!("mot3d submit: trace files in {dir} (on the server)");
-            }
             0
         }
         Err(e) => {
@@ -175,15 +171,13 @@ OPTIONS:
                              retried stream is byte-identical
   --backoff <ms>             delay before the first retry, doubling
                              each further retry (default 200)
-  --trace                    attach the timeline tracer: every point
-                             runs fresh (bypassing the result cache),
-                             one Perfetto-loadable file per point lands
-                             under the server's cache directory, and
-                             the trace directory is reported on stderr
+
+The service does not trace: for per-point timelines, run
+`mot3d sweep --trace <dir>` or `mot3d trace` on the machine that
+reads them.
 
 EXAMPLE:
   mot3d submit --bench fft,radix --dram all --scale tiny > grid.jsonl
-  mot3d submit --bench fft --power-state pc16-mb8 --scale tiny --trace
 "
     .to_string()
 }
@@ -288,11 +282,6 @@ fn parse_submit(args: &[String]) -> Result<(String, PlanRequest, RetryPolicy), U
         if matches!(flag.as_str(), "--help" | "-h") {
             return Err(UsageError::Help);
         }
-        // The one valueless flag: request the timeline tracer.
-        if flag == "--trace" {
-            request.trace = true;
-            continue;
-        }
         let value = it
             .next()
             .ok_or_else(|| bad(format!("{flag} needs a value")))?;
@@ -394,12 +383,16 @@ mod tests {
         assert_eq!(req.repeat, Some(2));
         assert_eq!(policy.retries, 3);
         assert_eq!(policy.backoff, Duration::from_millis(50));
-        assert!(!req.trace, "tracing is opt-in");
-        let (_, traced, _) = parse_submit(&argv("--bench fft --trace --scale tiny"))
-            .ok()
-            .unwrap();
-        assert!(traced.trace, "--trace is the one valueless flag");
-        assert_eq!(traced.scale.as_deref(), Some("tiny"));
+        for traced in [
+            "--trace",
+            "--bench fft --trace --scale tiny",
+            "--trace out/",
+        ] {
+            assert!(
+                parse_submit(&argv(traced)).is_err(),
+                "the service does not trace: {traced}"
+            );
+        }
         assert!(
             parse_submit(&argv("--bench nonesuch")).is_err(),
             "axis values are validated before dialing"

@@ -51,17 +51,6 @@ fn retryable(e: &io::Error) -> bool {
     )
 }
 
-/// What one completed submission reported: the outcome counters plus,
-/// for a `"trace": true` submission, the server-side directory its
-/// per-point trace files landed in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubmitReport {
-    /// The summary line's submission counters.
-    pub outcome: PlanOutcome,
-    /// The summary line's `"trace_dir"`, when the submission was traced.
-    pub trace_dir: Option<String>,
-}
-
 /// Submits `request` to the server at `addr`, copying the header and
 /// every record line (newline included) to `out` as they arrive. The
 /// terminal summary line is consumed, not copied — `out` ends up with
@@ -72,11 +61,6 @@ pub struct SubmitReport {
 /// Fails on connection errors, a server-reported `{"error": ...}` line
 /// (as `InvalidInput`), or a stream that ends without a summary.
 pub fn submit(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Result<PlanOutcome> {
-    attempt(addr, request, out).map(|report| report.outcome)
-}
-
-/// One submission, start to summary line.
-fn attempt(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Result<SubmitReport> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     writeln!(writer, "{}", request.to_line())?;
@@ -91,10 +75,7 @@ fn attempt(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Resul
             }
             Ok(Some(outcome)) => {
                 out.flush()?;
-                return Ok(SubmitReport {
-                    outcome,
-                    trace_dir: protocol::summary_trace_dir(&line),
-                });
+                return Ok(outcome);
             }
             Err(msg) => {
                 return Err(io::Error::new(
@@ -122,14 +103,13 @@ fn classify(line: &str) -> Result<Option<PlanOutcome>, String> {
     }
 }
 
-/// [`submit`] with resubmission-on-disconnect, reporting everything the
-/// summary line said: up to `policy.retries` extra attempts with
-/// exponential backoff, each buffered so `out` receives only the one
-/// complete, successful stream. Completed points replay from the
-/// server's cache, so the result is byte-identical to an uninterrupted
-/// run. With no retries there is nothing to repeat, so lines reach
-/// `out` as they arrive, as with [`submit`]. This is what `mot3d
-/// submit` calls; the default policy is a single attempt.
+/// [`submit`] with resubmission-on-disconnect: up to `policy.retries`
+/// extra attempts with exponential backoff, each buffered so `out`
+/// receives only the one complete, successful stream. Completed points
+/// replay from the server's cache, so the result is byte-identical to
+/// an uninterrupted run. With no retries there is nothing to repeat, so
+/// lines reach `out` as they arrive, as with [`submit`]. This is what
+/// `mot3d submit` calls; the default policy is a single attempt.
 ///
 /// # Errors
 ///
@@ -140,19 +120,19 @@ pub fn submit_with_retry(
     request: &PlanRequest,
     out: &mut impl Write,
     policy: RetryPolicy,
-) -> io::Result<SubmitReport> {
+) -> io::Result<PlanOutcome> {
     if policy.retries == 0 {
-        return attempt(addr, request, out);
+        return submit(addr, request, out);
     }
     let mut delay = policy.backoff;
     let mut failed = 0u32;
     loop {
         let mut buffered: Vec<u8> = Vec::new();
-        match attempt(addr, request, &mut buffered) {
-            Ok(report) => {
+        match submit(addr, request, &mut buffered) {
+            Ok(outcome) => {
                 out.write_all(&buffered)?;
                 out.flush()?;
-                return Ok(report);
+                return Ok(outcome);
             }
             Err(e) if retryable(&e) && failed < policy.retries => {
                 failed += 1;
@@ -316,7 +296,7 @@ mod tests {
             in_time
         });
         let mut out = FirstRecord { lines: 0, seen };
-        let report = submit_with_retry(
+        let outcome = submit_with_retry(
             &addr,
             &PlanRequest::new("sweep"),
             &mut out,
@@ -327,7 +307,7 @@ mod tests {
             server.join().unwrap(),
             "the record reached `out` only with the summary"
         );
-        assert_eq!((report.outcome.points, out.lines), (1, 2));
+        assert_eq!((outcome.points, out.lines), (1, 2));
     }
 
     #[test]

@@ -296,12 +296,6 @@ impl CachedExecutor {
         lock_recover(&self.store).stats()
     }
 
-    /// The result store's directory. Traced submissions write their
-    /// per-point timeline files under `<store_dir>/traces/`.
-    pub fn store_dir(&self) -> std::path::PathBuf {
-        lock_recover(&self.store).dir().to_path_buf()
-    }
-
     /// Flushes the store's buffered writers (graceful-shutdown drain).
     pub fn flush_store(&self) {
         if let Err(e) = lock_recover(&self.store).flush() {

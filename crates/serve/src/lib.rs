@@ -30,7 +30,12 @@
 //!
 //! The header and record lines are exactly the bytes `mot3d sweep
 //! --json` writes for the same plan, so offline and served streams can
-//! be compared byte for byte (CI does).
+//! be compared byte for byte (CI does). A request member the server
+//! does not know is rejected by name ([`PlanRequest::parse`]). Every
+//! submission is answered the same way, through the store, the
+//! in-flight table and the worker pool; the service does not trace
+//! (per-point timelines come from `mot3d sweep --trace` or `mot3d
+//! trace`, on the machine that reads them).
 //!
 //! ## Failure semantics
 //!

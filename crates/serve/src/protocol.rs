@@ -29,12 +29,10 @@
 //!  "repeat": 2, "scale": "tiny", "seed": 7}
 //! ```
 //!
-//! Adding `"trace": true` attaches the timeline tracer: every point
-//! runs fresh (bypassing the result cache), writes one
-//! Perfetto-loadable file under the server's cache directory, and the
-//! summary line carries the directory as `"trace_dir"`. The record
-//! stream itself is unchanged — tracing is observation-only, so traced
-//! records are bit-identical to cached/untraced ones.
+//! Any other member is rejected with an error line that names it, so a
+//! misspelled axis never runs the default grid. The service does not
+//! trace: per-point timelines come from `mot3d sweep --trace <dir>` or
+//! `mot3d trace` on the machine that reads them.
 //!
 //! [`RunRecord`]: mot3d_bench::plan::RunRecord
 
@@ -69,13 +67,21 @@ pub struct PlanRequest {
     pub scale: Option<String>,
     /// Workload seed override (`"seed"`).
     pub seed: Option<u64>,
-    /// Attach the timeline tracer (`"trace": true`): every point runs
-    /// fresh (bypassing the result cache — a cache hit has no timeline
-    /// to write), one Perfetto-loadable file lands per point under the
-    /// server's cache directory, and the summary line reports the
-    /// directory as `"trace_dir"`.
-    pub trace: bool,
 }
+
+/// Every member a request may carry; [`PlanRequest::parse`] rejects
+/// any other.
+const REQUEST_KEYS: [&str; 9] = [
+    "submit",
+    "bench",
+    "interconnect",
+    "power_state",
+    "dram",
+    "page",
+    "repeat",
+    "scale",
+    "seed",
+];
 
 impl PlanRequest {
     /// A request for `name` with every axis at its default.
@@ -90,13 +96,23 @@ impl PlanRequest {
     ///
     /// # Errors
     ///
-    /// Describes the first malformed field: bad JSON, a missing
-    /// `"submit"` key, or a wrong-typed member. Axis *values* are
-    /// validated later, by [`PlanRequest::to_plan`].
+    /// Describes the first malformed field: bad JSON, an unknown
+    /// member (named in the message), a missing `"submit"` key, or a
+    /// wrong-typed member. Axis *values* are validated later, by
+    /// [`PlanRequest::to_plan`].
     pub fn parse(line: &str) -> Result<Self, String> {
         let doc = json::parse(line)?;
-        if !matches!(doc, JsonValue::Obj(_)) {
+        let JsonValue::Obj(members) = &doc else {
             return Err("request must be a JSON object".to_string());
+        };
+        if let Some((key, _)) = members
+            .iter()
+            .find(|(k, _)| !REQUEST_KEYS.contains(&k.as_str()))
+        {
+            return Err(format!(
+                "unknown request key {key:?} (known: {})",
+                REQUEST_KEYS.join(", ")
+            ));
         }
         let name = doc
             .get("submit")
@@ -141,12 +157,6 @@ impl PlanRequest {
                     .ok_or_else(|| "\"repeat\" must be a positive u32".to_string())?,
             ),
         };
-        let trace = match doc.get("trace") {
-            None | Some(JsonValue::Null) => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| "\"trace\" must be a boolean".to_string())?,
-        };
         Ok(PlanRequest {
             name,
             bench: text("bench")?,
@@ -157,7 +167,6 @@ impl PlanRequest {
             repeat,
             scale,
             seed: u64_field("seed")?,
-            trace,
         })
     }
 
@@ -191,9 +200,6 @@ impl PlanRequest {
         }
         if let Some(seed) = self.seed {
             let _ = write!(s, ", \"seed\": {seed}");
-        }
-        if self.trace {
-            s.push_str(", \"trace\": true");
         }
         s.push('}');
         s
@@ -248,8 +254,12 @@ impl PlanRequest {
 }
 
 /// The terminal success line: submission counters plus the store's
-/// process-lifetime totals (no trailing newline). A traced submission
-/// also reports the server-side directory its trace files landed in.
+/// process-lifetime totals (no trailing newline).
+///
+/// Vestigial: nothing in this crate passes a `trace_dir`, because the
+/// service does not trace. The parameter and the `"trace_dir"` member
+/// it would add stay while `benchmark/` calls this function with three
+/// arguments, and go with the `benchmark` change that drops that call.
 pub fn summary_line(outcome: PlanOutcome, store: StoreStats, trace_dir: Option<&str>) -> String {
     let mut s = format!(
         "{{\"done\": true, \"points\": {}, \"hits\": {}, \"waited\": {}, \
@@ -269,18 +279,6 @@ pub fn summary_line(outcome: PlanOutcome, store: StoreStats, trace_dir: Option<&
     }
     s.push('}');
     s
-}
-
-/// The `"trace_dir"` a summary line reports, if `line` is a summary of
-/// a traced submission.
-pub fn summary_trace_dir(line: &str) -> Option<String> {
-    let doc = json::parse(line).ok()?;
-    if doc.get("done").and_then(JsonValue::as_bool) != Some(true) {
-        return None;
-    }
-    doc.get("trace_dir")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
 }
 
 /// The terminal failure line (no trailing newline).
@@ -353,9 +351,7 @@ mod tests {
             repeat: Some(2),
             scale: Some("tiny".to_string()),
             seed: Some(7),
-            trace: true,
         };
-        assert!(req.to_line().ends_with(", \"trace\": true}"));
         assert_eq!(PlanRequest::parse(&req.to_line()).unwrap(), req);
         let bare = PlanRequest::new("sweep");
         assert_eq!(bare.to_line(), "{\"submit\": \"sweep\"}");
@@ -424,7 +420,8 @@ mod tests {
             ("{\"submit\": \"s\", \"repeat\": -1}", "unsigned"),
             ("{\"submit\": \"s\", \"seed\": \"x\"}", "unsigned"),
             ("{\"submit\": \"s\", \"bench\": 1}", "string"),
-            ("{\"submit\": \"s\", \"trace\": 1}", "boolean"),
+            ("{\"submit\": \"s\", \"trace\": true}", "\"trace\""),
+            ("{\"submit\": \"s\", \"bnech\": \"fft\"}", "\"bnech\""),
         ] {
             let err = PlanRequest::parse(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
@@ -452,32 +449,12 @@ mod tests {
         };
         let line = summary_line(outcome, stats, None);
         assert_eq!(parse_summary(&line).unwrap(), Some(outcome));
-        assert_eq!(summary_trace_dir(&line), None);
         assert_eq!(parse_summary("{\"index\": 0}").unwrap(), None);
         assert_eq!(parse_summary("free text").unwrap(), None);
         assert_eq!(
             parse_summary(&error_line("boom")).unwrap_err(),
             "boom".to_string()
         );
-    }
-
-    #[test]
-    fn traced_summaries_report_the_trace_dir() {
-        let outcome = PlanOutcome {
-            points: 2,
-            executed: 2,
-            ..PlanOutcome::default()
-        };
-        let stats = StoreStats::default();
-        let line = summary_line(outcome, stats, Some("/tmp/cache/traces/sweep-0.002-1"));
-        // The extra member must not confuse the counter parser...
-        assert_eq!(parse_summary(&line).unwrap(), Some(outcome));
-        // ...and is recoverable on its own.
-        assert_eq!(
-            summary_trace_dir(&line).as_deref(),
-            Some("/tmp/cache/traces/sweep-0.002-1")
-        );
-        assert_eq!(summary_trace_dir("{\"index\": 0}"), None);
     }
 
     #[test]

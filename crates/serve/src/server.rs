@@ -25,7 +25,7 @@
 //! [`JsonLinesSink`]: mot3d_bench::sink::JsonLinesSink
 
 use crate::codec::Fingerprint;
-use crate::exec::{CachedExecutor, Outcomes, PlanOutcome, PointOutcome};
+use crate::exec::{CachedExecutor, Outcomes, PointOutcome};
 use crate::fault::{FaultSite, Faults};
 use crate::protocol::{self, PlanRequest};
 use crate::store::ResultStore;
@@ -313,6 +313,8 @@ impl From<io::Error> for Reject {
     }
 }
 
+/// Answers one submission line. This is the only response path: every
+/// point goes through the executor's store, in-flight table and pool.
 fn respond(
     exec: &CachedExecutor,
     request_line: &str,
@@ -327,9 +329,6 @@ fn respond(
         return Err(Reject::Client(msg));
     }
     let scale = request.resolved_scale().map_err(Reject::Client)?;
-    if request.trace {
-        return respond_traced(exec, &request, &plan, scale, out);
-    }
     // The header + records must be the exact bytes `mot3d sweep --json`
     // writes, so the same sink serialises them.
     let mut stream = Streamed {
@@ -352,9 +351,9 @@ fn respond(
     Ok(())
 }
 
-/// An untraced submission's response stream: records and failure lines
-/// go into the socket's buffer, which is flushed whenever the
-/// submission is about to wait on a simulation.
+/// A submission's response stream: records and failure lines go into
+/// the socket's buffer, which is flushed whenever the submission is
+/// about to wait on a simulation.
 struct Streamed<'a> {
     sink: JsonLinesSink<&'a mut BufWriter<TcpStream>>,
     faults: Faults,
@@ -381,66 +380,6 @@ impl Outcomes for Streamed<'_> {
     fn idle(&mut self) -> io::Result<()> {
         self.sink.flush()
     }
-}
-
-/// Serves a `"trace": true` submission: every point runs fresh with the
-/// timeline tracer attached, bypassing the result cache and the
-/// in-flight table entirely — a cache hit has no timeline to write, and
-/// traced records are bit-identical to cached ones anyway (tracing is
-/// observation-only). One Perfetto-loadable file lands per point under
-/// `<store_dir>/traces/<plan>-<scale>-<seed>/`; the summary line
-/// reports that directory as `"trace_dir"`.
-fn respond_traced(
-    exec: &CachedExecutor,
-    request: &PlanRequest,
-    plan: &mot3d_bench::plan::ExperimentPlan,
-    scale: mot3d_bench::ExperimentScale,
-    out: &mut BufWriter<TcpStream>,
-) -> Result<(), Reject> {
-    let dir = exec.store_dir().join("traces").join(trace_dir_name(
-        &request.name,
-        scale.scale,
-        scale.seed,
-    ));
-    let records = {
-        // The record stream stays the exact `mot3d sweep --json` bytes;
-        // `run_traced_with` drives begin/record/finish itself.
-        let mut sink = JsonLinesSink::new(&mut *out);
-        plan.run_traced_with(&dir, &mut [&mut sink], |_, _, _| {})?
-    };
-    let n = records.len() as u64;
-    let outcome = PlanOutcome {
-        points: n,
-        executed: n,
-        ..PlanOutcome::default()
-    };
-    writeln!(
-        out,
-        "{}",
-        protocol::summary_line(
-            outcome,
-            exec.store_stats(),
-            Some(&dir.display().to_string())
-        )
-    )?;
-    Ok(())
-}
-
-/// A filesystem-safe per-submission directory name: deterministic in
-/// the request (same plan/scale/seed → same directory, and identical
-/// bytes rewritten), so no server-side counter state is needed.
-fn trace_dir_name(plan: &str, scale: f64, seed: u64) -> String {
-    let safe: String = plan
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '.' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{safe}-{scale}-{seed}")
 }
 
 #[cfg(test)]
@@ -488,16 +427,5 @@ mod tests {
         assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
         assert_eq!(accepted.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trace_dir_names_are_deterministic_and_filesystem_safe() {
-        assert_eq!(trace_dir_name("sweep", 0.002, 1), "sweep-0.002-1");
-        assert_eq!(
-            trace_dir_name("a b/c", 0.35, 42),
-            trace_dir_name("a b/c", 0.35, 42),
-        );
-        let odd = trace_dir_name("a b/c:d", 0.35, 42);
-        assert!(!odd.contains('/') && !odd.contains(':') && !odd.contains(' '));
     }
 }

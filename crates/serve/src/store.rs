@@ -236,11 +236,6 @@ impl ResultStore {
         })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Number of stored results.
     pub fn len(&self) -> usize {
         self.index.len()

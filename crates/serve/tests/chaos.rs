@@ -125,9 +125,7 @@ fn a_dropped_stream_is_retried_to_a_byte_identical_result() {
             retries: 2,
             backoff: Duration::from_millis(10),
         };
-        let outcome = submit_with_retry(&addr, &req, &mut bytes, policy)
-            .unwrap()
-            .outcome;
+        let outcome = submit_with_retry(&addr, &req, &mut bytes, policy).unwrap();
         handle.join().unwrap();
         (outcome, bytes)
     });

@@ -129,7 +129,6 @@ fn every_single_byte_mutation_of_a_request_line_decodes_or_errs() {
     request.repeat = Some(2);
     request.scale = Some("tiny".into());
     request.seed = Some(7);
-    request.trace = true;
     let line = request.to_line();
     assert_eq!(PlanRequest::parse(&line), Ok(request));
     let every: Vec<u8> = (0..=255).collect();
