@@ -199,7 +199,7 @@ pub fn fig6_rows(records: &[RunRecord]) -> Vec<Fig6Row> {
             let mut l2 = [0.0; 4];
             let mut cycles = [0u64; 4];
             for (i, rec) in chunk.iter().enumerate() {
-                l2[i] = rec.derived.l2_latency_mean;
+                l2[i] = rec.metrics.l2_latency.mean();
                 cycles[i] = rec.metrics.cycles;
             }
             Fig6Row {
@@ -258,7 +258,7 @@ pub fn fig7_rows(records: &[RunRecord]) -> Vec<Fig7Row> {
             let mut edp = [0.0; 4];
             let mut cycles = [0u64; 4];
             for (i, rec) in chunk.iter().enumerate() {
-                edp[i] = rec.derived.edp_js;
+                edp[i] = rec.metrics.edp().value();
                 cycles[i] = rec.metrics.cycles;
             }
             Fig7Row {
@@ -314,8 +314,8 @@ pub fn open_page_rows(records: &[RunRecord]) -> Vec<OpenPageRow> {
             bench: chunk[0].point.workload.clone(),
             flat_cycles: chunk[0].metrics.cycles,
             open_cycles: chunk[1].metrics.cycles,
-            flat_edp: chunk[0].derived.edp_js,
-            open_edp: chunk[1].derived.edp_js,
+            flat_edp: chunk[0].metrics.edp().value(),
+            open_edp: chunk[1].metrics.edp().value(),
         })
         .collect()
 }

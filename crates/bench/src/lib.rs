@@ -6,8 +6,8 @@
 //! policy × repeat), expands it to typed [`plan::RunPoint`]s, executes
 //! them on the worker pool, and streams typed [`plan::RunRecord`]s
 //! through any set of [`sink::RecordSink`]s (pretty table, JSON-lines,
-//! CSV, perf tracker). The single `mot3d` binary ([`cli`]) fronts it
-//! all:
+//! CSV, perf tracker). This crate has no command line: the single
+//! `mot3d` binary, whose front end is `mot3d_serve::cli`, runs it all:
 //!
 //! | subcommand | reproduces |
 //! |------------|------------|
@@ -20,6 +20,9 @@
 //! | `mot3d ablation`  | EDP and execution time over the full PC{16,8,4} × MB{32,16,8} power-state grid |
 //! | `mot3d all`    | everything above, as one report |
 //! | `mot3d sweep`  | any ad-hoc grid over the same axes |
+//! | `mot3d trace`  | one grid cell with the timeline tracer attached |
+//! | `mot3d serve` / `submit` / `shutdown` | the caching sweep service (`mot3d-serve`) |
+//! | `mot3d perf check` | every sweep of `BENCH_results.json` re-run, checksums compared ([`perfcheck`]) |
 //!
 //! Run lengths scale with `--scale` (fraction of the default
 //! instruction budget; default 0.35 ≈ 560 k instructions per program —
@@ -41,7 +44,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod axes;
-pub mod cli;
 pub mod experiments;
 pub mod perf;
 pub mod perfcheck;

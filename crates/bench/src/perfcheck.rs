@@ -18,6 +18,10 @@
 //! The baseline is read with the workspace's JSON reader
 //! ([`mot3d_phys::json`]), so anything [`Recorder::to_json`] can write —
 //! a sweep name with quotes or braces in it included — reads back.
+//!
+//! The `mot3d perf check` subcommand (the `mot3d-serve` front end) reads
+//! the baseline with [`parse_baseline`], runs [`check`], prints one line
+//! per sweep, and exits 1 on a mismatch.
 
 use crate::experiments::ExperimentScale;
 use crate::perf::{Recorder, SweepRecord};
@@ -111,24 +115,6 @@ pub fn plan_for(name: &str, scale: ExperimentScale) -> Option<ExperimentPlan> {
     }
 }
 
-/// Options for `mot3d perf check`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckOptions {
-    /// Baseline document path (default `BENCH_results.json`).
-    pub against: String,
-    /// Worker-thread override (default: [`pool::worker_threads`]).
-    pub threads: Option<usize>,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            against: "BENCH_results.json".to_string(),
-            threads: None,
-        }
-    }
-}
-
 /// The outcome of one sweep comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
@@ -142,14 +128,14 @@ pub struct SweepOutcome {
     pub failure: Option<String>,
 }
 
-/// Re-runs every baseline sweep and compares. Pure in-memory variant
-/// of the CLI (shared with tests); emits nothing.
+/// Re-runs every baseline sweep on `threads` workers (default:
+/// [`pool::worker_threads`]) and compares; emits nothing.
 ///
 /// # Errors
 ///
 /// Propagates sink I/O errors from plan execution (none occur with the
 /// in-memory perf sink in practice).
-pub fn check(baseline: &Baseline, opts: &CheckOptions) -> std::io::Result<Vec<SweepOutcome>> {
+pub fn check(baseline: &Baseline, threads: Option<usize>) -> std::io::Result<Vec<SweepOutcome>> {
     let scale = ExperimentScale {
         scale: baseline.scale,
         ..ExperimentScale::default()
@@ -169,9 +155,7 @@ pub fn check(baseline: &Baseline, opts: &CheckOptions) -> std::io::Result<Vec<Sw
             });
             continue;
         };
-        let threads = opts
-            .threads
-            .unwrap_or_else(|| pool::worker_threads(plan.len()));
+        let threads = threads.unwrap_or_else(|| pool::worker_threads(plan.len()));
         let mut recorder = Recorder::new(baseline.scale, threads);
         {
             let mut perf = PerfSink::new(&mut recorder, base.name.clone());
@@ -205,155 +189,10 @@ fn judge(base: &SweepRecord, fresh: &SweepRecord) -> Option<String> {
     None
 }
 
-fn usage() -> String {
-    "\
-mot3d perf check — compare a fresh run against a committed perf baseline
-
-USAGE: mot3d perf check [--against <path>] [--threads <n>]
-
-  --against <path>    baseline document (default BENCH_results.json)
-  --threads <n>       worker threads (default: available parallelism)
-
-Re-runs every sweep the baseline names at the baseline's scale. Exits 1
-on any checksum/row mismatch; 2 on usage or I/O errors. Wall-clock is
-not compared: `benchmark/run.sh compare` does that, over adjacent pairs."
-        .to_string()
-}
-
-/// How `perf …` argument parsing can decline to produce options.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PerfUsage {
-    /// Help was requested explicitly (exit 0).
-    Help,
-    /// The arguments were wrong (exit 2).
-    Bad(String),
-}
-
-impl<S: Into<String>> From<S> for PerfUsage {
-    fn from(msg: S) -> Self {
-        PerfUsage::Bad(msg.into())
-    }
-}
-
-/// Parses `perf …` arguments (everything after the `perf` word).
-///
-/// # Errors
-///
-/// [`PerfUsage::Help`] when help was asked for, [`PerfUsage::Bad`] with
-/// a message on unknown subcommands/flags or bad values.
-pub fn parse_args(args: &[String]) -> Result<CheckOptions, PerfUsage> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("check") => {}
-        Some("--help") | Some("-h") | Some("help") => return Err(PerfUsage::Help),
-        None => return Err(PerfUsage::Bad(usage())),
-        Some(other) => {
-            return Err(PerfUsage::Bad(format!(
-                "unknown perf subcommand {other:?}\n\n{}",
-                usage()
-            )));
-        }
-    }
-    let mut opts = CheckOptions::default();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--against" => {
-                opts.against = it.next().ok_or("--against needs a path")?.clone();
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a count")?;
-                let t: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&t| t > 0)
-                    .ok_or_else(|| format!("--threads needs a positive integer, got {v:?}"))?;
-                opts.threads = Some(t);
-            }
-            "--help" | "-h" => return Err(PerfUsage::Help),
-            other => {
-                return Err(PerfUsage::Bad(format!(
-                    "unknown option {other:?}\n\n{}",
-                    usage()
-                )));
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// Entry point for `mot3d perf …`. Returns the process exit code.
-pub fn run_cli(args: &[String]) -> i32 {
-    let opts = match parse_args(args) {
-        Ok(opts) => opts,
-        Err(PerfUsage::Help) => {
-            println!("{}", usage());
-            return 0;
-        }
-        Err(PerfUsage::Bad(msg)) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
-    let text = match std::fs::read_to_string(&opts.against) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mot3d perf check: cannot read {}: {e}", opts.against);
-            return 2;
-        }
-    };
-    let baseline = match parse_baseline(&text) {
-        Ok(b) => b,
-        Err(msg) => {
-            eprintln!("mot3d perf check: {}: {msg}", opts.against);
-            return 2;
-        }
-    };
-    eprintln!(
-        "perf check: re-running {} sweep{} at scale {} against {} ...",
-        baseline.sweeps.len(),
-        if baseline.sweeps.len() == 1 { "" } else { "s" },
-        baseline.scale,
-        opts.against
-    );
-    let outcomes = match check(&baseline, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("mot3d perf check: {e}");
-            return 2;
-        }
-    };
-    let mut failed = 0usize;
-    for o in &outcomes {
-        match (&o.failure, &o.fresh) {
-            (None, Some(f)) => println!("ok   {}: checksum {}", o.name, f.checksum),
-            (Some(why), _) => {
-                failed += 1;
-                println!("FAIL {}: {why}", o.name);
-            }
-            (None, None) => unreachable!("no failure recorded without a fresh run"),
-        }
-    }
-    println!(
-        "perf check: {} of {} sweeps match {}",
-        outcomes.len() - failed,
-        outcomes.len(),
-        opts.against
-    );
-    if failed > 0 {
-        1
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(String::from).collect()
-    }
 
     fn doc() -> String {
         let mut rec = Recorder::new(0.004, 2);
@@ -447,27 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn args_parse_all_forms() {
-        let o = parse_args(&argv("check --against b.json --threads 2")).unwrap();
-        assert_eq!(o.against, "b.json");
-        assert_eq!(o.threads, Some(2));
-        assert_eq!(parse_args(&argv("check")).unwrap(), CheckOptions::default());
-        assert!(parse_args(&argv("chekc")).is_err());
-        assert!(parse_args(&argv("check --threads 0")).is_err());
-    }
-
-    #[test]
-    fn the_wall_gate_flags_are_gone() {
-        for removed in ["check --checksum-only", "check --max-regress 10"] {
-            match parse_args(&argv(removed)) {
-                Err(PerfUsage::Bad(msg)) => assert!(msg.contains("unknown option"), "{msg}"),
-                other => panic!("{removed:?} parsed as {other:?}"),
-            }
-            assert_eq!(run_cli(&argv(removed)), 2, "{removed:?}");
-        }
-    }
-
-    #[test]
     fn tiny_check_detects_matches_and_mismatches_end_to_end() {
         // Record a genuine tiny baseline in memory, then check against
         // it: everything must match. Corrupt a checksum: must fail.
@@ -487,14 +305,13 @@ mod tests {
             threads: 1,
             sweeps: rec.sweeps().to_vec(),
         };
-        let opts = CheckOptions::default();
-        let outcomes = check(&baseline, &opts).unwrap();
+        let outcomes = check(&baseline, None).unwrap();
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].failure, None, "{:?}", outcomes[0]);
 
         let mut corrupted = baseline;
         corrupted.sweeps[0].checksum = "0000000000000000".into();
-        let outcomes = check(&corrupted, &opts).unwrap();
+        let outcomes = check(&corrupted, None).unwrap();
         assert!(outcomes[0].failure.as_ref().unwrap().contains("checksum"));
     }
 }

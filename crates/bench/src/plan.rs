@@ -100,47 +100,21 @@ impl RunPoint {
     }
 }
 
-/// Metrics-derived scalars every sink row carries, precomputed so sinks
-/// stay formatting-only.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Derived {
-    /// Energy-delay product in J·s (the paper's Fig. 7/8 metric).
-    pub edp_js: f64,
-    /// Mean round-trip L2 access latency in cycles (Fig. 6(a)).
-    pub l2_latency_mean: f64,
-    /// Instructions per cycle over the run.
-    pub ipc: f64,
-    /// Total cluster energy in J.
-    pub energy_j: f64,
-}
-
-/// One finished run: the point that was executed, the full metrics, and
-/// the derived scalars.
+/// One finished run: the point that was executed and the full metrics
+/// (whose methods give the EDP, mean L2 latency, IPC and energy every
+/// sink row prints).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// The grid cell this record answers.
     pub point: RunPoint,
     /// The simulator's full metrics for the run.
     pub metrics: Metrics,
-    /// Precomputed derived scalars (EDP, mean L2 latency, IPC, energy).
-    pub derived: Derived,
 }
 
 impl RunRecord {
-    /// Builds a record from a finished run, computing the derived
-    /// scalars.
+    /// Builds a record from a finished run.
     pub fn new(point: RunPoint, metrics: Metrics) -> Self {
-        let derived = Derived {
-            edp_js: metrics.edp().value(),
-            l2_latency_mean: metrics.l2_latency.mean(),
-            ipc: metrics.ipc(),
-            energy_j: metrics.energy.cluster().value(),
-        };
-        RunRecord {
-            point,
-            metrics,
-            derived,
-        }
+        RunRecord { point, metrics }
     }
 }
 
@@ -721,8 +695,8 @@ mod tests {
         assert_eq!(records[1].point.workload, "volrend");
         for r in &records {
             assert!(r.metrics.cycles > 0);
-            assert!(r.derived.edp_js > 0.0);
-            assert!(r.derived.ipc > 0.0);
+            assert!(r.metrics.edp().value() > 0.0);
+            assert!(r.metrics.ipc() > 0.0);
         }
     }
 

@@ -5,7 +5,7 @@
 //! The sweeps behind Fig. 6–8 are grids of completely independent
 //! (interconnect × power state × workload) simulations. Offline plans
 //! ([`crate::plan::ExperimentPlan::run_with`]) and served submissions
-//! (the serve crate's `CachedExecutor::run_plan_to`) both run them
+//! (the serve crate's `CachedExecutor::run_plan`) both run them
 //! through [`stream_to`]. Each point is claimed as one of three kinds:
 //!
 //! * [`Claim::Ready`]: emitted at once during the claim walk while every

@@ -92,7 +92,6 @@ pub trait RecordSink {
 pub fn record_json_line(r: &RunRecord) -> String {
     let p = &r.point;
     let m = &r.metrics;
-    let d = &r.derived;
     let mut s = String::with_capacity(256);
     let _ = write!(
         s,
@@ -112,15 +111,15 @@ pub fn record_json_line(r: &RunRecord) -> String {
         p.spec.total_ops,
         m.cycles,
         m.instructions,
-        d.ipc,
+        m.ipc(),
         m.l1_hits,
         m.l1_misses,
         m.l2_hits,
         m.l2_misses,
         m.dram_accesses,
-        d.l2_latency_mean,
-        d.energy_j,
-        d.edp_js,
+        m.l2_latency.mean(),
+        m.energy.cluster().value(),
+        m.edp().value(),
     );
     s
 }
@@ -359,7 +358,6 @@ impl<W: Write> RecordSink for CsvSink<W> {
     fn record(&mut self, record: &RunRecord) -> io::Result<()> {
         let p = &record.point;
         let m = &record.metrics;
-        let d = &record.derived;
         writeln!(
             self.out,
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -375,15 +373,15 @@ impl<W: Write> RecordSink for CsvSink<W> {
             p.spec.total_ops,
             m.cycles,
             m.instructions,
-            d.ipc,
+            m.ipc(),
             m.l1_hits,
             m.l1_misses,
             m.l2_hits,
             m.l2_misses,
             m.dram_accesses,
-            d.l2_latency_mean,
-            d.energy_j,
-            d.edp_js,
+            m.l2_latency.mean(),
+            m.energy.cluster().value(),
+            m.edp().value(),
         )
     }
 
@@ -451,9 +449,9 @@ pub fn render_sweep_table(plan: &str, records: &[RunRecord]) -> String {
             },
             p.repeat,
             r.metrics.cycles,
-            r.derived.ipc,
-            r.derived.l2_latency_mean,
-            r.derived.edp_js,
+            r.metrics.ipc(),
+            r.metrics.l2_latency.mean(),
+            r.metrics.edp().value(),
         );
     }
     out

@@ -7,8 +7,8 @@
 //! counts as a code line and for where the workspace's invariants are
 //! checked, and [`lexer`] for what the scanner understands.
 //!
-//! Run it as `cargo run -p mot3d-lint`, or through the CLI as
-//! `mot3d lint`. `--json` emits a machine-readable report.
+//! Run it as `cargo run -p mot3d-lint`. `--json` emits a
+//! machine-readable report.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -183,9 +183,8 @@ counting allocator in crates/{sim,trace}/tests/no_alloc.rs."
         .to_string()
 }
 
-/// Entry point shared by the `mot3d-lint` binary and the `mot3d lint`
-/// subcommand. Returns the process exit code: 0 on success, 2 on usage
-/// or I/O errors.
+/// Entry point of the `mot3d-lint` binary. Returns the process exit
+/// code: 0 on success, 2 on usage or I/O errors.
 pub fn run_cli(args: &[String]) -> i32 {
     match run(args) {
         Ok(()) => 0,

@@ -1,6 +1,5 @@
 //! The `mot3d-lint` binary: scan the workspace and report its code
-//! lines per crate. All logic lives in the library (shared with the
-//! `mot3d lint` subcommand).
+//! lines per crate. All logic lives in the library.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -13,9 +13,10 @@
 //!
 //! **Metrics codec.** The store persists [`Metrics`], not whole
 //! records: the caller reconstructs `RunRecord::new(point, metrics)`
-//! with the point it already holds, which recomputes the derived
-//! scalars the same deterministic way a fresh run does — so a cache hit
-//! serialises byte-identically to the run that populated it. All `f64`
+//! with the point it already holds, and every sink derives its EDP,
+//! IPC and mean latency from those metrics the same deterministic way
+//! as for a fresh run — so a cache hit serialises byte-identically to
+//! the run that populated it. All `f64`
 //! fields travel as `to_bits()` integers; nothing takes a lossy float
 //! detour.
 

@@ -21,7 +21,7 @@
 //! the only worker points: on pool workers, or inline at their turn when
 //! the submission has one worker (see the driver's doc for why inline
 //! owners cannot deadlock each other). Right before the connection
-//! thread can block on a simulation, [`CachedExecutor::run_plan_to`]
+//! thread can block on a simulation, [`CachedExecutor::run_plan`]
 //! calls [`Outcomes::idle`], where the server flushes its socket
 //! buffer.
 //!
@@ -197,7 +197,7 @@ pub enum PointOutcome {
     },
 }
 
-/// Where [`CachedExecutor::run_plan_to`] streams a submission. Every
+/// Where [`CachedExecutor::run_plan`] streams a submission. Every
 /// `FnMut(&PointOutcome) -> io::Result<()>` closure is one, with an
 /// idle hook that does nothing.
 pub trait Outcomes {
@@ -362,7 +362,7 @@ impl CachedExecutor {
 
     /// Executes `plan` against the cache and streams every point's
     /// [`PointOutcome`] — in expansion order, as soon as it is
-    /// available — to `on_outcome`.
+    /// available — to `out`.
     ///
     /// The points go through [`pool::stream_to`]. A hit is a
     /// ready point: read, decoded and emitted as soon as its probe
@@ -370,38 +370,24 @@ impl CachedExecutor {
     /// at its turn. A point another submission is simulating is
     /// resolved at its turn, on this thread. A miss this submission
     /// owns is a worker point; a failed attempt is taken over and
-    /// re-run at its turn, on this thread.
+    /// re-run at its turn, on this thread. The idle hook of `out` runs
+    /// right before this thread can block: before an owned miss runs
+    /// inline, before it waits for a worker's result, and before it
+    /// waits on another submission's flight. It never runs while the
+    /// plan's leading hits stream.
     ///
     /// # Errors
     ///
     /// Returns `InvalidInput` when the plan fails its own `check`; a
     /// store *read* error, after the records before the bad point have
-    /// streamed; or the first `on_outcome` error. An error among the
-    /// leading hits returns at once (nothing later is claimed yet);
-    /// after that, the owned simulations still run and are cached, and
-    /// an owned point whose first attempt failed is left poisoned for
-    /// its next claimant to take over. A failing **point** is not an
-    /// error: it streams as [`PointOutcome::Failed`] and counts in
-    /// [`PlanOutcome::failed`].
+    /// streamed; or the first error of `out` (an `idle` error counts as
+    /// an outcome error). An error among the leading hits returns at
+    /// once (nothing later is claimed yet); after that, the owned
+    /// simulations still run and are cached, and an owned point whose
+    /// first attempt failed is left poisoned for its next claimant to
+    /// take over. A failing **point** is not an error: it streams as
+    /// [`PointOutcome::Failed`] and counts in [`PlanOutcome::failed`].
     pub fn run_plan(
-        &self,
-        plan: &ExperimentPlan,
-        mut on_outcome: impl FnMut(&PointOutcome) -> io::Result<()>,
-    ) -> io::Result<PlanOutcome> {
-        self.run_plan_to(plan, &mut on_outcome)
-    }
-
-    /// [`CachedExecutor::run_plan`] into an [`Outcomes`], whose idle
-    /// hook runs right before this thread can block: before an owned
-    /// miss runs inline, before it waits for a worker's result, and
-    /// before it waits on another submission's flight. It never runs
-    /// while the plan's leading hits stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`CachedExecutor::run_plan`]; an `idle` error counts as an
-    /// outcome error.
-    pub fn run_plan_to(
         &self,
         plan: &ExperimentPlan,
         out: &mut impl Outcomes,
@@ -501,7 +487,7 @@ impl CachedExecutor {
     }
 }
 
-/// [`CachedExecutor::run_plan_to`]'s emitter: resolves each claimed
+/// [`CachedExecutor::run_plan`]'s emitter: resolves each claimed
 /// point at its turn, counts it, and hands its outcome to `out`.
 struct Resolving<'a, O> {
     exec: &'a CachedExecutor,
@@ -594,7 +580,7 @@ mod tests {
     fn record_lines(exec: &CachedExecutor, plan: &ExperimentPlan) -> (PlanOutcome, Vec<String>) {
         let mut lines = Vec::new();
         let outcome = exec
-            .run_plan(plan, |po| {
+            .run_plan(plan, &mut |po: &PointOutcome| {
                 lines.push(match po {
                     PointOutcome::Record(r) => mot3d_bench::sink::record_json_line(r),
                     PointOutcome::Failed { label, error } => format!("FAILED {label}: {error}"),
@@ -663,11 +649,15 @@ mod tests {
         );
         let plan = tiny_plan();
         let err = exec
-            .run_plan(&plan, |_| Err(io::Error::other("client hung up")))
+            .run_plan(&plan, &mut |_: &PointOutcome| {
+                Err(io::Error::other("client hung up"))
+            })
             .expect_err("emit error must surface");
         assert_eq!(err.to_string(), "client hung up");
         // The simulations still completed and were cached.
-        let warm = exec.run_plan(&plan, |_| Ok(())).unwrap();
+        let warm = exec
+            .run_plan(&plan, &mut |_: &PointOutcome| Ok(()))
+            .unwrap();
         assert_eq!(warm.hits, warm.points);
         assert_eq!(warm.executed, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -682,7 +672,9 @@ mod tests {
             Some(1),
         );
         let empty = ExperimentPlan::new("empty").splash([]);
-        let err = exec.run_plan(&empty, |_| Ok(())).unwrap_err();
+        let err = exec
+            .run_plan(&empty, &mut |_: &PointOutcome| Ok(()))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(exec.executed_total(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -792,7 +784,7 @@ mod tests {
         let plan = tiny_plan();
         record_lines(&exec, &plan);
         let mut seen = Vec::new();
-        exec.run_plan(&plan, |_| {
+        exec.run_plan(&plan, &mut |_: &PointOutcome| {
             seen.push(exec.store_stats().hits);
             Ok(())
         })
@@ -853,7 +845,7 @@ mod tests {
         corrupt(&dir, &plan.points()[5]);
         let mut records = 0;
         let err = exec
-            .run_plan(&plan, |_| {
+            .run_plan(&plan, &mut |_: &PointOutcome| {
                 records += 1;
                 Ok(())
             })
@@ -878,7 +870,7 @@ mod tests {
         let err = exec
             .run_plan(
                 &splash_plan(&[Fft, Radix, Volrend]).page_policies([false]),
-                |_| {
+                &mut |_: &PointOutcome| {
                     records += 1;
                     Ok(())
                 },
@@ -891,7 +883,11 @@ mod tests {
         // A thread, not a scope: a hang must fail the test, not block it.
         let handle = std::thread::spawn(move || {
             let misses = splash_plan(&[Fft, Radix]).page_policies([false]);
-            let _ = tx.send(resubmit.run_plan(&misses, |_| Ok(())).map(|o| o.hits));
+            let _ = tx.send(
+                resubmit
+                    .run_plan(&misses, &mut |_: &PointOutcome| Ok(()))
+                    .map(|o| o.hits),
+            );
         });
         let hits = rx
             .recv_timeout(Duration::from_secs(60))
@@ -917,7 +913,9 @@ mod tests {
         let exec = Arc::new(exec);
         let plan = splash_plan(&[Fft, Radix]).page_policies([false]);
         let err = exec
-            .run_plan(&plan, |_| Err(io::Error::other("client hung up")))
+            .run_plan(&plan, &mut |_: &PointOutcome| {
+                Err(io::Error::other("client hung up"))
+            })
             .unwrap_err();
         assert_eq!(err.to_string(), "client hung up");
         assert_eq!(
@@ -929,7 +927,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let resubmit = Arc::clone(&exec);
         let handle = std::thread::spawn(move || {
-            let _ = tx.send(resubmit.run_plan(&plan, |_| Ok(())));
+            let _ = tx.send(resubmit.run_plan(&plan, &mut |_: &PointOutcome| Ok(())));
         });
         let out = rx
             .recv_timeout(Duration::from_secs(60))

@@ -9,15 +9,12 @@
 //! exact recovery behavior (a takeover happens exactly once, a retried
 //! stream is byte-identical, …).
 //!
-//! Plans come from three constructors:
+//! Plans come from two constructors:
 //!
 //! * [`FaultPlan::new`] + [`FaultPlan::fail`] — targeted tests name
 //!   individual indices;
 //! * [`FaultPlan::parse`] — the `mot3d serve --fault
-//!   point@0,store@3,drop@5` CLI spelling (CI chaos smoke);
-//! * [`FaultPlan::from_seed`] — a seeded schedule derived with
-//!   SplitMix64, so "any seed" chaos properties are replayable from the
-//!   one `u64`.
+//!   point@0,store@3,drop@5` CLI spelling (CI chaos smoke).
 //!
 //! Production servers hold [`Faults::none`]: every injection check is a
 //! single branch on an empty `Option`, touching no counters — the
@@ -71,15 +68,6 @@ pub struct FaultPlan {
     stream_write: SiteSchedule,
 }
 
-/// SplitMix64 step: the standard 64-bit mix, deterministic per state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// An empty plan (no site ever fails until [`FaultPlan::fail`] adds
     /// indices).
@@ -111,23 +99,6 @@ impl FaultPlan {
             s.indices.insert(pos, index);
         }
         self
-    }
-
-    /// A seeded schedule: up to `per_site` distinct fault indices below
-    /// `horizon` at every site, derived from `seed` with SplitMix64.
-    /// The same `(seed, horizon, per_site)` always yields the same
-    /// schedule — chaos runs are replayable from the seed alone.
-    pub fn from_seed(seed: u64, horizon: u64, per_site: usize) -> Self {
-        let mut plan = FaultPlan::new();
-        let horizon = horizon.max(1);
-        let mut state = seed;
-        for site in FAULT_SITES {
-            for _ in 0..per_site {
-                let index = splitmix64(&mut state) % horizon;
-                plan = plan.fail(site, index);
-            }
-        }
-        plan
     }
 
     /// Parses the CLI spelling: comma-separated `<site>@<index>` terms
@@ -244,23 +215,6 @@ mod tests {
         for bad in ["point", "disk@1", "point@x", "point@-1"] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_bounded() {
-        let a = FaultPlan::from_seed(42, 100, 4);
-        let b = FaultPlan::from_seed(42, 100, 4);
-        for site in FAULT_SITES {
-            assert_eq!(a.schedule(site), b.schedule(site));
-            assert!(a.schedule(site).len() <= 4);
-            assert!(a.schedule(site).iter().all(|&i| i < 100));
-            assert!(a.schedule(site).windows(2).all(|w| w[0] < w[1]));
-        }
-        let c = FaultPlan::from_seed(43, 100, 4);
-        assert!(
-            FAULT_SITES.iter().any(|&s| a.schedule(s) != c.schedule(s)),
-            "different seeds should differ somewhere"
-        );
     }
 
     #[test]

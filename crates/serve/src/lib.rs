@@ -15,9 +15,9 @@
 //!   concurrent clients ([`exec`]) and executing misses on the bench
 //!   crate's worker pool; [`client`] is the `mot3d submit` side.
 //!
-//! The unified `mot3d` binary lives in this crate: `serve`/`submit`
-//! dispatch here ([`cli`]), every other subcommand falls through to
-//! [`mot3d_bench::cli`].
+//! The unified `mot3d` binary lives in this crate, and [`cli`] is its
+//! one front end: a single parser, dispatch and exit path for every
+//! subcommand, from the paper's figures to `serve` and `submit`.
 //!
 //! ## Protocol (one JSON document per line)
 //!

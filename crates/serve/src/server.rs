@@ -341,7 +341,7 @@ fn respond(
         scale: scale.scale,
         seed: scale.seed,
     })?;
-    let outcome = exec.run_plan_to(&plan, &mut stream)?;
+    let outcome = exec.run_plan(&plan, &mut stream)?;
     stream.sink.finish()?;
     writeln!(
         out,

@@ -5,15 +5,12 @@
 //! operation indices, so each test pins exact recovery behavior: a
 //! poisoned flight is taken over exactly once, a dropped stream is
 //! retried to a byte-identical result, a shutdown request drains and
-//! flushes. The proptest at the bottom closes the loop: any seed yields
-//! a schedule that replays identically.
+//! flushes.
 
 use mot3d_bench::sink::JsonLinesSink;
 use mot3d_serve::client::{self, submit_with_retry};
-use mot3d_serve::fault::FAULT_SITES;
 use mot3d_serve::server::CONNECTIONS_PER_WORKER;
 use mot3d_serve::{FaultPlan, FaultSite, Faults, Fingerprint, PlanRequest, ServerConfig};
-use proptest::prelude::*;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -290,40 +287,4 @@ fn a_submission_past_the_connection_cap_waits_for_a_free_slot() {
     });
 
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-proptest! {
-    /// Any seed yields a deterministic, replayable schedule: the same
-    /// `(seed, horizon, per_site)` triple always derives the same
-    /// sorted in-bounds indices, and *replaying* the plan — consuming
-    /// `horizon` operations per site — fires exactly at those indices,
-    /// both times.
-    #[test]
-    fn any_fault_seed_replays_identically(
-        seed in 0u64..=u64::MAX,
-        horizon in 1u64..=64,
-        per_site in 0usize..=8,
-    ) {
-        let plan = FaultPlan::from_seed(seed, horizon, per_site);
-        let again = FaultPlan::from_seed(seed, horizon, per_site);
-        for site in FAULT_SITES {
-            assert_eq!(plan.schedule(site), again.schedule(site));
-            assert!(plan.schedule(site).len() <= per_site);
-            assert!(plan.schedule(site).iter().all(|&i| i < horizon));
-            assert!(plan.schedule(site).windows(2).all(|w| w[0] < w[1]));
-            // Replay: ops fire exactly at the scheduled indices (the
-            // loop index is the op index — one op consumed per pass).
-            let expected: Vec<u64> = plan.schedule(site).to_vec();
-            let fired: Vec<u64> = (0..horizon)
-                .filter(|_| plan.should_fail(site))
-                .collect();
-            assert_eq!(fired, expected, "schedule drifted at {site:?}");
-            // `again` is an untouched copy of the same schedule, so a
-            // second replay fires identically.
-            let refired: Vec<u64> = (0..horizon)
-                .filter(|_| again.should_fail(site))
-                .collect();
-            assert_eq!(fired, refired, "replay drifted at {site:?}");
-        }
-    }
 }

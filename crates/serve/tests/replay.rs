@@ -31,7 +31,7 @@ fn run_all(exec: &CachedExecutor, plans: &[ExperimentPlan]) -> (Vec<String>, u64
     let (mut hits, mut executed) = (0, 0);
     for plan in plans {
         let outcome = exec
-            .run_plan(plan, |o| {
+            .run_plan(plan, &mut |o: &PointOutcome| {
                 match o {
                     PointOutcome::Record(r) => lines.push(record_json_line(r)),
                     PointOutcome::Failed { label, error } => {

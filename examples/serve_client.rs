@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = request.to_plan()?;
 
     println!("cold pass ({} points):", plan.len());
-    let cold = exec.run_plan(&plan, |outcome| {
+    let cold = exec.run_plan(&plan, &mut |outcome: &PointOutcome| {
         match outcome {
             PointOutcome::Record(record) => {
                 println!("  {}", mot3d_bench::sink::record_json_line(record));
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("warm pass (same plan):");
-    let warm = exec.run_plan(&plan, |_| Ok(()))?;
+    let warm = exec.run_plan(&plan, &mut |_: &PointOutcome| Ok(()))?;
     println!("  -> {} executed, {} cache hits", warm.executed, warm.hits);
     assert_eq!(warm.executed, 0, "everything came from the store");
     assert_eq!(warm.hits, warm.points);
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The store survives restarts: reopen it and hit again.
     drop(exec);
     let reopened = CachedExecutor::new(ResultStore::open(&cache)?, Fingerprint::current(), None);
-    let replay = reopened.run_plan(&plan, |_| Ok(()))?;
+    let replay = reopened.run_plan(&plan, &mut |_: &PointOutcome| Ok(()))?;
     println!(
         "after reopen: {} executed, {} cache hits",
         replay.executed, replay.hits
