@@ -28,15 +28,18 @@ use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
 use mot3d_phys::power::EnergyBreakdown;
 use mot3d_phys::units::{Joules, Seconds};
 use mot3d_sim::metrics::LatencyStats;
-use mot3d_sim::Metrics;
+use mot3d_sim::{Metrics, SimConfig};
+use mot3d_workloads::WorkloadSpec;
 use std::fmt::Write as _;
 
 /// Record-stream schema version (mirrors the `"schema"` field of the
 /// JSON-lines plan header). Bumping it invalidates every cached result.
 pub const RECORD_SCHEMA: u32 = 1;
 
-/// Identifies the code+configuration that produced a cached result:
-/// crate version plus the record schema. Results cached under one
+/// Identifies the code+configuration that produced a cached result: a
+/// 64-bit hash of the sources a result depends on (the model, the
+/// workloads, the plan expansion and this codec; see the crate's
+/// `build.rs`) plus the record schema. Results cached under one
 /// fingerprint are invisible under any other, so a rebuilt simulator
 /// never replays stale numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +50,7 @@ impl Fingerprint {
     pub fn current() -> Self {
         Fingerprint(format!(
             "mot3d/{} schema={RECORD_SCHEMA}",
-            env!("CARGO_PKG_VERSION")
+            env!("MOT3D_SOURCE_HASH")
         ))
     }
 
@@ -103,36 +106,64 @@ impl CacheKey {
 /// IS the cache-compatibility contract: any change orphans every
 /// existing cache entry.
 pub fn key_material(fingerprint: &Fingerprint, point: &RunPoint) -> String {
-    let spec = &point.spec;
-    let config = &point.config;
+    // Every field is spelled, none elided with `..`: a field added
+    // later fails to compile here until the key names it. The grid
+    // position is deliberately not part of the key.
+    let RunPoint {
+        index: _,
+        workload,
+        spec,
+        config,
+        repeat,
+    } = point;
+    let SimConfig {
+        interconnect,
+        power_state,
+        dram,
+        dram_open_page,
+        seed,
+        check_golden,
+        miss_bus_occupancy,
+        max_cycles,
+    } = config;
+    let WorkloadSpec {
+        name,
+        serial_fraction,
+        imbalance,
+        mem_ratio,
+        write_fraction,
+        working_set_bytes,
+        shared_fraction,
+        locality,
+        hot_fraction,
+        phases,
+        total_ops,
+        ifetch_miss_rate,
+        base_addr,
+    } = spec;
     let mut m = String::with_capacity(256);
     let _ = write!(m, "fp={};", fingerprint.as_str());
-    let _ = write!(m, "workload={};", point.workload);
-    let _ = write!(m, "ic={};", axes::interconnect_token(config.interconnect));
-    let _ = write!(m, "ps={};", axes::power_state_token(config.power_state));
-    let _ = write!(m, "dram={};", axes::dram_token(config.dram));
-    let _ = write!(m, "page={};", axes::page_token(config.dram_open_page));
-    let _ = write!(m, "seed={};", config.seed);
-    let _ = write!(m, "repeat={};", point.repeat);
-    let _ = write!(m, "golden={};", config.check_golden);
-    let _ = write!(m, "missbus={};", config.miss_bus_occupancy);
-    let _ = write!(m, "maxcyc={};", config.max_cycles);
+    let _ = write!(m, "workload={workload};");
+    let _ = write!(m, "ic={};", axes::interconnect_token(*interconnect));
+    let _ = write!(m, "ps={};", axes::power_state_token(*power_state));
+    let _ = write!(m, "dram={};", axes::dram_token(*dram));
+    let _ = write!(m, "page={};", axes::page_token(*dram_open_page));
+    let _ = write!(m, "seed={seed};");
+    let _ = write!(m, "repeat={repeat};");
+    let _ = write!(m, "golden={check_golden};");
+    let _ = write!(m, "missbus={miss_bus_occupancy};");
+    let _ = write!(m, "maxcyc={max_cycles};");
     let _ = write!(
         m,
-        "spec={},{:x},{:x},{:x},{:x},{},{:x},{:x},{:x},{},{},{:x},{}",
-        spec.name,
-        spec.serial_fraction.to_bits(),
-        spec.imbalance.to_bits(),
-        spec.mem_ratio.to_bits(),
-        spec.write_fraction.to_bits(),
-        spec.working_set_bytes,
-        spec.shared_fraction.to_bits(),
-        spec.locality.to_bits(),
-        spec.hot_fraction.to_bits(),
-        spec.phases,
-        spec.total_ops,
-        spec.ifetch_miss_rate.to_bits(),
-        spec.base_addr,
+        "spec={name},{:x},{:x},{:x},{:x},{working_set_bytes},{:x},{:x},{:x},{phases},{total_ops},{:x},{base_addr}",
+        serial_fraction.to_bits(),
+        imbalance.to_bits(),
+        mem_ratio.to_bits(),
+        write_fraction.to_bits(),
+        shared_fraction.to_bits(),
+        locality.to_bits(),
+        hot_fraction.to_bits(),
+        ifetch_miss_rate.to_bits(),
     );
     m
 }
@@ -365,6 +396,21 @@ mod tests {
             cache_key(&Fingerprint::custom("other build"), &record.point),
             cache_key(&fp, &record.point),
         );
+    }
+
+    #[test]
+    fn fingerprint_carries_the_source_hash() {
+        let fp = Fingerprint::current();
+        assert_ne!(fp.as_str(), "mot3d/0.1.0 schema=1");
+        let hash = fp
+            .as_str()
+            .strip_prefix("mot3d/")
+            .and_then(|rest| rest.strip_suffix(&format!(" schema={RECORD_SCHEMA}")))
+            .expect("mot3d/<hash> schema=<n>");
+        assert_eq!(hash.len(), 16, "{hash}");
+        assert!(hash
+            .bytes()
+            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
     }
 
     #[test]
