@@ -160,12 +160,21 @@ mod tests {
     }
 
     #[test]
+    fn scope_table_matches_the_layout() {
+        // A renamed report module must not fall out of the fence silently.
+        let root = workspace_root();
+        for path in REPORT_PATHS {
+            assert!(root.join(path).is_file(), "{path} is gone");
+        }
+    }
+
+    #[test]
     fn report_paths_name_no_hash_types() {
         // Hash containers iterate in an order nothing pins. Clippy's
         // `disallowed-types` bans the default-hasher ones workspace-wide;
         // the report paths may not name the FNV ones either. A substring
         // test: `HashMap` also catches `FnvHashMap`, and a comment naming
-        // one fails too. A renamed report module fails the read.
+        // one fails too.
         let root = workspace_root();
         for path in REPORT_PATHS {
             let src = fs::read_to_string(root.join(path)).expect("a report path");
