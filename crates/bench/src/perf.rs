@@ -26,7 +26,9 @@ pub struct SweepRecord {
     pub wall_s: f64,
     /// Result rows produced.
     pub rows: usize,
-    /// FNV-1a 64-bit hex checksum of the rendered table.
+    /// FNV-1a 64-bit hex checksum of the sweep's records: each one's
+    /// [`record_json_line`](crate::sink::record_json_line) plus `\n`, in
+    /// plan order (see [`PerfSink`](crate::sink::PerfSink)).
     pub checksum: String,
 }
 

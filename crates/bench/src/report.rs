@@ -1,10 +1,10 @@
-//! Table formatting for the experiment binaries.
+//! Table formatting for the tables and figures `mot3d` prints.
 
-use crate::experiments::{Fig5Row, Fig6Row, Fig7Row, OpenPageRow, Table1Row};
+use crate::experiments::{fig6_interconnects, Fig5Row, Fig6Row, Fig7Row, OpenPageRow, Table1Row};
 use std::fmt::Write as _;
 
-/// Streams one sweep-progress line to stderr (the experiment binaries'
-/// `progress` callback: rows appear as worker threads finish them).
+/// Streams one sweep-progress line to stderr (`mot3d`'s `progress`
+/// callback: rows appear as worker threads finish them).
 pub fn stream_progress(done: usize, total: usize, label: &str) {
     eprintln!("  [{done:>2}/{total}] {label}");
 }
@@ -52,49 +52,48 @@ pub fn render_fig5(rows: &[Fig5Row]) -> String {
     out
 }
 
+/// Writes one per-benchmark table: `title`, a header of `columns`, then
+/// each row's benchmark and four cells at `prec` decimals.
+fn grid<'a>(
+    out: &mut String,
+    title: &str,
+    columns: [&str; 4],
+    prec: usize,
+    rows: impl Iterator<Item = (&'a str, [f64; 4])>,
+) {
+    let _ = writeln!(out, "{title}");
+    let _ = write!(out, "{:<18}", "benchmark");
+    for c in columns {
+        let _ = write!(out, "{c:>10}");
+    }
+    let _ = writeln!(out);
+    for (bench, cells) in rows {
+        let _ = write!(out, "{bench:<18}");
+        for v in cells {
+            let _ = write!(out, "{v:>10.prec$}");
+        }
+        let _ = writeln!(out);
+    }
+}
+
 /// Renders Fig. 6 (a) and (b).
 pub fn render_fig6(rows: &[Fig6Row]) -> String {
     let names = ["3-D Mesh", "Bus-Mesh", "Bus-Tree", "3-D MoT"];
     let mut out = String::new();
-    let _ = writeln!(out, "Fig. 6(a) — mean L2 access latency (cycles)");
-    let _ = write!(out, "{:<18}", "benchmark");
-    for n in names {
-        let _ = write!(out, "{n:>10}");
-    }
+    let latency = rows.iter().map(|r| (r.bench.as_str(), r.l2_latency));
+    let title = "Fig. 6(a) — mean L2 access latency (cycles)";
+    grid(&mut out, title, names, 1, latency);
     let _ = writeln!(out);
-    for r in rows {
-        let _ = write!(out, "{:<18}", r.bench);
-        for v in r.l2_latency {
-            let _ = write!(out, "{v:>10.1}");
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "Fig. 6(b) — execution time (kcycles), DRAM 200 ns");
-    let _ = write!(out, "{:<18}", "benchmark");
-    for n in names {
-        let _ = write!(out, "{n:>10}");
-    }
-    let _ = writeln!(out);
-    for r in rows {
-        let _ = write!(out, "{:<18}", r.bench);
-        for v in r.exec_cycles {
-            let _ = write!(out, "{:>10.0}", v as f64 / 1e3);
-        }
-        let _ = writeln!(out);
-    }
+    let kcycles = rows
+        .iter()
+        .map(|r| (r.bench.as_str(), r.exec_cycles.map(|c| c as f64 / 1e3)));
+    let title = "Fig. 6(b) — execution time (kcycles), DRAM 200 ns";
+    grid(&mut out, title, names, 0, kcycles);
     let _ = writeln!(out);
     let n = rows.len() as f64;
-    for (i, base) in [
-        "True 3-D Mesh",
-        "3-D Hybrid Bus-Mesh",
-        "3-D Hybrid Bus-Tree",
-    ]
-    .iter()
-    .enumerate()
-    {
+    let baselines = fig6_interconnects().into_iter().zip([13.01, 11.16, 13.34]);
+    for (i, (base, paper)) in baselines.enumerate() {
         let mean: f64 = rows.iter().map(|r| r.mot_reduction_vs(i)).sum::<f64>() / n;
-        let paper = [13.01, 11.16, 13.34][i];
         let _ = writeln!(
             out,
             "MoT mean execution-time reduction vs {base}: {mean:.2}% (paper: {paper}%)"
@@ -107,37 +106,18 @@ pub fn render_fig6(rows: &[Fig6Row]) -> String {
 pub fn render_fig7(rows: &[Fig7Row], dram: &str) -> String {
     let states = ["Full", "PC16-MB8", "PC4-MB32", "PC4-MB8"];
     let mut out = String::new();
-    let _ = writeln!(out, "EDP normalised to Full connection, DRAM {dram}");
-    let _ = write!(out, "{:<18}", "benchmark");
-    for s in states {
-        let _ = write!(out, "{s:>10}");
-    }
+    let edp = rows
+        .iter()
+        .map(|r| (r.bench.as_str(), r.edp.map(|e| e / r.edp[0])));
+    let title = format!("EDP normalised to Full connection, DRAM {dram}");
+    grid(&mut out, &title, states, 3, edp);
     let _ = writeln!(out);
-    for r in rows {
-        let _ = write!(out, "{:<18}", r.bench);
-        for i in 0..4 {
-            let _ = write!(out, "{:>10.3}", r.edp[i] / r.edp[0]);
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "Execution time normalised to Full connection");
-    let _ = write!(out, "{:<18}", "benchmark");
-    for s in states {
-        let _ = write!(out, "{s:>10}");
-    }
-    let _ = writeln!(out);
-    for r in rows {
-        let _ = write!(out, "{:<18}", r.bench);
-        for i in 0..4 {
-            let _ = write!(
-                out,
-                "{:>10.3}",
-                r.exec_cycles[i] as f64 / r.exec_cycles[0] as f64
-            );
-        }
-        let _ = writeln!(out);
-    }
+    let time = rows.iter().map(|r| {
+        let full = r.exec_cycles[0] as f64;
+        (r.bench.as_str(), r.exec_cycles.map(|c| c as f64 / full))
+    });
+    let title = "Execution time normalised to Full connection";
+    grid(&mut out, title, states, 3, time);
     out
 }
 

@@ -243,17 +243,8 @@ impl<W: Write> JsonLinesSink<W> {
 }
 
 impl JsonLinesSink<AtomicFile> {
-    /// A sink writing to `path` through an [`AtomicFile`]: the file
-    /// appears under its final name only after [`Self::persist`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when the sibling temp file cannot be created.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonLinesSink::new(AtomicFile::create(path)?))
-    }
-
-    /// Completes the file: flush + sync + atomic rename into place.
+    /// Completes the file: flush + sync + atomic rename into place (an
+    /// [`AtomicFile`] appears under its final name only now).
     ///
     /// # Errors
     ///
@@ -319,17 +310,8 @@ impl<W: Write> CsvSink<W> {
 }
 
 impl CsvSink<AtomicFile> {
-    /// A sink writing to `path` through an [`AtomicFile`]: the file
-    /// appears under its final name only after [`Self::persist`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when the sibling temp file cannot be created.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(CsvSink::new(AtomicFile::create(path)?))
-    }
-
-    /// Completes the file: flush + sync + atomic rename into place.
+    /// Completes the file: flush + sync + atomic rename into place (an
+    /// [`AtomicFile`] appears under its final name only now).
     ///
     /// # Errors
     ///
@@ -723,9 +705,9 @@ mod tests {
             seed: 1,
         };
         let json_path = scratch("sink_persist.jsonl");
-        let mut json = JsonLinesSink::create(&json_path).unwrap();
+        let mut json = JsonLinesSink::new(AtomicFile::create(&json_path).unwrap());
         let csv_path = scratch("sink_persist.csv");
-        let mut csv = CsvSink::create(&csv_path).unwrap();
+        let mut csv = CsvSink::new(AtomicFile::create(&csv_path).unwrap());
         json.begin(&meta).unwrap();
         csv.begin(&meta).unwrap();
         for r in &records {

@@ -22,7 +22,6 @@ use crate::client::{self, RetryPolicy};
 use crate::fault::{FaultPlan, Faults};
 use crate::protocol::PlanRequest;
 use crate::server::{self, ServerConfig};
-use mot3d_bench::axes;
 use mot3d_bench::experiments::{self, ExperimentScale};
 use mot3d_bench::perf::Recorder;
 use mot3d_bench::perfcheck;
@@ -33,7 +32,7 @@ use mot3d_bench::sink::{AtomicFile, CsvSink, JsonLinesSink, PerfSink, RecordSink
 use mot3d_mem::dram::DramKind;
 use mot3d_sim::SimConfig;
 use mot3d_workloads::SplashBenchmark;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Duration;
@@ -421,20 +420,31 @@ fn parse(args: &[String]) -> Result<(Cmd, Options), UsageError> {
         || g.page.is_some()
         || g.repeat.is_some_and(|r| r != 1);
     if axes && !matches!(cmd, Cmd::Sweep | Cmd::Trace | Cmd::Submit) {
-        return Err(bad("axis options (--bench/--interconnect/--power-state/--dram/--page/--repeat) only apply to `mot3d sweep` and `mot3d trace`"));
+        return Err(bad("axis options (--bench/--interconnect/--power-state/--dram/--page/--repeat) only apply to `mot3d sweep`, `mot3d trace` and `mot3d submit`"));
     }
     if opts.trace.is_some() && !matches!(cmd, Cmd::Sweep | Cmd::Trace) {
         return Err(bad(
             "--trace only applies to `mot3d sweep` and `mot3d trace`",
         ));
     }
-    if matches!(cmd, Cmd::Table1 | Cmd::Fig5)
-        && (opts.json.is_some() || opts.csv.is_some() || opts.bench_json.is_some())
-    {
+    let mut outputs: Vec<&Path> = [&opts.json, &opts.csv, &opts.bench_json]
+        .into_iter()
+        .flatten()
+        .map(|p| Path::new(p).strip_prefix(".").unwrap_or(Path::new(p)))
+        .collect();
+    if !outputs.is_empty() && matches!(cmd, Cmd::Table1 | Cmd::Fig5) {
         return Err(bad(
             "--json/--csv/--bench-json record simulated runs; table1 and fig5 \
              are derived analytically and run none",
         ));
+    }
+    // Two outputs on one path would share one temp file and one rename.
+    outputs.sort();
+    if let Some(twice) = outputs.windows(2).find(|w| w[0] == w[1]) {
+        return Err(bad(format!(
+            "{} is named by two of --json/--csv/--bench-json; give each its own file",
+            twice[0].display()
+        )));
     }
     Ok((cmd, opts))
 }
@@ -550,9 +560,15 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
+/// `e`, naming the output file it happened to.
+fn at(path: &str, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{path}: {e}"))
+}
+
 /// Everything a subcommand needs to run plans uniformly: the resolved
-/// scale, the optional thread pin, the perf recorder, and the file
-/// sinks shared by every plan of the invocation.
+/// scale, the optional thread pin, the perf recorder, and the output
+/// files shared by every plan of the invocation, each opened before
+/// anything runs.
 struct Ctx {
     scale: ExperimentScale,
     /// The ablation grid's seed: the legacy `ablation` binary ran its
@@ -564,9 +580,7 @@ struct Ctx {
     recorder: Recorder,
     json_sink: Option<JsonLinesSink<AtomicFile>>,
     csv_sink: Option<CsvSink<AtomicFile>>,
-    json: Option<String>,
-    csv: Option<String>,
-    bench_json: Option<String>,
+    bench_file: Option<AtomicFile>,
 }
 
 /// The largest grid a subcommand executes, so banners and perf records
@@ -606,13 +620,10 @@ impl Ctx {
     fn new(cmd: Cmd, opts: &Options) -> io::Result<Self> {
         let scale = opts.grid.resolved_scale().map_err(invalid)?;
         let banner_threads = resolve_threads(opts.threads, max_jobs(cmd));
-        let json_sink = match &opts.json {
-            Some(path) => Some(JsonLinesSink::create(path)?),
-            None => None,
-        };
-        let csv_sink = match &opts.csv {
-            Some(path) => Some(CsvSink::create(path)?),
-            None => None,
+        let open = |path: &Option<String>| {
+            path.as_deref()
+                .map(|p| AtomicFile::create(p).map_err(|e| at(p, e)))
+                .transpose()
         };
         Ok(Ctx {
             scale,
@@ -620,11 +631,9 @@ impl Ctx {
             threads: opts.threads,
             banner_threads,
             recorder: Recorder::new(scale.scale, banner_threads),
-            json_sink,
-            csv_sink,
-            json: opts.json.clone(),
-            csv: opts.csv.clone(),
-            bench_json: opts.bench_json.clone(),
+            json_sink: open(&opts.json)?.map(JsonLinesSink::new),
+            csv_sink: open(&opts.csv)?.map(CsvSink::new),
+            bench_file: open(&opts.bench_json)?,
         })
     }
 
@@ -635,16 +644,16 @@ impl Ctx {
         self.recorder.set_threads(self.banner_threads);
     }
 
-    /// Hands `run` the invocation's sinks (+ a perf record under
-    /// `perf_name`, + an optional subcommand-specific sink): the one
-    /// place the sink list is assembled.
+    /// Hands `run` the invocation's sinks (+ a perf record named after
+    /// `plan`, + an optional subcommand-specific sink): the one place the
+    /// sink list is assembled.
     fn with_sinks<T>(
         &mut self,
-        perf_name: Option<&str>,
+        plan: &ExperimentPlan,
         extra: Option<&mut dyn RecordSink>,
         run: impl FnOnce(&mut [&mut dyn RecordSink]) -> io::Result<T>,
     ) -> io::Result<T> {
-        let mut perf = perf_name.map(|name| PerfSink::new(&mut self.recorder, name));
+        let mut perf = PerfSink::new(&mut self.recorder, plan.name());
         let mut sinks: Vec<&mut dyn RecordSink> = Vec::new();
         if let Some(json) = self.json_sink.as_mut() {
             sinks.push(json);
@@ -652,9 +661,7 @@ impl Ctx {
         if let Some(csv) = self.csv_sink.as_mut() {
             sinks.push(csv);
         }
-        if let Some(perf) = perf.as_mut() {
-            sinks.push(perf);
-        }
+        sinks.push(&mut perf);
         if let Some(extra) = extra {
             sinks.push(extra);
         }
@@ -666,7 +673,6 @@ impl Ctx {
     fn run_plan(
         &mut self,
         plan: ExperimentPlan,
-        perf_name: Option<&str>,
         stream: bool,
         extra: Option<&mut dyn RecordSink>,
     ) -> io::Result<Vec<RunRecord>> {
@@ -674,9 +680,7 @@ impl Ctx {
             Some(t) => plan.threads(t),
             None => plan,
         };
-        self.with_sinks(perf_name, extra, |sinks| {
-            plan.run_with(sinks, progress(stream))
-        })
+        self.with_sinks(&plan, extra, |sinks| plan.run_with(sinks, progress(stream)))
     }
 
     /// [`Ctx::run_plan`] with the timeline tracer attached: one
@@ -685,37 +689,36 @@ impl Ctx {
     fn run_plan_traced(
         &mut self,
         plan: ExperimentPlan,
-        perf_name: Option<&str>,
         stream: bool,
         extra: Option<&mut dyn RecordSink>,
         trace_dir: &str,
     ) -> io::Result<Vec<(RunRecord, PathBuf)>> {
-        self.with_sinks(perf_name, extra, |sinks| {
+        self.with_sinks(&plan, extra, |sinks| {
             plan.run_traced_with(Path::new(trace_dir), sinks, progress(stream))
         })
     }
 
-    /// Persists the record files (atomic rename into their final
-    /// names), writes the perf-trajectory document (`--bench-json`), and
-    /// notes the paths. The sinks span every plan of the invocation
-    /// (`mot3d all` runs several), so this runs once at the very end.
-    fn finish(&mut self) -> io::Result<()> {
-        if let Some(sink) = self.json_sink.take() {
-            sink.persist()?;
+    /// Persists the record files and the perf-trajectory document
+    /// (`--bench-json`) under the paths `opts` names (atomic rename into
+    /// their final names), and notes the paths. The files span every
+    /// plan of the invocation (`mot3d all` runs several), so this runs
+    /// once at the very end.
+    fn finish(&mut self, opts: &Options) -> io::Result<()> {
+        if let (Some(sink), Some(path)) = (self.json_sink.take(), &opts.json) {
+            sink.persist().map_err(|e| at(path, e))?;
         }
-        if let Some(sink) = self.csv_sink.take() {
-            sink.persist()?;
+        if let (Some(sink), Some(path)) = (self.csv_sink.take(), &opts.csv) {
+            sink.persist().map_err(|e| at(path, e))?;
         }
-        if let Some(path) = &self.bench_json {
+        if let (Some(mut file), Some(path)) = (self.bench_file.take(), &opts.bench_json) {
             if !self.recorder.sweeps().is_empty() {
-                std::fs::write(path, self.recorder.to_json())?;
+                file.write_all(self.recorder.to_json().as_bytes())
+                    .and_then(|()| file.persist())
+                    .map_err(|e| at(path, e))?;
                 eprintln!("bench results written to {path}");
             }
         }
-        if let Some(path) = &self.json {
-            eprintln!("run records written to {path}");
-        }
-        if let Some(path) = &self.csv {
+        for path in [&opts.json, &opts.csv].into_iter().flatten() {
             eprintln!("run records written to {path}");
         }
         Ok(())
@@ -753,7 +756,7 @@ fn run_local(cmd: Cmd, opts: &Options) -> io::Result<()> {
         Cmd::Trace => trace_point(&mut ctx, opts)?,
         _ => all(&mut ctx)?,
     }
-    ctx.finish()
+    ctx.finish(opts)
 }
 
 /// `mot3d all`: every experiment as one report
@@ -783,7 +786,7 @@ fn all(ctx: &mut Ctx) -> io::Result<()> {
 
 /// Fig. 6: the four interconnects. `stream` prints per-run progress.
 fn fig6(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
-    let records = ctx.run_plan(ExperimentPlan::fig6(ctx.scale), Some("fig6"), stream, None)?;
+    let records = ctx.run_plan(ExperimentPlan::fig6(ctx.scale), stream, None)?;
     print!("{}", report::render_fig6(&experiments::fig6_rows(&records)));
     Ok(())
 }
@@ -791,7 +794,7 @@ fn fig6(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
 /// Fig. 7: the power states at 200 ns DRAM, then the paper's claims.
 fn fig7(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
     let plan = ExperimentPlan::fig7(ctx.scale);
-    let rows = experiments::fig7_rows(&ctx.run_plan(plan, Some("fig7@200ns"), stream, None)?);
+    let rows = experiments::fig7_rows(&ctx.run_plan(plan, stream, None)?);
     print!("{}", report::render_fig7(&rows, "200 ns"));
     println!();
     print!("{}", report::render_fig7_claims(&rows));
@@ -804,8 +807,7 @@ fn fig8(ctx: &mut Ctx, stream: bool) -> io::Result<Vec<experiments::Fig7Row>> {
     let mut rows63 = Vec::new();
     for dram in [DramKind::WideIo, DramKind::Weis3d] {
         let plan = ExperimentPlan::fig8_at(ctx.scale, dram);
-        let perf_name = format!("fig8@{}", axes::dram_token(dram));
-        let rows = experiments::fig7_rows(&ctx.run_plan(plan, Some(&perf_name), stream, None)?);
+        let rows = experiments::fig7_rows(&ctx.run_plan(plan, stream, None)?);
         print!("{}", report::render_fig7(&rows, dram_label(dram)));
         println!();
         if dram == DramKind::WideIo {
@@ -818,7 +820,7 @@ fn fig8(ctx: &mut Ctx, stream: bool) -> io::Result<Vec<experiments::Fig7Row>> {
 /// Flat vs open-page DRAM timing at 200 ns (Full connection).
 fn open_page(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
     let plan = ExperimentPlan::open_page_at(ctx.scale, DramKind::OffChipDdr3);
-    let records = ctx.run_plan(plan, Some("open_page@200ns"), stream, None)?;
+    let records = ctx.run_plan(plan, stream, None)?;
     print!(
         "{}",
         report::render_open_page(&experiments::open_page_rows(&records), "200 ns")
@@ -841,8 +843,7 @@ fn ablation(ctx: &mut Ctx) -> io::Result<()> {
             ..ctx.scale
         };
         let grid = ExperimentPlan::ablation_grid(grid_scale, bench);
-        let perf_name = format!("ablation@{bench}");
-        let records = ctx.run_plan(grid, Some(&perf_name), false, None)?;
+        let records = ctx.run_plan(grid, false, None)?;
         let full = &records[0].metrics;
         for rec in &records {
             let state = rec.point.config.power_state;
@@ -871,7 +872,7 @@ fn sweep(ctx: &mut Ctx, opts: &Options) -> io::Result<()> {
             "running sweep: {} runs at scale {} serially with tracing ...",
             jobs, ctx.scale.scale,
         );
-        ctx.run_plan_traced(plan, Some("sweep"), true, Some(&mut table), dir)?;
+        ctx.run_plan_traced(plan, true, Some(&mut table), dir)?;
         eprintln!("trace files written to {dir}");
     } else {
         ctx.clamp_threads(jobs);
@@ -879,7 +880,7 @@ fn sweep(ctx: &mut Ctx, opts: &Options) -> io::Result<()> {
             "running sweep: {} runs at scale {} on {} threads ...",
             jobs, ctx.scale.scale, ctx.banner_threads,
         );
-        ctx.run_plan(plan, Some("sweep"), true, Some(&mut table))?;
+        ctx.run_plan(plan, true, Some(&mut table))?;
     }
     Ok(())
 }
@@ -898,7 +899,7 @@ fn trace_point(ctx: &mut Ctx, opts: &Options) -> io::Result<()> {
     }
     let dir = opts.trace.as_deref().unwrap_or(".");
     ctx.clamp_threads(1);
-    let records = ctx.run_plan_traced(plan, Some("trace"), false, None, dir)?;
+    let records = ctx.run_plan_traced(plan, false, None, dir)?;
     let (record, path) = &records[0];
     eprintln!(
         "{}: {} cycles, {:.3} IPC",
@@ -914,6 +915,7 @@ fn trace_point(ctx: &mut Ctx, opts: &Options) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mot3d_bench::axes;
     use mot3d_mot::PowerState;
 
     fn argv(s: &str) -> Vec<String> {
@@ -1006,6 +1008,31 @@ mod tests {
         }
         // …but simulating commands take them.
         assert!(parse(&argv("open-page --json out.jsonl")).is_ok());
+    }
+
+    #[test]
+    fn rejects_two_outputs_on_one_path() {
+        for args in [
+            "sweep --bench fft --scale tiny --json f --csv f",
+            "fig6 --json f --bench-json f",
+            "all --csv out/f --bench-json out//f",
+            "fig7 --json ./f --bench-json f",
+        ] {
+            assert!(is_bad(args), "{args}");
+        }
+        assert!(parse(&argv("fig6 --json a --csv b --bench-json c")).is_ok());
+    }
+
+    #[test]
+    fn output_files_open_before_anything_runs() {
+        for flag in ["--json", "--csv", "--bench-json"] {
+            let path = "no-such-dir-for-mot3d-tests/out";
+            let (cmd, opts) = parsed(&format!("fig6 --scale tiny {flag} {path}"));
+            let err = Ctx::new(cmd, &opts)
+                .err()
+                .expect("the directory is missing");
+            assert!(err.to_string().starts_with(path), "{flag}: {err}");
+        }
     }
 
     #[test]

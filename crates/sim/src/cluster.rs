@@ -65,7 +65,7 @@ use crate::metrics::{LatencyStats, Metrics};
 use crate::observe::{CoreActivity, InterconnectProbe, MotProbe, NocProbe, NullObserver, Observer};
 use mot3d_mem::addr::{AddressMap, LineAddr};
 use mot3d_mem::bus::{MissBus, Transfer};
-use mot3d_mem::cache::{CacheConfig, SetAssocCache, SlotHandle};
+use mot3d_mem::cache::{CacheConfig, EvictedLine, SetAssocCache, SlotHandle};
 use mot3d_mem::coherence::Directory;
 use mot3d_mem::dram::{Dram, DramKind, DramTiming};
 use mot3d_mem::golden::GoldenMemory;
@@ -661,13 +661,9 @@ impl Cluster {
             && self.bus.is_idle()
     }
 
-    /// Starts a memory transaction for a core and blocks it.
-    fn start_tx(&mut self, core_idx: usize, line: LineAddr, kind: TxKind) {
-        let value = if matches!(kind, TxKind::Store | TxKind::Upgrade) {
-            self.run.fresh_token(core_idx)
-        } else {
-            0
-        };
+    /// Opens a transaction and injects its request: a `WriteLine` for an
+    /// L1 writeback, a `ReadLine` for everything else.
+    fn send(&mut self, core_idx: usize, line: LineAddr, kind: TxKind, value: u64) {
         let tag = self.txs.insert(Tx {
             core_idx,
             line,
@@ -676,16 +672,39 @@ impl Cluster {
             value,
         });
         debug_assert_ne!(tag, WB_TAG);
-        let physical = self.run.cores[core_idx].physical;
         self.net.inject_request(
             self.run.now,
             MemRequest {
-                core: physical,
+                core: self.run.cores[core_idx].physical,
                 home_bank: self.map.home_bank(line),
-                kind: ReqKind::ReadLine,
+                kind: if kind == TxKind::L1Writeback {
+                    ReqKind::WriteLine
+                } else {
+                    ReqKind::ReadLine
+                },
                 tag,
             },
         );
+    }
+
+    /// An L1 hit: counted, and the core busy for its one cycle.
+    #[inline]
+    fn l1_hit(&mut self, core_idx: usize) {
+        self.run.count.l1_hits += 1;
+        let until = self.run.now + 1;
+        self.run
+            .set_status(core_idx, CoreStatus::Computing { until });
+    }
+
+    /// An L1 miss: counted, and a memory transaction that blocks the core.
+    fn start_tx(&mut self, core_idx: usize, line: LineAddr, kind: TxKind) {
+        self.run.count.l1_misses += 1;
+        let value = if kind == TxKind::Load {
+            0
+        } else {
+            self.run.fresh_token(core_idx)
+        };
+        self.send(core_idx, line, kind, value);
         self.run.set_status(core_idx, CoreStatus::WaitingMem);
     }
 
@@ -693,29 +712,12 @@ impl Cluster {
     /// WriteLine message still travels for timing/energy.
     fn l1_writeback(&mut self, core_idx: usize, line: LineAddr) {
         let bank = self.cfg.serving_bank(self.map.home_bank(line));
-        let physical = self.run.cores[core_idx].physical;
         // Functional: L2 is kept current by the atomic-at-home-node rule,
         // so the data matches; just release the directory slot.
         if let Some(dir) = self.banks[bank].cache.payload_mut(line) {
-            dir.drop_core(physical);
+            dir.drop_core(self.run.cores[core_idx].physical);
         }
-        let tag = self.txs.insert(Tx {
-            core_idx,
-            line,
-            kind: TxKind::L1Writeback,
-            issued_at: self.run.now,
-            value: 0,
-        });
-        debug_assert_ne!(tag, WB_TAG);
-        self.net.inject_request(
-            self.run.now,
-            MemRequest {
-                core: physical,
-                home_bank: self.map.home_bank(line),
-                kind: ReqKind::WriteLine,
-                tag,
-            },
-        );
+        self.send(core_idx, line, TxKind::L1Writeback, 0);
     }
 
     /// Fills a line into a core's L1, handling the displaced victim.
@@ -762,22 +764,10 @@ impl Cluster {
             return;
         }
 
-        let physical = self.run.cores[tx.core_idx].physical;
-        let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
-
         if let Some(slot) = self.banks[bank_idx].cache.find(tx.line) {
             // --- L2 hit ---------------------------------------------
             self.run.count.l2_hits += 1;
-            let extra = self.access_resident_line(bank_idx, tag, slot);
-            self.events.schedule(
-                done + extra,
-                Action::Respond {
-                    tag,
-                    core: physical,
-                    bank: bank_idx,
-                    write: is_store,
-                },
-            );
+            self.access_resident_line(bank_idx, tag, slot, done);
         } else {
             // --- L2 miss: tag check, then the Miss bus + DRAM ---------
             self.run.count.l2_misses += 1;
@@ -794,12 +784,12 @@ impl Cluster {
     /// Performs the coherence actions and data movement for a transaction
     /// whose line is resident in `bank_idx` at `slot` (resolved once by
     /// the caller — every directory/data access below goes through the
-    /// handle instead of re-probing the tags). Returns the extra
-    /// response latency charged for recalls/invalidations. Shared by the
-    /// L2-hit path and the post-refill path (a concurrent miss to the
-    /// same line may find it already filled and owned — the
-    /// blocking-cache equivalent of an MSHR merge).
-    fn access_resident_line(&mut self, bank_idx: usize, tag: u64, slot: SlotHandle) -> u64 {
+    /// handle instead of re-probing the tags), and schedules the response
+    /// at `ready_at` plus the extra latency recalls and invalidations
+    /// charge. Shared by the L2-hit path and the post-refill path (a
+    /// concurrent miss to the same line may find it already filled and
+    /// owned — the blocking-cache equivalent of an MSHR merge).
+    fn access_resident_line(&mut self, bank_idx: usize, tag: u64, slot: SlotHandle, ready_at: u64) {
         #[expect(
             clippy::expect_used,
             reason = "callers hold a live tag (removed only at delivery)"
@@ -880,58 +870,8 @@ impl Cluster {
             live.value = value;
             self.banks[bank_idx].reads += 1;
         }
-        extra
-    }
-
-    /// DRAM refill arrives at the bank: fill, handle the victim, respond.
-    fn refill_bank(&mut self, bank_idx: usize, tag: u64) {
-        #[expect(
-            clippy::expect_used,
-            reason = "a scheduled refill's tx is removed only at delivery, later"
-        )]
-        let tx = *self.txs.get(tag).expect("refill has a transaction");
-        let physical = self.run.cores[tx.core_idx].physical;
-        let is_store = matches!(tx.kind, TxKind::Store | TxKind::Upgrade);
-
-        let slot = match self.banks[bank_idx].cache.find(tx.line) {
-            // A concurrent miss filled the line meanwhile.
-            Some(slot) => slot,
-            None => {
-                let dram_value = self.dram.read_line(tx.line);
-                let (slot, evicted) = self.banks[bank_idx]
-                    .cache
-                    .fill_slot(tx.line, dram_value, false);
-                if let Some(ev) = evicted {
-                    // Maintain inclusion: kick the victim out of any L1
-                    // holding it (`ev` is owned, so the sharer iterator can
-                    // drive the invalidations directly — no temporary).
-                    for h in ev.payload.sharers() {
-                        self.invalidate_l1(h, ev.addr);
-                        self.run.count.invalidations += 1;
-                    }
-                    if let Some(owner) = ev.payload.owner() {
-                        self.invalidate_l1(owner, ev.addr);
-                        self.run.count.invalidations += 1;
-                    }
-                    if ev.dirty {
-                        self.dram.write_line(ev.addr, ev.data);
-                        self.run.count.dram_accesses += 1;
-                        // Victim writeback occupies the Miss bus (timing only).
-                        self.bus.enqueue(Transfer {
-                            requester: bank_idx,
-                            tag: WB_TAG,
-                        });
-                    }
-                }
-                slot
-            }
-        };
-        // Either way the line is resident now at `slot` and the normal
-        // access path applies.
-        let extra = self.access_resident_line(bank_idx, tag, slot);
-
         self.events.schedule(
-            self.run.now + self.l2_access_cycles + extra,
+            ready_at + extra,
             Action::Respond {
                 tag,
                 core: physical,
@@ -939,6 +879,60 @@ impl Cluster {
                 write: is_store,
             },
         );
+    }
+
+    /// A line leaves bank `bank_idx` (a refill victim, or a gating
+    /// flush): every L1 copy is invalidated to keep inclusion, and a
+    /// dirty line is written to DRAM, its write-back occupying the Miss
+    /// bus (timing only).
+    fn evict_l2_line(&mut self, bank_idx: usize, ev: EvictedLine<Directory>) {
+        // `ev` is owned, so the sharer iterator can drive the
+        // invalidations directly — no temporary.
+        for h in ev.payload.sharers().chain(ev.payload.owner()) {
+            self.invalidate_l1(h, ev.addr);
+            self.run.count.invalidations += 1;
+        }
+        if ev.dirty {
+            self.dram.write_line(ev.addr, ev.data);
+            self.run.count.dram_accesses += 1;
+            self.bus.enqueue(Transfer {
+                requester: bank_idx,
+                tag: WB_TAG,
+            });
+        }
+    }
+
+    /// DRAM refill arrives at the bank: fill, evict the victim, respond.
+    fn refill_bank(&mut self, bank_idx: usize, tag: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a scheduled refill's tx is removed only at delivery, later"
+        )]
+        let line = self.txs.get(tag).expect("refill has a transaction").line;
+        let slot = match self.banks[bank_idx].cache.find(line) {
+            // A concurrent miss filled the line meanwhile.
+            Some(slot) => slot,
+            None => {
+                let dram_value = self.dram.read_line(line);
+                let (slot, evicted) = self.banks[bank_idx]
+                    .cache
+                    .fill_slot(line, dram_value, false);
+                if let Some(ev) = evicted {
+                    self.evict_l2_line(bank_idx, ev);
+                }
+                slot
+            }
+        };
+        // Either way the line is resident now at `slot` and the normal
+        // access path applies.
+        self.access_resident_line(bank_idx, tag, slot, self.run.now + self.l2_access_cycles);
+    }
+
+    /// A Miss-bus read reaches DRAM at `now`: counted; returns the cycle
+    /// the line is back.
+    fn dram_read(&mut self, now: u64, line: LineAddr) -> u64 {
+        self.run.count.dram_accesses += 1;
+        self.dram.access(now, line, false)
     }
 
     /// Whether the directory still registers this core for the line (a
@@ -979,13 +973,8 @@ impl Cluster {
                 // The store was performed at the bank; only cache the
                 // line in M state if we still own it.
                 if self.still_registered(physical, tx.line, true) {
-                    if let Some(slot) = self.l1s[tx.core_idx].find(tx.line) {
-                        self.l1s[tx.core_idx].write_at(slot, tx.value);
-                        self.l1s[tx.core_idx].payload_at_mut(slot).exclusive = true;
-                    } else {
-                        // `l1_fill(…, exclusive = true)` marks M state.
-                        self.l1_fill(tx.core_idx, tx.line, tx.value, true);
-                    }
+                    // M state; a resident copy is overwritten in place.
+                    self.l1_fill(tx.core_idx, tx.line, tx.value, true);
                 } else {
                     // Ownership was revoked in flight (e.g. a reader
                     // downgraded us). An upgrade's surviving L1 copy is
@@ -1033,7 +1022,6 @@ impl Cluster {
                 self.run.cores[idx].retired += 1;
                 self.run.count.l1_reads += 1;
                 if let Some(value) = self.l1s[idx].read(line) {
-                    self.run.count.l1_hits += 1;
                     if self.config.check_golden {
                         assert_eq!(
                             value,
@@ -1042,14 +1030,8 @@ impl Cluster {
                             self.run.now
                         );
                     }
-                    self.run.set_status(
-                        idx,
-                        CoreStatus::Computing {
-                            until: self.run.now + 1,
-                        },
-                    );
+                    self.l1_hit(idx);
                 } else {
-                    self.run.count.l1_misses += 1;
                     self.start_tx(idx, line, TxKind::Load);
                 }
             }
@@ -1063,7 +1045,6 @@ impl Cluster {
                         // M-state store: 1 cycle; keep L2 architecturally
                         // current (atomic-at-home-node bookkeeping, no
                         // traffic).
-                        self.run.count.l1_hits += 1;
                         let token = self.run.fresh_token(idx);
                         self.l1s[idx].write_at(slot, token);
                         let bank = self.cfg.serving_bank(self.map.home_bank(line));
@@ -1075,21 +1056,10 @@ impl Cluster {
                         if self.config.check_golden {
                             self.golden.write(line, token);
                         }
-                        self.run.set_status(
-                            idx,
-                            CoreStatus::Computing {
-                                until: self.run.now + 1,
-                            },
-                        );
+                        self.l1_hit(idx);
                     }
-                    Some(_) => {
-                        self.run.count.l1_misses += 1;
-                        self.start_tx(idx, line, TxKind::Upgrade);
-                    }
-                    None => {
-                        self.run.count.l1_misses += 1;
-                        self.start_tx(idx, line, TxKind::Store);
-                    }
+                    Some(_) => self.start_tx(idx, line, TxKind::Upgrade),
+                    None => self.start_tx(idx, line, TxKind::Store),
                 }
             }
             StreamOp::Op(Op::Barrier(id)) => {
@@ -1158,35 +1128,24 @@ impl Cluster {
 
         // Miss-bus grant completion (one per cycle).
         if let Some(t) = self.bus.tick(now) {
-            if t.requester < TOTAL_BANKS {
-                if t.tag == WB_TAG {
-                    // Victim writeback reached DRAM; already applied.
-                } else {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "a queued transfer's tx is removed only at delivery, later"
-                    )]
-                    let tx = self.txs.get(t.tag).expect("bus transfer has tx");
-                    let done = self.dram.access(now, tx.line, false);
-                    self.run.count.dram_accesses += 1;
-                    self.events.schedule(
-                        done,
-                        Action::Refill {
-                            bank: t.requester,
-                            tag: t.tag,
-                        },
-                    );
-                }
-            } else {
+            if t.requester >= TOTAL_BANKS {
                 // Instruction refill: straight to DRAM and back (§II).
-                let physical = t.requester - TOTAL_BANKS;
-                let line = self.map.line_of(t.tag);
-                let done = self.dram.access(now, line, false);
-                self.run.count.dram_accesses += 1;
-                let core_idx = self.cfg.physical_to_idx[physical];
+                let done = self.dram_read(now, self.map.line_of(t.tag));
+                let core_idx = self.cfg.physical_to_idx[t.requester - TOTAL_BANKS];
                 if core_idx != usize::MAX {
                     self.events.schedule(done, Action::IFetchDone { core_idx });
                 }
+            } else if t.tag != WB_TAG {
+                // (A victim writeback's `WB_TAG` transfer is timing only:
+                // DRAM took its line when it was enqueued.)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a queued transfer's tx is removed only at delivery, later"
+                )]
+                let line = self.txs.get(t.tag).expect("bus transfer has tx").line;
+                let done = self.dram_read(now, line);
+                let (bank, tag) = (t.requester, t.tag);
+                self.events.schedule(done, Action::Refill { bank, tag });
             }
         }
 
@@ -1580,22 +1539,7 @@ impl Cluster {
                     .cache
                     .invalidate(line)
                     .expect("line is resident");
-                for h in ev.payload.sharers() {
-                    self.invalidate_l1(h, line);
-                    self.run.count.invalidations += 1;
-                }
-                if let Some(owner) = ev.payload.owner() {
-                    self.invalidate_l1(owner, line);
-                    self.run.count.invalidations += 1;
-                }
-                if ev.dirty {
-                    self.dram.write_line(ev.addr, ev.data);
-                    self.run.count.dram_accesses += 1;
-                    self.bus.enqueue(Transfer {
-                        requester: bank_idx,
-                        tag: WB_TAG,
-                    });
-                }
+                self.evict_l2_line(bank_idx, ev);
             }
         }
         // Let the flush traffic drain over the bus (paper: write back
@@ -1729,6 +1673,39 @@ mod tests {
     use super::*;
     use mot3d_noc::NocTopologyKind;
     use mot3d_workloads::{streams, SplashBenchmark};
+
+    /// Both ways a line leaves an L2 bank, counted: refill victims (clean
+    /// lines an L1 shares and dirty ones, before and after the switch)
+    /// and the flush of the folded lines when PC16-MB8 un-gates to Full.
+    /// The canary's runs are too short to evict, and run records carry
+    /// no invalidation count, so this pins `evict_l2_line` alone.
+    #[test]
+    fn l2_evictions_and_the_gating_flush_keep_their_counts() {
+        let mut spec = SplashBenchmark::Fft.spec().scaled(0.3);
+        spec.working_set_bytes = 4 << 20; // 8 × the eight banks' capacity
+        let config = SimConfig {
+            check_golden: true,
+            ..SimConfig::date16().with_power_state(PowerState::pc16_mb8())
+        };
+        let mut cluster = Cluster::new(config, streams(&spec, 16, 7)).unwrap();
+        cluster.run_until(200_000);
+        let before = cluster.metrics("before");
+        cluster.switch_power_state(PowerState::full()).unwrap();
+        let flushed = cluster.metrics("flushed");
+        cluster.run_to_completion().unwrap();
+        cluster.verify_against_golden();
+        let after = cluster.metrics("after");
+        let counts = |m: &Metrics| (m.invalidations, m.recalls, m.dram_accesses, m.l2_misses);
+        assert_eq!(
+            [counts(&before), counts(&flushed), counts(&after)],
+            [
+                (34, 20, 5_084, 5_062),
+                (2_363, 20, 7_698, 5_062),
+                (2_835, 112, 36_282, 33_520)
+            ]
+        );
+        assert_eq!(after.cycles, 3_628_745);
+    }
 
     #[test]
     fn a_run_starts_with_every_core_ready_at_cycle_zero() {
