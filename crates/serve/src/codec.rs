@@ -83,7 +83,7 @@ const KEY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl CacheKey {
     /// The key's canonical 32-hex-digit spelling (stable across
-    /// processes and platforms; used in segment and index lines).
+    /// processes and platforms; used in the store's result lines).
     pub fn to_hex(self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }

@@ -296,13 +296,6 @@ impl CachedExecutor {
         lock_recover(&self.store).stats()
     }
 
-    /// Flushes the store's buffered writers (graceful-shutdown drain).
-    pub fn flush_store(&self) {
-        if let Err(e) = lock_recover(&self.store).flush() {
-            eprintln!("mot3d serve: store flush failed: {e}");
-        }
-    }
-
     /// Claims one point by index lookup only: the store probe runs
     /// under the in-flight lock, so a point can never be double-owned
     /// and a just-finished flight is always found in the store. A miss
@@ -561,18 +554,18 @@ mod tests {
         )
     }
 
-    /// Overwrites the first byte of `point`'s stored line, so its index
-    /// entry stays but every read of it fails to parse.
+    /// Overwrites the first byte of `point`'s stored line, so the open
+    /// store's entry stays but every read of it fails to parse.
     fn corrupt(dir: &Path, point: &RunPoint) {
-        let seg = dir.join("seg-00000.jsonl");
-        let data = std::fs::read_to_string(&seg).unwrap();
+        let path = dir.join("results.jsonl");
+        let data = std::fs::read_to_string(&path).unwrap();
         let needle = format!(
             "\"key\": \"{}\"",
             cache_key(&Fingerprint::current(), point).to_hex()
         );
         let at = data.find(&needle).expect("point is stored");
         let start = data[..at].rfind('\n').map_or(0, |nl| nl + 1);
-        let mut file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.seek(SeekFrom::Start(start as u64)).unwrap();
         file.write_all(b"x").unwrap();
     }

@@ -30,7 +30,7 @@ pub enum FaultSite {
     /// `run_spec` is replaced by an injected simulator error.
     PointRun,
     /// A [`crate::store::ResultStore::put`]: the write fails with an
-    /// I/O error before touching the segment file.
+    /// I/O error before touching the results file.
     StoreWrite,
     /// A record line streamed to a client: the connection is dropped
     /// mid-stream instead of writing the line.

@@ -19,8 +19,8 @@
 //! logged without taking the accept loop down, and two events start a
 //! **graceful drain** — the accept limit, and a client sending the
 //! [`protocol::SHUTDOWN_LINE`] control request: the listener stops
-//! accepting, every in-flight submission runs to completion, the store
-//! flushes, and [`serve`] returns so the process exits 0.
+//! accepting, every in-flight submission runs to completion, and
+//! [`serve`] returns so the process exits 0.
 //!
 //! [`JsonLinesSink`]: mot3d_bench::sink::JsonLinesSink
 
@@ -162,10 +162,10 @@ impl BoundServer {
 
     /// Runs the accept loop until the accept limit is reached or a
     /// shutdown request arrives, then drains: every connection thread
-    /// joins before this returns, and the store is flushed. One thread
-    /// per connection, at most [`CONNECTIONS_PER_WORKER`] per worker at
-    /// a time; per-connection I/O errors (and even panics) are reported
-    /// to stderr and do not stop the server.
+    /// joins before this returns. One thread per connection, at most
+    /// [`CONNECTIONS_PER_WORKER`] per worker at a time; per-connection
+    /// I/O errors (and even panics) are reported to stderr and do not
+    /// stop the server.
     pub fn run(self) {
         let shutdown = AtomicBool::new(false);
         let mut budget = AcceptBudget::new(self.accept_limit);
@@ -215,7 +215,6 @@ impl BoundServer {
             // Scope join == drain: every accepted connection (including
             // the one that requested shutdown) finishes its stream.
         });
-        self.exec.flush_store();
     }
 }
 

@@ -6,14 +6,13 @@
 //! * arbitrary strings (JSON punctuation, hex digits, signs, multi-byte
 //!   and astral characters) through `PlanRequest::parse` (and
 //!   `to_plan`), `codec::metrics_from_json` and `CacheKey::from_hex`;
-//! * single-byte mutations of a valid request line, metrics line, index
-//!   line and store segment line. The decoders see every byte value at
-//!   every position. `ResultStore::open` sees every position of an index
-//!   line and of a segment line (indexed, and as an un-indexed tail)
-//!   with one byte of each class the parsers branch on; each open is a
-//!   real open of the mutated files. A line that no longer parses is
-//!   dropped, and the store keeps serving its other entries and new
-//!   ones.
+//! * single-byte mutations of a valid request line, metrics line and
+//!   store line. The decoders see every byte value at every position.
+//!   `ResultStore::open` sees every position of a store line (the first
+//!   line, before an intact neighbour, and the last line) with one byte
+//!   of each class the parser branches on; each open is a real open of
+//!   the mutated file. A line that no longer parses is dropped, and the
+//!   store keeps serving its other entries and new ones.
 
 use mot3d_bench::plan::{ExperimentPlan, RunRecord};
 use mot3d_bench::ExperimentScale;
@@ -137,13 +136,12 @@ fn every_single_byte_mutation_of_a_request_line_decodes_or_errs() {
     });
 }
 
-/// Three records and the exact segment and index bytes a store writes
-/// for the first two.
+/// Three records and the exact store lines a store writes for the
+/// first two.
 struct Fixture {
     records: Vec<RunRecord>,
     keys: Vec<CacheKey>,
-    seg_lines: [Vec<u8>; 2],
-    index_lines: [Vec<u8>; 2],
+    lines: [Vec<u8>; 2],
 }
 
 fn fixture() -> Fixture {
@@ -167,26 +165,21 @@ fn fixture() -> Fixture {
             store.put(keys[i], &records[i].metrics).unwrap();
         }
     }
-    let lines = |name: &str| -> [Vec<u8>; 2] {
-        let data = fs::read(dir.join(name)).unwrap();
-        let mut it = data.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec);
-        let pair = [it.next().unwrap(), it.next().unwrap()];
-        assert!(it.next().is_none());
-        pair
-    };
-    let (seg_lines, index_lines) = (lines("seg-00000.jsonl"), lines("index.jsonl"));
+    let data = fs::read(dir.join("results.jsonl")).unwrap();
+    let mut it = data.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec);
+    let lines = [it.next().unwrap(), it.next().unwrap()];
+    assert!(it.next().is_none());
     fs::remove_dir_all(&dir).unwrap();
     Fixture {
         records,
         keys,
-        seg_lines,
-        index_lines,
+        lines,
     }
 }
 
-/// Whether `line` would be accepted as a store segment line: one
+/// Whether `line` would be accepted as a store line: one
 /// newline-terminated JSON object with a canonical key and metrics.
-fn segment_line_key(line: &[u8]) -> Option<CacheKey> {
+fn store_line_key(line: &[u8]) -> Option<CacheKey> {
     let text = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
     if text.contains('\n') {
         return None;
@@ -197,64 +190,72 @@ fn segment_line_key(line: &[u8]) -> Option<CacheKey> {
     Some(key)
 }
 
-/// Whether `line` would be accepted as an index line.
-fn index_line_parses(line: &[u8]) -> bool {
-    let body = line.strip_suffix(b"\n").unwrap_or(line);
-    let parse = || -> Option<u64> {
-        let v = json::parse(std::str::from_utf8(body).ok()?).ok()?;
-        CacheKey::from_hex(v.get("key")?.as_str()?)?;
-        u32::try_from(v.get("seg")?.as_u64()?).ok()?;
-        v.get("off")?.as_u64()?;
-        v.get("len")?.as_u64()
-    };
-    !body.contains(&b'\n') && parse().is_some()
-}
-
 impl Fixture {
-    /// Writes the two store files and opens the store over them.
-    fn open(&self, dir: &Path, seg: &[u8], index: &[u8]) -> ResultStore {
-        fs::create_dir_all(dir).unwrap();
-        fs::write(dir.join("seg-00000.jsonl"), seg).unwrap();
-        fs::write(dir.join("index.jsonl"), index).unwrap();
-        ResultStore::open(dir).unwrap()
-    }
-
     /// Asserts that `store` serves record `i` unchanged.
     fn serves(&self, store: &mut ResultStore, i: usize) {
         let got = store.get(self.keys[i]).unwrap();
         assert_eq!(got.as_ref(), Some(&self.records[i].metrics), "record {i}");
     }
 
-    /// Opens the store over the two files, runs `inspect` on it, then
-    /// proves it keeps serving: a new result goes in and comes back
-    /// out, also after a reopen, and record `intact` is served unchanged
-    /// throughout.
+    /// Writes `file` (the two stored lines, record `mutated`'s with its
+    /// byte `pos` changed) as the store's results file and opens the
+    /// store over it. The mutated line is served under the key it names if it still
+    /// parses, and dropped if not; the records in `intact` are served
+    /// unchanged; whatever follows the last newline is truncated away.
+    /// Then the store keeps serving: a new result goes in and comes
+    /// back out, also after a reopen.
     fn open_and_serve(
         &self,
         dir: &Path,
-        seg: &[u8],
-        index: &[u8],
-        intact: usize,
-        inspect: impl FnOnce(&mut ResultStore),
+        file: &[u8],
+        mutated: usize,
+        intact: &[usize],
+        pos: usize,
     ) {
+        let split = self.lines[0].len();
+        let m = if mutated == 0 {
+            &file[..split]
+        } else {
+            &file[split..]
+        };
+        let path = dir.join("results.jsonl");
+        fs::create_dir_all(dir).unwrap();
+        fs::write(&path, file).unwrap();
         {
-            let mut store = self.open(dir, seg, index);
-            self.serves(&mut store, intact);
-            inspect(&mut store);
+            let mut store = ResultStore::open(dir).unwrap();
+            match store_line_key(m) {
+                Some(key) => {
+                    assert_eq!(store.len(), intact.len() + 1, "byte {pos}");
+                    assert!(store.get(key).unwrap().is_some(), "byte {pos}");
+                }
+                None => {
+                    assert_eq!(store.len(), intact.len(), "byte {pos}");
+                    assert_eq!(store.get(self.keys[mutated]).unwrap(), None, "byte {pos}");
+                }
+            }
+            let kept = file
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |nl| nl + 1);
+            let len = fs::metadata(&path).unwrap().len();
+            assert_eq!(len, kept as u64, "byte {pos}: unterminated tail truncated");
+            for &i in intact {
+                self.serves(&mut store, i);
+            }
             store.put(self.keys[2], &self.records[2].metrics).unwrap();
             self.serves(&mut store, 2);
         }
         let mut store = ResultStore::open(dir).unwrap();
-        self.serves(&mut store, intact);
-        self.serves(&mut store, 2);
+        for &i in intact.iter().chain(&[2]) {
+            self.serves(&mut store, i);
+        }
     }
 }
 
 #[test]
 fn every_single_byte_mutation_of_a_store_line_is_dropped_or_served() {
     let fx = fixture();
-    let [seg_a, seg_b] = &fx.seg_lines;
-    let [index_a, index_b] = &fx.index_lines;
+    let [line_a, line_b] = &fx.lines;
     let dir = scratch_dir("mutations");
     let every: Vec<u8> = (0..=255).collect();
 
@@ -264,47 +265,16 @@ fn every_single_byte_mutation_of_a_store_line_is_dropped_or_served() {
         let _ = metrics_from_json(&String::from_utf8_lossy(m));
     });
 
-    // The index line of the last entry. Record 1's segment line is the
-    // segment's tail, so when its index line no longer parses the open
-    // re-indexes it from the segment; when the line parses to something
-    // else, the entry is served correctly, missed, or refused.
-    let seg = [seg_a.as_slice(), seg_b].concat();
-    for_each_mutation(index_b, REPRESENTATIVE_BYTES, |pos, m| {
-        let index = [index_a.as_slice(), m].concat();
-        fx.open_and_serve(&dir, &seg, &index, 0, |store| match store.get(fx.keys[1]) {
-            Ok(Some(metrics)) => assert_eq!(metrics, fx.records[1].metrics, "byte {pos}"),
-            Ok(None) => assert!(
-                index_line_parses(m),
-                "byte {pos}: line dropped, not re-indexed"
-            ),
-            Err(_) => {}
-        });
+    // The first line, before an intact neighbour. A mutated newline
+    // joins the two into one damaged line, and neither is served.
+    for_each_mutation(line_a, REPRESENTATIVE_BYTES, |pos, m| {
+        let intact: &[usize] = if m.ends_with(b"\n") { &[1] } else { &[] };
+        fx.open_and_serve(&dir, &[m, line_b.as_slice()].concat(), 0, intact, pos);
     });
 
-    // The un-indexed tail line: dropped (and truncated away) unless it
-    // still parses, in which case it is indexed under the key it names.
-    for_each_mutation(seg_b, REPRESENTATIVE_BYTES, |pos, m| {
-        let seg = [seg_a.as_slice(), m].concat();
-        fx.open_and_serve(&dir, &seg, index_a, 0, |store| match segment_line_key(m) {
-            Some(key) => {
-                assert_eq!(store.len(), 2, "byte {pos}");
-                assert!(store.get(key).unwrap().is_some(), "byte {pos}");
-            }
-            None => {
-                assert_eq!(store.len(), 1, "byte {pos}");
-                assert_eq!(store.get(fx.keys[1]).unwrap(), None, "byte {pos}");
-                let len = fs::metadata(dir.join("seg-00000.jsonl")).unwrap().len();
-                assert_eq!(len, seg_a.len() as u64, "byte {pos}: tail truncated");
-            }
-        });
-    });
-
-    // An indexed line: its own lookup may fail, its neighbour's may not.
-    let index = [index_a.as_slice(), index_b].concat();
-    for_each_mutation(seg_a, REPRESENTATIVE_BYTES, |_, m| {
-        let mut store = fx.open(&dir, &[m, seg_b.as_slice()].concat(), &index);
-        let _ = store.get(fx.keys[0]);
-        fx.serves(&mut store, 1);
+    // The last line: a mutated newline leaves an unterminated tail.
+    for_each_mutation(line_b, REPRESENTATIVE_BYTES, |pos, m| {
+        fx.open_and_serve(&dir, &[line_a.as_slice(), m].concat(), 1, &[0], pos);
     });
     fs::remove_dir_all(&dir).unwrap();
 }

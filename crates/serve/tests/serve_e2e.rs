@@ -253,19 +253,19 @@ fn seeded_repeat_submissions_match_offline_sweeps() {
 }
 
 /// A client writer that, when the first record line is complete, notes
-/// how many results the server's store has indexed at that moment.
-struct IndexAtFirstRecord {
-    index: PathBuf,
+/// how many results the server's store holds at that moment.
+struct StoredAtFirstRecord {
+    results: PathBuf,
     newlines: usize,
     entries: Option<usize>,
 }
 
-impl Write for IndexAtFirstRecord {
+impl Write for StoredAtFirstRecord {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.newlines += buf.iter().filter(|&&b| b == b'\n').count();
         if self.newlines >= 2 && self.entries.is_none() {
-            let index = std::fs::read_to_string(&self.index).unwrap_or_default();
-            self.entries = Some(index.lines().count());
+            let results = std::fs::read_to_string(&self.results).unwrap_or_default();
+            self.entries = Some(results.lines().count());
         }
         Ok(buf.len())
     }
@@ -296,8 +296,8 @@ fn a_cold_record_reaches_the_client_before_the_next_point_is_simulated() {
         scale: Some("0.2".to_string()),
         ..PlanRequest::new("sweep")
     };
-    let mut out = IndexAtFirstRecord {
-        index: dir.join("index.jsonl"),
+    let mut out = StoredAtFirstRecord {
+        results: dir.join("results.jsonl"),
         newlines: 0,
         entries: None,
     };
@@ -308,10 +308,6 @@ fn a_cold_record_reaches_the_client_before_the_next_point_is_simulated() {
         outcome
     });
     assert_eq!((outcome.points, outcome.executed), (2, 2));
-    assert_eq!(
-        out.entries,
-        Some(1),
-        "results indexed when record 0 arrived"
-    );
+    assert_eq!(out.entries, Some(1), "results stored when record 0 arrived");
     std::fs::remove_dir_all(&dir).unwrap();
 }
