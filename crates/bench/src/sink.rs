@@ -23,9 +23,10 @@
 //! never leave a truncated `--json`/`--csv` output behind.
 
 use crate::perf::Recorder;
-use crate::plan::RunRecord;
+use crate::plan::{RunPoint, RunRecord};
 use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
 use mot3d_phys::json::json_string;
+use mot3d_sim::Metrics;
 use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
@@ -88,18 +89,23 @@ pub trait RecordSink {
 }
 
 /// The canonical one-line JSON serialisation of a record (no trailing
-/// newline). [`JsonLinesSink`] writes it; [`PerfSink`] checksums it.
+/// newline): [`record_json_head`] then [`record_json_tail`].
+/// [`JsonLinesSink`] writes it; [`PerfSink`] checksums it.
 pub fn record_json_line(r: &RunRecord) -> String {
-    let p = &r.point;
-    let m = &r.metrics;
-    let mut s = String::with_capacity(256);
+    let mut s = String::with_capacity(512);
+    record_json_head(&mut s, &r.point);
+    record_json_tail(&mut s, &r.metrics);
+    s
+}
+
+/// Appends the part of a record line that the run point fixes, from
+/// the opening brace through `"total_ops": …, ` (trailing space
+/// included).
+pub fn record_json_head(s: &mut String, p: &RunPoint) {
     let _ = write!(
         s,
         "{{\"index\": {}, \"workload\": {}, \"interconnect\": {}, \"power_state\": {}, \
-         \"dram\": {}, \"open_page\": {}, \"seed\": {}, \"repeat\": {}, \"total_ops\": {}, \
-         \"cycles\": {}, \"instructions\": {}, \"ipc\": {}, \"l1_hits\": {}, \"l1_misses\": {}, \
-         \"l2_hits\": {}, \"l2_misses\": {}, \"dram_accesses\": {}, \"l2_latency_mean\": {}, \
-         \"energy_j\": {}, \"edp_js\": {}}}",
+         \"dram\": {}, \"open_page\": {}, \"seed\": {}, \"repeat\": {}, \"total_ops\": {}, ",
         p.index,
         json_string(&p.workload),
         json_string(&p.config.interconnect.to_string()),
@@ -109,6 +115,18 @@ pub fn record_json_line(r: &RunRecord) -> String {
         p.config.seed,
         p.repeat,
         p.spec.total_ops,
+    );
+}
+
+/// Appends the part of a record line that the metrics alone fix, from
+/// `"cycles": ` through the closing brace. Its bytes hold numbers only:
+/// no string, no brace but the last.
+pub fn record_json_tail(s: &mut String, m: &Metrics) {
+    let _ = write!(
+        s,
+        "\"cycles\": {}, \"instructions\": {}, \"ipc\": {}, \"l1_hits\": {}, \"l1_misses\": {}, \
+         \"l2_hits\": {}, \"l2_misses\": {}, \"dram_accesses\": {}, \"l2_latency_mean\": {}, \
+         \"energy_j\": {}, \"edp_js\": {}}}",
         m.cycles,
         m.instructions,
         m.ipc(),
@@ -121,7 +139,6 @@ pub fn record_json_line(r: &RunRecord) -> String {
         m.energy.cluster().value(),
         m.edp().value(),
     );
-    s
 }
 
 /// A buffered file writer that only takes the destination name once
@@ -230,15 +247,16 @@ impl<W: Write> JsonLinesSink<W> {
     }
 
     /// Writes one preformatted line (plus the newline) into the stream
-    /// — the seam the serve crate uses to interleave its own protocol
-    /// lines (per-point failure records) with the record stream without
-    /// duplicating the writer.
+    /// — the seam the serve crate uses to write record lines it already
+    /// holds encoded, and its own protocol lines (per-point failure
+    /// records), without duplicating the writer.
     ///
     /// # Errors
     ///
     /// Propagates the write failure.
     pub fn raw_line(&mut self, line: &str) -> io::Result<()> {
-        writeln!(self.out, "{line}")
+        self.out.write_all(line.as_bytes())?;
+        self.out.write_all(b"\n")
     }
 }
 

@@ -1,8 +1,8 @@
 //! Hashes the sources a cached result depends on into
 //! `MOT3D_SOURCE_HASH`, which `codec::Fingerprint::current()` spells
 //! into every cache key: a rebuilt simulator whose model, workload,
-//! plan expansion or metrics codec changed by one byte opens its store
-//! with every old entry invisible.
+//! plan expansion, metrics codec, record layout or store line format
+//! changed by one byte opens its store with every old entry invisible.
 //!
 //! The hash is a 64-bit FNV-1a fold over the files sorted by
 //! workspace-relative path, each as its path, a NUL and its bytes.
@@ -21,13 +21,17 @@ const TREES: [&str; 6] = [
     "crates/sim/src",
 ];
 
-/// Single files that feed it: the plan expansion, the axis tokens, and
-/// the key and metrics codec (`RECORD_SCHEMA`, the decoder of stored
-/// lines).
-const FILES: [&str; 3] = [
+/// Single files that feed it: the plan expansion, the axis tokens, the
+/// key and metrics codec (`RECORD_SCHEMA`, the decoder of stored
+/// lines), the record layout whose tail a stored line carries, and the
+/// store's line format. A hit replays the stored tail's bytes, so a
+/// layout or format edit must leave every old line unread.
+const FILES: [&str; 5] = [
     "crates/bench/src/plan.rs",
     "crates/bench/src/axes.rs",
+    "crates/bench/src/sink.rs",
     "crates/serve/src/codec.rs",
+    "crates/serve/src/store.rs",
 ];
 
 fn collect(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -11,14 +11,15 @@
 //! the simulation lands in the key material and produces a different
 //! key.
 //!
-//! **Metrics codec.** The store persists [`Metrics`], not whole
-//! records: the caller reconstructs `RunRecord::new(point, metrics)`
-//! with the point it already holds, and every sink derives its EDP,
-//! IPC and mean latency from those metrics the same deterministic way
-//! as for a fresh run — so a cache hit serialises byte-identically to
-//! the run that populated it. All `f64`
-//! fields travel as `to_bits()` integers; nothing takes a lossy float
-//! detour.
+//! **Metrics codec.** A store line carries a result's [`Metrics`] in
+//! this exact codec, next to the record tail those metrics fix
+//! (`mot3d_bench::sink::record_json_tail`: cycles through EDP, derived
+//! the same deterministic way as for a fresh run). A served hit copies
+//! that tail after the head its own point fixes, so it serialises
+//! byte-identically to the run that populated it without a decode; the
+//! codec is for [`crate::ResultStore::get`], which hands whole
+//! `Metrics` back. All `f64` fields travel as `to_bits()` integers;
+//! nothing takes a lossy float detour.
 
 use crate::json::{self, json_string, JsonValue};
 use mot3d_bench::axes;
@@ -38,10 +39,10 @@ pub const RECORD_SCHEMA: u32 = 1;
 
 /// Identifies the code+configuration that produced a cached result: a
 /// 64-bit hash of the sources a result depends on (the model, the
-/// workloads, the plan expansion and this codec; see the crate's
-/// `build.rs`) plus the record schema. Results cached under one
-/// fingerprint are invisible under any other, so a rebuilt simulator
-/// never replays stale numbers.
+/// workloads, the plan expansion, this codec, the record layout and the
+/// store's line format; see the crate's `build.rs`) plus the record
+/// schema. Results cached under one fingerprint are invisible under any
+/// other, so a rebuilt simulator never replays stale numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint(String);
 
@@ -254,16 +255,7 @@ fn field_joules(v: &JsonValue, key: &str) -> Result<Joules, String> {
 ///
 /// Returns a description of the first missing or malformed field.
 pub fn metrics_from_json(line: &str) -> Result<Metrics, String> {
-    metrics_from_value(&json::parse(line)?)
-}
-
-/// [`metrics_from_json`] on an already-parsed value (the store wraps
-/// metrics in an envelope object and hands the inner value here).
-///
-/// # Errors
-///
-/// Returns a description of the first missing or malformed field.
-pub fn metrics_from_value(v: &JsonValue) -> Result<Metrics, String> {
+    let v = &json::parse(line)?;
     let label = v
         .get("label")
         .and_then(JsonValue::as_str)

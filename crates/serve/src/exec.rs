@@ -16,7 +16,10 @@
 //! points and stay on the connection thread: the plan's leading hits go
 //! out one by one as they are probed, and a later hit is read when its
 //! turn to stream comes, so the first record never waits for the rest
-//! of the plan's keys, reads or decodes. Flights other submissions own
+//! of the plan's keys or reads. A hit's record line is the point's
+//! head ([`record_json_head`]) followed by the tail bytes the store
+//! holds for it ([`ResultStore`]'s line format): no metrics decode and
+//! no float formatting. Flights other submissions own
 //! are resolved at their turn on the connection thread. Owned misses are
 //! the only worker points: on pool workers, or inline at their turn when
 //! the submission has one worker (see the driver's doc for why inline
@@ -58,8 +61,9 @@ use crate::codec::{cache_key, CacheKey, Fingerprint};
 use crate::fault::{FaultSite, Faults};
 use crate::store::{ResultStore, StoreStats};
 use crate::sync::{lock_recover, wait_recover};
-use mot3d_bench::plan::{ExperimentPlan, RunPoint, RunRecord};
+use mot3d_bench::plan::{ExperimentPlan, RunPoint};
 use mot3d_bench::pool::{self, Claim};
+use mot3d_bench::sink::{record_json_head, record_json_tail};
 use mot3d_phys::fnv::FnvHashMap;
 use mot3d_sim::{run_spec, Metrics, SimError};
 use std::io;
@@ -181,12 +185,17 @@ enum Slot {
     Wait(Arc<Flight>),
 }
 
+/// Capacity of a record line's buffer: the paper's record lines run
+/// 450–500 bytes, so one allocation holds one.
+const RECORD_LINE_BYTES: usize = 512;
+
 /// One point's result on the stream: a record, or a typed failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointOutcome {
-    /// The point simulated (or replayed from the cache) fine.
-    /// (Boxed: a `RunRecord` dwarfs the failure variant.)
-    Record(Box<RunRecord>),
+    /// The point simulated (or replayed from the cache) fine: its
+    /// record line, without the newline, byte for byte the line
+    /// `mot3d_bench::sink::record_json_line` writes for it.
+    Record(String),
     /// The point failed terminally after bounded attempts. It was not
     /// cached and does not abort the rest of the plan.
     Failed {
@@ -315,16 +324,14 @@ impl CachedExecutor {
         Slot::Own(flight)
     }
 
-    /// Reads and decodes a claimed hit into its record (the store
-    /// counts the hit here).
+    /// A claimed hit's record line: `point`'s head, then the record
+    /// tail the store holds, copied as stored (the store counts the hit
+    /// here).
     fn read_hit(&self, point: &RunPoint, key: CacheKey) -> io::Result<PointOutcome> {
-        let metrics = lock_recover(&self.store)
-            .get(key)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "indexed result vanished"))?;
-        Ok(PointOutcome::Record(Box::new(RunRecord::new(
-            point.clone(),
-            metrics,
-        ))))
+        let mut line = String::with_capacity(RECORD_LINE_BYTES);
+        record_json_head(&mut line, point);
+        lock_recover(&self.store).read_tail(key, &mut line)?;
+        Ok(PointOutcome::Record(line))
     }
 
     /// Execution attempt number `attempt` (counting from 1) of `point`,
@@ -358,7 +365,7 @@ impl CachedExecutor {
     /// available — to `out`.
     ///
     /// The points go through [`pool::stream_to`]. A hit is a
-    /// ready point: read, decoded and emitted as soon as its probe
+    /// ready point: read and emitted as soon as its probe
     /// returns while every earlier point has been a hit, otherwise read
     /// at its turn. A point another submission is simulating is
     /// resolved at its turn, on this thread. A miss this submission
@@ -435,7 +442,10 @@ impl CachedExecutor {
         loop {
             match flight.wait_or_take() {
                 Waited::Done(metrics) => {
-                    return PointOutcome::Record(Box::new(RunRecord::new(point.clone(), *metrics)));
+                    let mut line = String::with_capacity(RECORD_LINE_BYTES);
+                    record_json_head(&mut line, point);
+                    record_json_tail(&mut line, &metrics);
+                    return PointOutcome::Record(line);
                 }
                 Waited::Failed(error) => {
                     self.abandon(key, flight);
@@ -570,12 +580,31 @@ mod tests {
         file.write_all(b"x").unwrap();
     }
 
+    /// Flips the last digit of `"cycles"` in the record tail of
+    /// `point`'s stored line: the line still parses, and its checksum no
+    /// longer matches.
+    fn flip_tail_digit(dir: &Path, point: &RunPoint) {
+        let path = dir.join("results.jsonl");
+        let mut data = std::fs::read(&path).unwrap();
+        let text = String::from_utf8(data.clone()).unwrap();
+        let needle = format!(
+            "\"key\": \"{}\"",
+            cache_key(&Fingerprint::current(), point).to_hex()
+        );
+        let line = text.find(&needle).expect("point is stored");
+        let tail = line + text[line..].find("\"record\": {").unwrap();
+        let digits = tail + text[tail..].find("\"cycles\": ").unwrap() + "\"cycles\": ".len();
+        let last = digits + text[digits..].find(',').unwrap() - 1;
+        data[last] = b'0' + (data[last] - b'0' + 1) % 10;
+        std::fs::write(&path, data).unwrap();
+    }
+
     fn record_lines(exec: &CachedExecutor, plan: &ExperimentPlan) -> (PlanOutcome, Vec<String>) {
         let mut lines = Vec::new();
         let outcome = exec
             .run_plan(plan, &mut |po: &PointOutcome| {
                 lines.push(match po {
-                    PointOutcome::Record(r) => mot3d_bench::sink::record_json_line(r),
+                    PointOutcome::Record(line) => line.clone(),
                     PointOutcome::Failed { label, error } => format!("FAILED {label}: {error}"),
                 });
                 Ok(())
@@ -845,6 +874,31 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(records, 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A digit changed in a stored record tail after the store opened
+    /// fails that hit's read, as any damage after open does: the stream
+    /// stops after the records before it and never carries the changed
+    /// digit.
+    #[test]
+    fn a_digit_flipped_in_a_stored_tail_after_open_fails_the_read() {
+        let dir = scratch_dir("flip");
+        let exec = executor(&dir);
+        let plan = tiny_plan();
+        let (_, cold) = record_lines(&exec, &plan);
+        flip_tail_digit(&dir, &plan.points()[3]);
+        let mut lines = Vec::new();
+        let err = exec
+            .run_plan(&plan, &mut |po: &PointOutcome| {
+                if let PointOutcome::Record(line) = po {
+                    lines.push(line.clone());
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(lines, cold[..3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

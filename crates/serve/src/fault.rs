@@ -29,8 +29,9 @@ pub enum FaultSite {
     /// A point execution on the worker pool (or a takeover re-run):
     /// `run_spec` is replaced by an injected simulator error.
     PointRun,
-    /// A [`crate::store::ResultStore::put`]: the write fails with an
-    /// I/O error before touching the results file.
+    /// A [`crate::store::ResultStore::put`]: half of the line is
+    /// appended, then the write fails with an I/O error, and the put
+    /// cuts the results file back to its length before the write.
     StoreWrite,
     /// A record line streamed to a client: the connection is dropped
     /// mid-stream instead of writing the line.

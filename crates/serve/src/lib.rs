@@ -7,8 +7,8 @@
 //!
 //! * a **persistent result store** ([`store`]) on disk, keyed by a
 //!   content hash of the canonicalised run point plus a code/config
-//!   fingerprint ([`codec`]) — a hit replays the stored metrics
-//!   byte-identically to a fresh run;
+//!   fingerprint ([`codec`]) — a hit replays the stored record bytes,
+//!   checked by a per-line checksum, byte-identically to a fresh run;
 //! * a **long-running TCP service** ([`server`]) accepting
 //!   `ExperimentPlan` submissions over a line-delimited JSON protocol
 //!   ([`protocol`]), deduping identical in-flight points across

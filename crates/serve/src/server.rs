@@ -5,11 +5,12 @@
 //! every connection shares the process-wide
 //! [`CachedExecutor`], so concurrent clients dedupe against the same
 //! store and in-flight table. The response stream is written by the
-//! bench crate's [`JsonLinesSink`], which keeps served bytes identical
-//! to offline `mot3d sweep --json` output. It goes through a buffer that
-//! is flushed whenever the submission is about to wait on a simulation,
-//! so a record never waits behind later ones, and a run of hits still
-//! leaves in whole buffers.
+//! bench crate's [`JsonLinesSink`], and each record line is built from
+//! the same head and tail writers as `record_json_line`, which keeps
+//! served bytes identical to offline `mot3d sweep --json` output. It
+//! goes through a buffer that is flushed whenever the submission is
+//! about to wait on a simulation, so a record never waits behind later
+//! ones, and a run of hits still leaves in whole buffers.
 //!
 //! ## Connection hygiene & shutdown
 //!
@@ -369,7 +370,7 @@ impl Outcomes for Streamed<'_> {
             ));
         }
         match po {
-            PointOutcome::Record(record) => self.sink.record(record),
+            PointOutcome::Record(line) => self.sink.raw_line(line),
             PointOutcome::Failed { label, error } => {
                 self.sink.raw_line(&protocol::failed_line(label, error))
             }

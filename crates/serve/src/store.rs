@@ -6,33 +6,47 @@
 //! line per result:
 //!
 //! ```text
-//! {"key": "<32 hex>", "metrics": {…exact codec…}}
+//! {"key": "<32 hex>", "sum": "<16 hex>", "metrics": {…exact codec…}, "record": {"cycles": …, "edp_js": …}}
 //! ```
 //!
-//! [`ResultStore::open`] reads the file once and keeps the byte range
-//! of each key's line in memory, so a lookup is one seek, one read and
-//! one parse on the store's one file handle. Eviction is
-//! `rm <cache-dir>/results.jsonl` (documented in the README), never an
-//! in-place rewrite.
+//! `"sum"` is a 64-bit FNV-1a checksum of the key's 32 digits followed
+//! by every byte after the checksum's closing `", ` (the metrics, the
+//! record object and the closing brace). The record object is the tail
+//! of the result's record line, the part the metrics alone fix
+//! ([`record_json_tail`]); it holds no brace but its own, so it starts
+//! after the line's last `{` and ends one byte before the line's end.
 //!
-//! ## Crash safety
+//! [`ResultStore::open`] reads the file once and keeps the byte range
+//! of each key's line in memory. A hit on the serving path is one seek
+//! and one read on the store's one file handle, one checksum, and a
+//! copy of the record tail (`ResultStore::read_tail`): nothing is
+//! decoded. [`ResultStore::get`] decodes the metrics of a checked line.
+//! Eviction is `rm <cache-dir>/results.jsonl` (documented in the
+//! README), never an in-place rewrite.
+//!
+//! ## Crash safety and damage
 //!
 //! Each result is one `write_all` of its whole line at the file's end,
-//! and its entry records where that line landed. A crash can leave a
-//! torn final line; a disk edit can damage any line.
-//! [`ResultStore::open`] indexes every newline-terminated line that
-//! parses (key plus metrics) and skips every other line, so a damaged
-//! line is dropped and re-simulated while its neighbours are served.
-//! An unterminated tail is truncated away before the store appends
-//! anything new.
+//! and its entry records where that line landed. An append that fails
+//! part-way is cut back to the length the file had before it. A crash
+//! can still leave a torn final line, and a disk edit can damage any
+//! line. [`ResultStore::open`] indexes a newline-terminated line only
+//! when its checksum matches and its key is canonical, and skips every
+//! other line, so a damaged line, down to one changed digit, is dropped
+//! and re-simulated while its neighbours are served. A line damaged
+//! after open fails its checksum when it is read, and the read is an
+//! error, never a served value. An unterminated tail is truncated away
+//! before the store appends anything new.
 
 use crate::codec::{self, CacheKey};
 use crate::fault::{FaultSite, Faults};
-use crate::json::{self, JsonValue};
-use mot3d_phys::fnv::FnvHashMap;
+use mot3d_bench::sink::record_json_tail;
+use mot3d_phys::fnv::{fnv1a64_fold, FnvHashMap, FNV_OFFSET};
 use mot3d_sim::Metrics;
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 
 /// Hit/miss/insert counters since the store was opened.
@@ -60,30 +74,55 @@ pub struct ResultStore {
     index: FnvHashMap<CacheKey, EntryLoc>,
     /// `results.jsonl`, opened to read and to append.
     file: File,
+    /// The last line read, kept so a read allocates nothing.
+    line: Vec<u8>,
     stats: StoreStats,
     faults: Faults,
 }
 
-/// Decodes one stored line (without its newline) into its key and
-/// metrics.
-fn decode_line(line: &[u8]) -> io::Result<(CacheKey, Metrics)> {
-    let text = std::str::from_utf8(line).map_err(|_| invalid("non-UTF-8 store line"))?;
-    let v = json::parse(text).map_err(invalid)?;
-    let key = v
-        .get("key")
-        .and_then(JsonValue::as_str)
-        .and_then(CacheKey::from_hex)
-        .ok_or_else(|| invalid("store line has no key"))?;
-    let metrics = v
-        .get("metrics")
-        .ok_or_else(|| invalid("store line has no metrics"))
-        .and_then(|m| codec::metrics_from_value(m).map_err(invalid))?;
-    Ok((key, metrics))
+/// The checksum of a line with `key` digits and `body`, the bytes after
+/// the checksum field.
+fn checksum(key: &[u8], body: &[u8]) -> u64 {
+    fnv1a64_fold(fnv1a64_fold(FNV_OFFSET, key), body)
+}
+
+/// Encodes one stored line, newline included.
+fn encode_line(key: CacheKey, metrics: &Metrics) -> String {
+    let mut body = String::with_capacity(1024);
+    let _ = write!(
+        body,
+        "\"metrics\": {}, \"record\": {{",
+        codec::metrics_to_json(metrics)
+    );
+    record_json_tail(&mut body, metrics);
+    body.push('}');
+    let key = key.to_hex();
+    let sum = checksum(key.as_bytes(), body.as_bytes());
+    format!("{{\"key\": \"{key}\", \"sum\": \"{sum:016x}\", {body}\n")
+}
+
+/// Checks one stored line (without its newline): its framing, its
+/// checksum and its key. Returns the key and the byte range of the
+/// record tail.
+fn check_line(line: &[u8]) -> Option<(CacheKey, Range<usize>)> {
+    let rest = line.strip_prefix(b"{\"key\": \"")?;
+    let (key, rest) = rest.split_at_checked(32)?;
+    let (sum, rest) = rest
+        .strip_prefix(b"\", \"sum\": \"")?
+        .split_at_checked(16)?;
+    let body = rest.strip_prefix(b"\", ")?;
+    if sum != format!("{:016x}", checksum(key, body)).as_bytes() {
+        return None;
+    }
+    let key = CacheKey::from_hex(std::str::from_utf8(key).ok()?)?;
+    let end = line.len().checked_sub(1)?;
+    let start = line[..end].iter().rposition(|&b| b == b'{')? + 1;
+    Some((key, start..end))
 }
 
 /// Streams `file` once, one line in memory at a time: indexes every
-/// newline-terminated line that decodes, skips every other line, and
-/// truncates an unterminated tail away.
+/// newline-terminated line that passes [`check_line`], skips every other
+/// line, and truncates an unterminated tail away.
 fn index_lines(file: &File) -> io::Result<FnvHashMap<CacheKey, EntryLoc>> {
     let mut index = FnvHashMap::default();
     let mut reader = BufReader::new(file);
@@ -98,7 +137,7 @@ fn index_lines(file: &File) -> io::Result<FnvHashMap<CacheKey, EntryLoc>> {
             }
             return Ok(index);
         }
-        if let Ok((key, _)) = decode_line(&line) {
+        if let Some((key, _)) = check_line(&line) {
             let len = line.len();
             index.insert(key, EntryLoc { off, len });
         }
@@ -124,6 +163,7 @@ impl ResultStore {
         Ok(ResultStore {
             index: index_lines(&file)?,
             file,
+            line: Vec::new(),
             stats: StoreStats::default(),
             faults: Faults::none(),
         })
@@ -144,16 +184,17 @@ impl ResultStore {
         self.stats
     }
 
-    /// Attaches a fault-injection plan: scheduled
-    /// [`FaultSite::StoreWrite`] operations make [`ResultStore::put`]
-    /// fail with an I/O error before touching the results file.
+    /// Attaches a fault-injection plan: a scheduled
+    /// [`FaultSite::StoreWrite`] makes [`ResultStore::put`] append the
+    /// first half of its line and then fail with an I/O error, so the
+    /// put must cut the file back to its old length.
     pub fn set_faults(&mut self, faults: Faults) {
         self.faults = faults;
     }
 
     /// Whether `key` is stored: an index lookup only, no read. Counts a
     /// miss when absent, as [`ResultStore::get`] does; a present key's
-    /// hit is counted by the `get` that reads it.
+    /// hit is counted by the read that follows.
     pub(crate) fn probe(&mut self, key: CacheKey) -> bool {
         let found = self.index.contains_key(&key);
         if !found {
@@ -162,26 +203,61 @@ impl ResultStore {
         found
     }
 
-    /// Looks up a cached result (counts a hit or a miss).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the stored line cannot be read back or no longer
-    /// parses (on-disk corruption after open).
-    pub fn get(&mut self, key: CacheKey) -> io::Result<Option<Metrics>> {
+    /// Reads `key`'s line and checks it (counts a hit or a miss).
+    /// Returns the line and its record tail's range, or `None` when
+    /// the key is not stored.
+    fn read_checked(&mut self, key: CacheKey) -> io::Result<Option<(&[u8], Range<usize>)>> {
         let Some(loc) = self.index.get(&key).copied() else {
             self.stats.misses += 1;
             return Ok(None);
         };
+        self.line.resize(loc.len, 0);
         self.file.seek(SeekFrom::Start(loc.off))?;
-        let mut line = vec![0u8; loc.len];
-        self.file.read_exact(&mut line)?;
-        let (stored_key, metrics) = decode_line(&line)?;
-        if stored_key != key {
-            return Err(invalid("entry points at a different key"));
-        }
+        self.file.read_exact(&mut self.line)?;
+        let tail = match check_line(&self.line) {
+            Some((stored, tail)) if stored == key => tail,
+            Some(_) => return Err(invalid("entry points at a different key")),
+            None => return Err(invalid("stored line fails its checksum")),
+        };
         self.stats.hits += 1;
-        Ok(Some(metrics))
+        Ok(Some((&self.line, tail)))
+    }
+
+    /// The serving path's read of a probed key: appends its stored
+    /// record tail to `out` as stored, without decoding it (counts the
+    /// hit).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the key is not stored, or its line cannot be read back
+    /// or fails its checksum (on-disk damage after open).
+    pub(crate) fn read_tail(&mut self, key: CacheKey, out: &mut String) -> io::Result<()> {
+        let (line, tail) = self
+            .read_checked(key)?
+            .ok_or_else(|| invalid("indexed result vanished"))?;
+        let tail = std::str::from_utf8(&line[tail]).map_err(|_| invalid("non-UTF-8 record"))?;
+        out.push_str(tail);
+        Ok(())
+    }
+
+    /// Looks up a cached result and decodes its metrics (counts a hit
+    /// or a miss).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the stored line cannot be read back, fails its
+    /// checksum, or no longer decodes (on-disk damage after open).
+    pub fn get(&mut self, key: CacheKey) -> io::Result<Option<Metrics>> {
+        let Some((line, tail)) = self.read_checked(key)? else {
+            return Ok(None);
+        };
+        let head = std::str::from_utf8(&line[..tail.start])
+            .map_err(|_| invalid("non-UTF-8 store line"))?;
+        let metrics = head
+            .split_once("\"metrics\": ")
+            .and_then(|(_, rest)| rest.strip_suffix(", \"record\": {"))
+            .ok_or_else(|| invalid("store line has no metrics"))?;
+        codec::metrics_from_json(metrics).map(Some).map_err(invalid)
     }
 
     /// Inserts a result (idempotent: re-inserting an existing key is a
@@ -189,20 +265,26 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Fails on write errors; a torn line is dropped at next open.
+    /// Fails on write errors, after cutting the file back to its length
+    /// before the write, so no fragment is left for the next line to
+    /// land after.
     pub fn put(&mut self, key: CacheKey, metrics: &Metrics) -> io::Result<()> {
         if self.index.contains_key(&key) {
             return Ok(());
         }
-        if self.faults.should_fail(FaultSite::StoreWrite) {
-            return Err(io::Error::other("injected fault: store write"));
+        let line = encode_line(key, metrics);
+        let before = self.file.metadata()?.len();
+        let written = if self.faults.should_fail(FaultSite::StoreWrite) {
+            self.file
+                .write_all(&line.as_bytes()[..line.len() / 2])
+                .and(Err(io::Error::other("injected fault: store write")))
+        } else {
+            self.file.write_all(line.as_bytes())
+        };
+        if let Err(e) = written {
+            self.file.set_len(before)?;
+            return Err(e);
         }
-        let line = format!(
-            "{{\"key\": \"{}\", \"metrics\": {}}}\n",
-            key.to_hex(),
-            codec::metrics_to_json(metrics)
-        );
-        self.file.write_all(line.as_bytes())?;
         // An append leaves the position at the file's end, just past
         // this line, wherever earlier bytes left that end.
         let off = self
@@ -413,6 +495,87 @@ mod tests {
             );
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A put whose append fails part-way (the injected fault writes half
+    /// its line) cuts the file back: the next put lands on a line
+    /// boundary and is served after a reopen, and the file holds whole
+    /// lines only.
+    #[test]
+    fn a_failed_append_is_cut_back_and_the_next_put_is_served_after_reopen() {
+        use crate::fault::FaultPlan;
+        let dir = scratch_dir("torn-append");
+        let fp = Fingerprint::current();
+        let records = sample_records(3);
+        let keys: Vec<CacheKey> = records.iter().map(|r| cache_key(&fp, &r.point)).collect();
+        {
+            let mut store = ResultStore::open(&dir).unwrap();
+            store.set_faults(Faults::plan(
+                FaultPlan::new().fail(FaultSite::StoreWrite, 1),
+            ));
+            store.put(keys[0], &records[0].metrics).unwrap();
+            let err = store.put(keys[1], &records[1].metrics).unwrap_err();
+            assert!(err.to_string().contains("injected fault"), "{err}");
+            store.put(keys[2], &records[2].metrics).unwrap();
+        }
+        let data = fs::read(dir.join("results.jsonl")).unwrap();
+        assert!(data.ends_with(b"\n"));
+        for line in data.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+            assert!(check_line(line).is_some(), "a whole, checked line");
+        }
+        let mut store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.get(keys[1]).unwrap(), None);
+        for i in [0, 2] {
+            assert_eq!(
+                store.get(keys[i]).unwrap().as_ref(),
+                Some(&records[i].metrics)
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A hit's record tail is the tail `record_json_line` writes for
+    /// the same metrics, byte for byte, so head + stored tail is the
+    /// offline record line.
+    #[test]
+    fn the_stored_tail_completes_the_offline_record_line() {
+        let dir = scratch_dir("tail");
+        let fp = Fingerprint::current();
+        let records = sample_records(2);
+        let mut store = ResultStore::open(&dir).unwrap();
+        for r in &records {
+            store.put(cache_key(&fp, &r.point), &r.metrics).unwrap();
+        }
+        for r in &records {
+            let mut line = String::new();
+            mot3d_bench::sink::record_json_head(&mut line, &r.point);
+            store
+                .read_tail(cache_key(&fp, &r.point), &mut line)
+                .unwrap();
+            assert_eq!(line, mot3d_bench::sink::record_json_line(r));
+        }
+        let mut untouched = String::new();
+        let absent = cache_key(&Fingerprint::custom("x"), &records[0].point);
+        assert!(store.read_tail(absent, &mut untouched).is_err());
+        assert!(untouched.is_empty());
+        assert_eq!(store.stats().hits, 2);
+        assert_eq!(store.stats().misses, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The cache fingerprint hashes the record layout and this line
+    /// format: a hit replays their bytes, so an edit to either must
+    /// turn every stored line into a miss.
+    #[test]
+    fn the_fingerprint_hashes_the_record_layout_and_the_line_format() {
+        let build = include_str!("../build.rs");
+        for file in [
+            "\"crates/bench/src/sink.rs\"",
+            "\"crates/serve/src/store.rs\"",
+        ] {
+            assert!(build.contains(file), "build.rs hashes {file}");
+        }
     }
 
     #[test]

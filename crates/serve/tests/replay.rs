@@ -3,7 +3,6 @@
 //! records, everything — across a store reopen (simulated restart).
 
 use mot3d_bench::plan::ExperimentPlan;
-use mot3d_bench::sink::record_json_line;
 use mot3d_bench::ExperimentScale;
 use mot3d_mem::dram::DramKind;
 use mot3d_serve::{CachedExecutor, Fingerprint, PointOutcome, ResultStore};
@@ -33,7 +32,7 @@ fn run_all(exec: &CachedExecutor, plans: &[ExperimentPlan]) -> (Vec<String>, u64
         let outcome = exec
             .run_plan(plan, &mut |o: &PointOutcome| {
                 match o {
-                    PointOutcome::Record(r) => lines.push(record_json_line(r)),
+                    PointOutcome::Record(line) => lines.push(line.clone()),
                     PointOutcome::Failed { label, error } => {
                         panic!("unexpected failure for {label}: {error}")
                     }

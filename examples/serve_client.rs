@@ -36,9 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cold pass ({} points):", plan.len());
     let cold = exec.run_plan(&plan, &mut |outcome: &PointOutcome| {
         match outcome {
-            PointOutcome::Record(record) => {
-                println!("  {}", mot3d_bench::sink::record_json_line(record));
-            }
+            PointOutcome::Record(line) => println!("  {line}"),
             PointOutcome::Failed { label, error } => {
                 println!("  FAILED {label}: {error}");
             }
