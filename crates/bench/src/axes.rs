@@ -25,6 +25,7 @@ use mot3d_mot::PowerState;
 use mot3d_noc::NocTopologyKind;
 use mot3d_sim::InterconnectChoice;
 use mot3d_workloads::SplashBenchmark;
+use std::fmt;
 
 fn split_list(raw: &str) -> impl Iterator<Item = &str> {
     raw.split(',').map(str::trim).filter(|s| !s.is_empty())
@@ -151,12 +152,22 @@ pub fn interconnect_token(ic: InterconnectChoice) -> &'static str {
     }
 }
 
-/// Canonical token for a power state (`parse_power_states` inverse).
-pub fn power_state_token(state: PowerState) -> String {
-    if state == PowerState::full() {
-        "full".to_string()
-    } else {
-        format!("pc{}-mb{}", state.active_cores(), state.active_banks())
+/// Canonical token for a power state (`parse_power_states` inverse),
+/// written where it is displayed, without an intermediate `String`.
+pub fn power_state_token(state: PowerState) -> impl fmt::Display {
+    PowerStateToken(state)
+}
+
+struct PowerStateToken(PowerState);
+
+impl fmt::Display for PowerStateToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = self.0;
+        if state == PowerState::full() {
+            f.write_str("full")
+        } else {
+            write!(f, "pc{}-mb{}", state.active_cores(), state.active_banks())
+        }
     }
 }
 
@@ -209,7 +220,7 @@ mod tests {
         let mut states = PowerState::date16_states().to_vec();
         states.push(PowerState::new(8, 16).unwrap());
         for state in states {
-            let token = power_state_token(state);
+            let token = power_state_token(state).to_string();
             assert_eq!(parse_power_states(&token).unwrap(), vec![state], "{token}");
         }
         assert!(parse_power_states("pc3-mb8").is_err(), "not a power of two");

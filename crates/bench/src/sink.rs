@@ -100,17 +100,19 @@ pub fn record_json_line(r: &RunRecord) -> String {
 
 /// Appends the part of a record line that the run point fixes, from
 /// the opening brace through `"total_ops": …, ` (trailing space
-/// included).
+/// included). The interconnect, power state and DRAM are written as
+/// their `Display` text in quotes: no value of theirs needs a JSON
+/// escape (pinned by a test).
 pub fn record_json_head(s: &mut String, p: &RunPoint) {
     let _ = write!(
         s,
-        "{{\"index\": {}, \"workload\": {}, \"interconnect\": {}, \"power_state\": {}, \
-         \"dram\": {}, \"open_page\": {}, \"seed\": {}, \"repeat\": {}, \"total_ops\": {}, ",
+        "{{\"index\": {}, \"workload\": {}, \"interconnect\": \"{}\", \"power_state\": \"{}\", \
+         \"dram\": \"{}\", \"open_page\": {}, \"seed\": {}, \"repeat\": {}, \"total_ops\": {}, ",
         p.index,
         json_string(&p.workload),
-        json_string(&p.config.interconnect.to_string()),
-        json_string(&p.config.power_state.to_string()),
-        json_string(&p.config.dram.to_string()),
+        p.config.interconnect,
+        p.config.power_state,
+        p.config.dram,
         p.config.dram_open_page,
         p.config.seed,
         p.repeat,
@@ -548,6 +550,31 @@ mod tests {
             .threads(1)
             .run()
             .unwrap()
+    }
+
+    /// `record_json_head` writes the axis values' `Display` text in
+    /// quotes, unescaped: for every value `axes` can spell, that text
+    /// is already its own JSON escape.
+    #[test]
+    fn every_axis_display_needs_no_json_escape() {
+        use crate::axes;
+        use mot3d_mot::PowerState;
+        let quoted = |text: String| {
+            assert_eq!(json_string(&text), format!("\"{text}\""));
+        };
+        for ic in axes::parse_interconnects("all").unwrap() {
+            quoted(ic.to_string());
+        }
+        for dram in axes::parse_drams("all").unwrap() {
+            quoted(dram.to_string());
+        }
+        quoted(PowerState::full().to_string());
+        let powers = || (0..usize::BITS).map(|bit| 1usize << bit);
+        for cores in powers() {
+            for banks in powers() {
+                quoted(PowerState::new(cores, banks).unwrap().to_string());
+            }
+        }
     }
 
     #[test]

@@ -229,8 +229,8 @@ OPTIONS:
 
 A failing point streams a typed {\"failed\": true, ...} record and is
 never cached; the rest of the plan completes. `mot3d shutdown` (or the
-accept limit) stops accepting, drains in-flight submissions, flushes
-the store, and exits 0.
+accept limit) stops accepting, drains in-flight submissions, and
+exits 0; each result is already in the store file when it is stored.
 
 PROTOCOL (one JSON document per line):
   client → {\"submit\": \"sweep\", \"bench\": \"fft\", \"scale\": \"tiny\"}
@@ -273,7 +273,8 @@ const SHUTDOWN_USAGE: &str = "\
 mot3d shutdown — gracefully drain a running `mot3d serve`
 
 The server acknowledges, stops accepting, finishes every in-flight
-submission, flushes the result store, and exits 0.
+submission, and exits 0. The result store needs no flush: each
+result is written to its file when it is stored.
 
 USAGE: mot3d shutdown [--addr <host:port>]
 

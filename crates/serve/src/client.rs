@@ -149,7 +149,8 @@ pub fn submit_with_retry(
 }
 
 /// Asks the server at `addr` for a graceful shutdown: stop accepting,
-/// drain in-flight submissions, flush the store, exit 0. Returns once
+/// drain in-flight submissions, exit 0 (the store has nothing to flush:
+/// each result is written when it is stored). Returns once
 /// the server has *acknowledged* the request (the drain itself may
 /// outlive this call).
 ///

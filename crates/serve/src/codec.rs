@@ -25,13 +25,13 @@ use crate::json::{self, json_string, JsonValue};
 use mot3d_bench::axes;
 use mot3d_bench::plan::RunPoint;
 use mot3d_mot::traits::InterconnectStats;
-use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
+use mot3d_phys::fnv::{FNV_OFFSET, FNV_PRIME};
 use mot3d_phys::power::EnergyBreakdown;
 use mot3d_phys::units::{Joules, Seconds};
 use mot3d_sim::metrics::LatencyStats;
 use mot3d_sim::{Metrics, SimConfig};
 use mot3d_workloads::WorkloadSpec;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Record-stream schema version (mirrors the `"schema"` field of the
 /// JSON-lines plan header). Bumping it invalidates every cached result.
@@ -105,8 +105,20 @@ impl CacheKey {
 /// Renders the canonical key material for one run point under one
 /// fingerprint. Public so tests can pin its exact layout — the layout
 /// IS the cache-compatibility contract: any change orphans every
-/// existing cache entry.
+/// existing cache entry. [`cache_key`] folds the same bytes without
+/// rendering them.
 pub fn key_material(fingerprint: &Fingerprint, point: &RunPoint) -> String {
+    let mut m = String::with_capacity(256);
+    let _ = write_key_material(&mut m, fingerprint, point);
+    m
+}
+
+/// Writes the key material layout to `out`, piece by piece.
+fn write_key_material(
+    out: &mut impl fmt::Write,
+    fingerprint: &Fingerprint,
+    point: &RunPoint,
+) -> fmt::Result {
     // Every field is spelled, none elided with `..`: a field added
     // later fails to compile here until the key names it. The grid
     // position is deliberately not part of the key.
@@ -142,20 +154,19 @@ pub fn key_material(fingerprint: &Fingerprint, point: &RunPoint) -> String {
         ifetch_miss_rate,
         base_addr,
     } = spec;
-    let mut m = String::with_capacity(256);
-    let _ = write!(m, "fp={};", fingerprint.as_str());
-    let _ = write!(m, "workload={workload};");
-    let _ = write!(m, "ic={};", axes::interconnect_token(*interconnect));
-    let _ = write!(m, "ps={};", axes::power_state_token(*power_state));
-    let _ = write!(m, "dram={};", axes::dram_token(*dram));
-    let _ = write!(m, "page={};", axes::page_token(*dram_open_page));
-    let _ = write!(m, "seed={seed};");
-    let _ = write!(m, "repeat={repeat};");
-    let _ = write!(m, "golden={check_golden};");
-    let _ = write!(m, "missbus={miss_bus_occupancy};");
-    let _ = write!(m, "maxcyc={max_cycles};");
-    let _ = write!(
-        m,
+    write!(out, "fp={};", fingerprint.as_str())?;
+    write!(out, "workload={workload};")?;
+    write!(out, "ic={};", axes::interconnect_token(*interconnect))?;
+    write!(out, "ps={};", axes::power_state_token(*power_state))?;
+    write!(out, "dram={};", axes::dram_token(*dram))?;
+    write!(out, "page={};", axes::page_token(*dram_open_page))?;
+    write!(out, "seed={seed};")?;
+    write!(out, "repeat={repeat};")?;
+    write!(out, "golden={check_golden};")?;
+    write!(out, "missbus={miss_bus_occupancy};")?;
+    write!(out, "maxcyc={max_cycles};")?;
+    write!(
+        out,
         "spec={name},{:x},{:x},{:x},{:x},{working_set_bytes},{:x},{:x},{:x},{phases},{total_ops},{:x},{base_addr}",
         serial_fraction.to_bits(),
         imbalance.to_bits(),
@@ -165,17 +176,40 @@ pub fn key_material(fingerprint: &Fingerprint, point: &RunPoint) -> String {
         locality.to_bits(),
         hot_fraction.to_bits(),
         ifetch_miss_rate.to_bits(),
-    );
-    m
+    )
 }
 
-/// The content-addressed key of one run point under one fingerprint.
+/// Both FNV-1a halves of a [`CacheKey`], folded over the key material
+/// as it is written, with no buffer: the two multiply chains are
+/// independent, so they run side by side in one loop.
+struct KeyFold {
+    hi: u64,
+    lo: u64,
+}
+
+impl fmt::Write for KeyFold {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
+    }
+}
+
+/// The content-addressed key of one run point under one fingerprint:
+/// the two FNV-1a folds of [`key_material`]'s bytes, computed as they
+/// are written.
 pub fn cache_key(fingerprint: &Fingerprint, point: &RunPoint) -> CacheKey {
-    let material = key_material(fingerprint, point);
-    let bytes = material.as_bytes();
-    let hi = fnv1a64_fold(FNV_OFFSET, bytes);
-    let lo = fnv1a64_fold(FNV_OFFSET ^ KEY_SALT, bytes);
-    CacheKey { hi, lo }
+    let mut fold = KeyFold {
+        hi: FNV_OFFSET,
+        lo: FNV_OFFSET ^ KEY_SALT,
+    };
+    let _ = write_key_material(&mut fold, fingerprint, point);
+    CacheKey {
+        hi: fold.hi,
+        lo: fold.lo,
+    }
 }
 
 // ------------------------------------------------------ metrics codec

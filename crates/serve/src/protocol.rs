@@ -16,8 +16,8 @@
 //!
 //! A client may also send the [`SHUTDOWN_LINE`] control request instead
 //! of a submission: the server acknowledges with the same line, stops
-//! accepting, drains in-flight submissions, flushes the store, and
-//! exits 0.
+//! accepting, drains in-flight submissions, and exits 0; the store has
+//! nothing to flush, since each result is written when it is stored.
 //!
 //! A request names the plan and, optionally, any sweep axis; absent
 //! axes keep the [`ExperimentPlan::new`] defaults (all benchmarks, the

@@ -9,12 +9,17 @@
 //! {"key": "<32 hex>", "sum": "<16 hex>", "metrics": {…exact codec…}, "record": {"cycles": …, "edp_js": …}}
 //! ```
 //!
-//! `"sum"` is a 64-bit FNV-1a checksum of the key's 32 digits followed
-//! by every byte after the checksum's closing `", ` (the metrics, the
-//! record object and the closing brace). The record object is the tail
-//! of the result's record line, the part the metrics alone fix
-//! ([`record_json_tail`]); it holds no brace but its own, so it starts
-//! after the line's last `{` and ends one byte before the line's end.
+//! `"sum"` is a 64-bit word-folded checksum ([`fold_words`]), in 16
+//! lowercase hex digits: the key's 32 digits are folded from
+//! [`FNV_OFFSET`], then every byte after the checksum's closing `", `
+//! (the metrics, the record object and the closing brace) is folded on
+//! from there. Each fold step is a bijection of the running sum, so a
+//! line with any one byte changed fails its checksum.
+//!
+//! The record object is the tail of the result's record line, the part
+//! the metrics alone fix ([`record_json_tail`]); it holds no brace but
+//! its own, so it starts after the line's last `{` and ends one byte
+//! before the line's end.
 //!
 //! [`ResultStore::open`] reads the file once and keeps the byte range
 //! of each key's line in memory. A hit on the serving path is one seek
@@ -41,7 +46,7 @@
 use crate::codec::{self, CacheKey};
 use crate::fault::{FaultSite, Faults};
 use mot3d_bench::sink::record_json_tail;
-use mot3d_phys::fnv::{fnv1a64_fold, FnvHashMap, FNV_OFFSET};
+use mot3d_phys::fnv::{fold_words, FnvHashMap, FNV_OFFSET};
 use mot3d_sim::Metrics;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
@@ -83,7 +88,16 @@ pub struct ResultStore {
 /// The checksum of a line with `key` digits and `body`, the bytes after
 /// the checksum field.
 fn checksum(key: &[u8], body: &[u8]) -> u64 {
-    fnv1a64_fold(fnv1a64_fold(FNV_OFFSET, key), body)
+    fold_words(fold_words(FNV_OFFSET, key), body)
+}
+
+/// `sum` as 16 lowercase hex digits, the spelling a line stores.
+fn sum_digits(sum: u64) -> [u8; 16] {
+    let mut digits = [0u8; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(sum >> (60 - 4 * i)) as usize & 0xf];
+    }
+    digits
 }
 
 /// Encodes one stored line, newline included.
@@ -111,7 +125,7 @@ fn check_line(line: &[u8]) -> Option<(CacheKey, Range<usize>)> {
         .strip_prefix(b"\", \"sum\": \"")?
         .split_at_checked(16)?;
     let body = rest.strip_prefix(b"\", ")?;
-    if sum != format!("{:016x}", checksum(key, body)).as_bytes() {
+    if sum != sum_digits(checksum(key, body)) {
         return None;
     }
     let key = CacheKey::from_hex(std::str::from_utf8(key).ok()?)?;
@@ -562,6 +576,19 @@ mod tests {
         assert_eq!(store.stats().hits, 2);
         assert_eq!(store.stats().misses, 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The stored sum is compared against this spelling, so it must be
+    /// the one `encode_line` writes: 16 lowercase digits.
+    #[test]
+    fn sum_digits_spell_the_stored_hex() {
+        for sum in [0, 1, 0xabc, u64::MAX, 0x0123_4567_89ab_cdef, 1 << 63] {
+            assert_eq!(
+                sum_digits(sum),
+                format!("{sum:016x}").as_bytes(),
+                "{sum:#x}"
+            );
+        }
     }
 
     /// The cache fingerprint hashes the record layout and this line

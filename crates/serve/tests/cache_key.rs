@@ -6,7 +6,9 @@ use mot3d_bench::plan::{ExperimentPlan, RunPoint};
 use mot3d_bench::ExperimentScale;
 use mot3d_mem::dram::DramKind;
 use mot3d_mot::PowerState;
-use mot3d_serve::{cache_key, CacheKey, Fingerprint};
+use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
+use mot3d_serve::codec::key_material;
+use mot3d_serve::{cache_key, CacheKey, Fingerprint, PlanRequest};
 use mot3d_workloads::SplashBenchmark;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -88,6 +90,64 @@ fn each_axis_moves_the_key() {
     };
     assert_eq!(repeats[0], base, "repeat 0 is the canonical seed");
     assert!(keys.insert(repeats[1]), "repeat 1 is its own key");
+}
+
+/// The canary grid as run points: `radix` with the golden check on,
+/// seed 7, the MoT in the four Table I power states and the three
+/// baselines at `Full connection`, each with flat and open-page DRAM.
+fn canary_points() -> Vec<RunPoint> {
+    let canary = |plan: ExperimentPlan| {
+        plan.splash([SplashBenchmark::Radix])
+            .page_policies([false, true])
+            .scale(ExperimentScale::tiny())
+            .points()
+    };
+    let nocs = mot3d_bench::axes::parse_interconnects("mesh,bus-mesh,bus-tree").unwrap();
+    let mut points =
+        canary(ExperimentPlan::new("canary").power_states(PowerState::date16_states()));
+    points.extend(canary(ExperimentPlan::new("canary").interconnects(nocs)));
+    for point in &mut points {
+        point.config.seed = 7;
+        point.config.check_golden = true;
+    }
+    points
+}
+
+/// The benchmark's short-points grid: 8 SPLASH × 4 power states × 3
+/// DRAM × 2 page policies × 4 repeats at tiny scale.
+fn short_points() -> Vec<RunPoint> {
+    let request = PlanRequest {
+        power_state: Some("all".to_string()),
+        dram: Some("all".to_string()),
+        page: Some("both".to_string()),
+        repeat: Some(4),
+        scale: Some("tiny".to_string()),
+        seed: Some(1),
+        ..PlanRequest::new("short_points")
+    };
+    request.to_plan().expect("a valid request").points()
+}
+
+/// `cache_key` folds the key material as it is written; the oracle
+/// renders it and folds the two halves one after the other. They agree
+/// on every point of the canary and short-points grids, under the
+/// running build's fingerprint and a custom one.
+#[test]
+fn the_streamed_key_equals_two_folds_over_the_key_material() {
+    let canary = canary_points();
+    assert_eq!(canary.len(), 14);
+    let short = short_points();
+    assert_eq!(short.len(), 768);
+    for fp in [Fingerprint::current(), Fingerprint::custom("test/1")] {
+        for point in canary.iter().chain(&short) {
+            let material = key_material(&fp, point);
+            let hi = fnv1a64_fold(FNV_OFFSET, material.as_bytes());
+            // The second half starts from the codec's salted offset.
+            let lo = fnv1a64_fold(FNV_OFFSET ^ 0x9E37_79B9_7F4A_7C15, material.as_bytes());
+            let oracle = format!("{hi:016x}{lo:016x}");
+            assert_eq!(cache_key(&fp, point).to_hex(), oracle, "{material}");
+        }
+    }
 }
 
 /// The fingerprint segregates stores across code/schema revisions.
