@@ -449,25 +449,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
         })
     }
 
-    /// Empties the whole cache, returning every resident line. This is the
-    /// paper's bank power-off sequence: "dirty cache blocks in the
-    /// power-off banks must be written back ... for data coherency".
-    pub fn flush_invalidate_all(&mut self) -> Vec<EvictedLine<P>> {
-        let mut out = Vec::new();
-        for slot in 0..self.flags.len() {
-            if self.flags[slot] & FLAG_VALID != 0 {
-                out.push(EvictedLine {
-                    addr: LineAddr(self.tags[slot]),
-                    data: self.data[slot],
-                    dirty: self.flags[slot] & FLAG_DIRTY != 0,
-                    payload: std::mem::take(&mut self.payloads[slot]),
-                });
-                self.flags[slot] = 0;
-            }
-        }
-        out
-    }
-
     /// Empties the cache and resets replacement state to construction
     /// time, without reallocating the line arrays. A cleared
     /// cache behaves bit-identically to a freshly built one.
@@ -621,7 +602,8 @@ mod tests {
         c.fill(LineAddr(1), 10, false);
         c.fill(LineAddr(2), 20, false);
         c.write(LineAddr(2), 21);
-        let flushed = c.flush_invalidate_all();
+        let lines: Vec<_> = c.resident_addrs().collect();
+        let flushed: Vec<_> = lines.into_iter().filter_map(|l| c.invalidate(l)).collect();
         assert_eq!(flushed.len(), 2);
         let dirty: Vec<_> = flushed.iter().filter(|e| e.dirty).collect();
         assert_eq!(dirty.len(), 1);

@@ -16,11 +16,6 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// No L1 holds the line.
-    pub fn is_uncached(&self) -> bool {
-        self.sharers == 0 && self.owner.is_none()
-    }
-
     /// The core holding the line in Modified state, if any.
     pub fn owner(&self) -> Option<usize> {
         self.owner.map(|o| o as usize)
@@ -29,11 +24,6 @@ impl Directory {
     /// Cores holding the line in Shared state.
     pub fn sharers(&self) -> impl Iterator<Item = usize> + '_ {
         (0..32).filter(|i| self.sharers & (1 << i) != 0)
-    }
-
-    /// Number of sharers.
-    pub fn sharer_count(&self) -> usize {
-        self.sharers.count_ones() as usize
     }
 
     /// Whether `core` holds the line (shared or owned).
@@ -116,8 +106,7 @@ mod tests {
     #[test]
     fn starts_uncached() {
         let d = Directory::default();
-        assert!(d.is_uncached());
-        assert_eq!(d.sharer_count(), 0);
+        assert_eq!(d.sharers().count(), 0);
         assert_eq!(d.owner(), None);
     }
 
@@ -127,7 +116,7 @@ mod tests {
         d.add_sharer(0);
         d.add_sharer(5);
         d.add_sharer(15);
-        assert_eq!(d.sharer_count(), 3);
+        assert_eq!(d.sharers().count(), 3);
         assert!(d.holds(5));
         assert!(!d.holds(1));
         assert_eq!(d.sharers().collect::<Vec<_>>(), vec![0, 5, 15]);
@@ -142,7 +131,7 @@ mod tests {
         let victims = d.grant_exclusive(2);
         assert_eq!(victims, vec![1, 3]);
         assert_eq!(d.owner(), Some(2));
-        assert_eq!(d.sharer_count(), 0);
+        assert_eq!(d.sharers().count(), 0);
     }
 
     #[test]
@@ -155,7 +144,7 @@ mod tests {
         let mut d2 = Directory::default();
         d2.grant_exclusive(4);
         d2.owner_writeback(false);
-        assert!(d2.is_uncached());
+        assert_eq!(d2, Directory::default());
     }
 
     #[test]
@@ -165,7 +154,7 @@ mod tests {
         d.add_sharer(7); // owner downgrades itself via a read
         assert_eq!(d.owner(), None);
         assert!(d.holds(7));
-        assert_eq!(d.sharer_count(), 1);
+        assert_eq!(d.sharers().count(), 1);
     }
 
     #[test]
@@ -181,9 +170,9 @@ mod tests {
         let mut d = Directory::default();
         d.add_sharer(3);
         d.drop_core(3);
-        assert!(d.is_uncached());
+        assert_eq!(d, Directory::default());
         d.grant_exclusive(6);
         d.drop_core(6);
-        assert!(d.is_uncached());
+        assert_eq!(d, Directory::default());
     }
 }

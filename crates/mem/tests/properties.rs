@@ -67,7 +67,8 @@ fn check_cache_against_golden(ops: &[Op]) -> Result<(), TestCaseError> {
         }
     }
 
-    for ev in cache.flush_invalidate_all() {
+    let lines: Vec<_> = cache.resident_addrs().collect();
+    for ev in lines.into_iter().filter_map(|line| cache.invalidate(line)) {
         if ev.dirty {
             backing.write(ev.addr, ev.data);
         }

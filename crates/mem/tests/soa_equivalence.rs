@@ -242,10 +242,10 @@ proptest! {
 
     /// `clear()` is indistinguishable from a fresh cache, whatever the
     /// cache did before it and however much of it that touched: a cache
-    /// dirtied by one random sequence (with a `flush_invalidate_all` in
-    /// it) and cleared answers a second, unrelated sequence exactly as a
-    /// new cache does — hits, victims and evicted lines — after touching
-    /// a handful of sets and after touching all of them.
+    /// dirtied by one random sequence (with every line invalidated at one
+    /// point in it) and cleared answers a second, unrelated sequence
+    /// exactly as a new cache does — hits, victims and evicted lines —
+    /// after touching a handful of sets and after touching all of them.
     #[test]
     fn cleared_cache_replays_identically(
         dirtying in prop::collection::vec(op_strategy(CLEAR_LINES), 1..300),
@@ -262,7 +262,10 @@ proptest! {
             }
             for (i, &op) in dirtying.iter().enumerate() {
                 if i == flush_at % dirtying.len() {
-                    reused.flush_invalidate_all();
+                    let lines: Vec<_> = reused.resident_addrs().collect();
+                    for line in lines {
+                        reused.invalidate(line);
+                    }
                 }
                 let op = if touch_all { op } else { op.confined_to(&FEW_SETS, config) };
                 apply(&mut reused, op);

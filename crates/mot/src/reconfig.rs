@@ -437,11 +437,11 @@ mod tests {
         let topo = MotTopology::date16();
         assert_eq!(
             gated.routing_switches + gated.gated_routing_switches,
-            topo.total_routing_switches()
+            topo.cores() * topo.routing_switches_per_tree()
         );
         assert_eq!(
             gated.arbitration_cells + gated.gated_arbitration_cells,
-            topo.total_arbitration_cells()
+            topo.banks() * topo.arbitration_cells_per_tree()
         );
     }
 
@@ -470,14 +470,14 @@ mod tests {
                     index: reached,
                 });
                 let addr_bit = (home >> topo.bit_of_level(level)) & 1 == 1;
-                let port = match mode {
+                let taken = match mode {
                     RoutingMode::Off => {
                         panic!("home {home} hit an off switch at level {level} index {reached}")
                     }
-                    RoutingMode::Conventional => Port::from_bit(addr_bit),
-                    RoutingMode::UserDefined(p) => p,
+                    RoutingMode::Conventional => addr_bit,
+                    RoutingMode::UserDefined(p) => p.bit(),
                 };
-                reached = (reached << 1) | port.bit() as usize;
+                reached = (reached << 1) | taken as usize;
             }
             assert_eq!(reached, c.remap_bank(home), "home {home}");
         }

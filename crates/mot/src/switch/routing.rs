@@ -33,16 +33,6 @@ pub enum Port {
 }
 
 impl Port {
-    /// The port selected by an address bit in conventional mode.
-    #[inline]
-    pub fn from_bit(bit: bool) -> Port {
-        if bit {
-            Port::Port1
-        } else {
-            Port::Port0
-        }
-    }
-
     /// The bit value this port represents.
     #[inline]
     pub fn bit(self) -> bool {
@@ -63,28 +53,6 @@ pub enum RoutingMode {
     Off,
 }
 
-impl RoutingMode {
-    /// Decodes the `(ctr_1, ctr_0)` control pair of Fig. 3(b).
-    pub fn from_ctr(ctr_1: bool, ctr_0: bool) -> RoutingMode {
-        match (ctr_1, ctr_0) {
-            (false, false) => RoutingMode::Conventional,
-            (false, true) => RoutingMode::UserDefined(Port::Port0),
-            (true, false) => RoutingMode::UserDefined(Port::Port1),
-            (true, true) => RoutingMode::Off,
-        }
-    }
-
-    /// Encodes back to the `(ctr_1, ctr_0)` control pair.
-    pub fn to_ctr(self) -> (bool, bool) {
-        match self {
-            RoutingMode::Conventional => (false, false),
-            RoutingMode::UserDefined(Port::Port0) => (false, true),
-            RoutingMode::UserDefined(Port::Port1) => (true, false),
-            RoutingMode::Off => (true, true),
-        }
-    }
-}
-
 impl fmt::Display for RoutingMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -100,30 +68,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ctr_truth_table_round_trips() {
-        // Fig. 3(b): all four control combinations decode and re-encode.
-        for ctr in [(false, false), (false, true), (true, false), (true, true)] {
-            let mode = RoutingMode::from_ctr(ctr.0, ctr.1);
-            assert_eq!(mode.to_ctr(), ctr);
-        }
-        assert_eq!(
-            RoutingMode::from_ctr(false, false),
-            RoutingMode::Conventional
-        );
-        assert_eq!(
-            RoutingMode::from_ctr(false, true),
-            RoutingMode::UserDefined(Port::Port0)
-        );
-        assert_eq!(
-            RoutingMode::from_ctr(true, false),
-            RoutingMode::UserDefined(Port::Port1)
-        );
-        assert_eq!(RoutingMode::from_ctr(true, true), RoutingMode::Off);
-    }
-
-    #[test]
     fn port_bit_round_trip() {
-        assert!(!Port::from_bit(false).bit());
-        assert!(Port::from_bit(true).bit());
+        assert!(!Port::Port0.bit());
+        assert!(Port::Port1.bit());
     }
 }

@@ -128,16 +128,6 @@ impl MotTopology {
         self.cores - 1
     }
 
-    /// Total routing switches across all trees.
-    pub fn total_routing_switches(&self) -> usize {
-        self.cores * self.routing_switches_per_tree()
-    }
-
-    /// Total arbitration cells across all trees.
-    pub fn total_arbitration_cells(&self) -> usize {
-        self.banks * self.arbitration_cells_per_tree()
-    }
-
     /// The bank-index bit consumed by routing level `ℓ` (level 1 → MSB).
     ///
     /// # Panics
@@ -183,8 +173,8 @@ mod tests {
         let t = MotTopology::date16();
         assert_eq!(t.routing_levels(), 5);
         assert_eq!(t.arbitration_levels(), 4);
-        assert_eq!(t.total_routing_switches(), 16 * 31);
-        assert_eq!(t.total_arbitration_cells(), 32 * 15);
+        assert_eq!(t.cores() * t.routing_switches_per_tree(), 16 * 31);
+        assert_eq!(t.banks() * t.arbitration_cells_per_tree(), 32 * 15);
     }
 
     #[test]

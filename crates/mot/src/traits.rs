@@ -81,17 +81,6 @@ pub struct InterconnectStats {
     pub max_request_latency: u64,
 }
 
-impl InterconnectStats {
-    /// Mean request transit latency in cycles.
-    pub fn mean_request_latency(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_request_latency as f64 / self.requests as f64
-        }
-    }
-}
-
 /// A cycle-stepped interconnect between cores and L2 banks.
 ///
 /// Implementations: [`crate::network::MotNetwork`] (this paper) and the
@@ -155,26 +144,4 @@ pub trait Interconnect {
 
     /// Traffic statistics so far.
     fn stats(&self) -> InterconnectStats;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_mean_handles_empty() {
-        let s = InterconnectStats::default();
-        assert_eq!(s.mean_request_latency(), 0.0);
-    }
-
-    #[test]
-    fn stats_mean_is_total_over_count() {
-        let s = InterconnectStats {
-            requests: 4,
-            responses: 4,
-            total_request_latency: 40,
-            max_request_latency: 15,
-        };
-        assert_eq!(s.mean_request_latency(), 10.0);
-    }
 }

@@ -14,9 +14,8 @@
 mod switch;
 
 use mot3d_mot::reconfig::MotConfiguration;
-use mot3d_mot::switch::RoutingMode;
 use mot3d_mot::topology::{MotTopology, SwitchAddr};
-use switch::RoutingSwitch;
+use switch::{from_ctr, to_ctr, RoutingSwitch};
 
 /// One core's routing tree, as physical switch instances.
 #[derive(Debug, Clone)]
@@ -44,8 +43,8 @@ impl RoutingFabric {
             for index in 0..fabric.topology.switches_in_level(level) {
                 let mode = cfg.routing_mode(SwitchAddr { level, index });
                 // Round-trip through the physical control encoding.
-                let (c1, c0) = mode.to_ctr();
-                fabric.levels[(level - 1) as usize][index].set_mode(RoutingMode::from_ctr(c1, c0));
+                let (c1, c0) = to_ctr(mode);
+                fabric.levels[(level - 1) as usize][index].set_mode(from_ctr(c1, c0));
             }
         }
         fabric

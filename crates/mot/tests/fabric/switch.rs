@@ -1,9 +1,30 @@
 //! The modified routing switch cell of Fig. 3(a) as an instance with
 //! state: the [`RoutingMode`] its `ctr` pair selects. The crate computes
 //! routes from the modes directly; this cell is what the structural
-//! fabric walks.
+//! fabric walks, and [`from_ctr`]/[`to_ctr`] are the `ctr` wires it is
+//! programmed over.
 
 use mot3d_mot::switch::{Port, RoutingMode};
+
+/// Decodes the `(ctr_1, ctr_0)` control pair of Fig. 3(b).
+pub fn from_ctr(ctr_1: bool, ctr_0: bool) -> RoutingMode {
+    match (ctr_1, ctr_0) {
+        (false, false) => RoutingMode::Conventional,
+        (false, true) => RoutingMode::UserDefined(Port::Port0),
+        (true, false) => RoutingMode::UserDefined(Port::Port1),
+        (true, true) => RoutingMode::Off,
+    }
+}
+
+/// Encodes a mode as its `(ctr_1, ctr_0)` control pair.
+pub fn to_ctr(mode: RoutingMode) -> (bool, bool) {
+    match mode {
+        RoutingMode::Conventional => (false, false),
+        RoutingMode::UserDefined(Port::Port0) => (false, true),
+        RoutingMode::UserDefined(Port::Port1) => (true, false),
+        RoutingMode::Off => (true, true),
+    }
+}
 
 /// One modified routing switch instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,7 +53,7 @@ impl RoutingSwitch {
     /// bug in the control plane — callers assert on it).
     pub fn route(&self, addr_bit: bool) -> Option<Port> {
         match self.mode {
-            RoutingMode::Conventional => Some(Port::from_bit(addr_bit)),
+            RoutingMode::Conventional => Some(if addr_bit { Port::Port1 } else { Port::Port0 }),
             RoutingMode::UserDefined(port) => Some(port),
             RoutingMode::Off => None,
         }
@@ -47,6 +68,18 @@ impl RoutingSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ctr_truth_table_round_trips() {
+        // Fig. 3(b): all four control combinations decode and re-encode.
+        for ctr in [(false, false), (false, true), (true, false), (true, true)] {
+            assert_eq!(to_ctr(from_ctr(ctr.0, ctr.1)), ctr);
+        }
+        assert_eq!(from_ctr(false, false), RoutingMode::Conventional);
+        assert_eq!(from_ctr(false, true), RoutingMode::UserDefined(Port::Port0));
+        assert_eq!(from_ctr(true, false), RoutingMode::UserDefined(Port::Port1));
+        assert_eq!(from_ctr(true, true), RoutingMode::Off);
+    }
 
     #[test]
     fn conventional_follows_address_bit() {

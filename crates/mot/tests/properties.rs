@@ -57,16 +57,16 @@ proptest! {
             for level in 1..=topo.routing_levels() {
                 let mode = cfg.routing_mode(SwitchAddr { level, index: idx });
                 let bit = (home >> topo.bit_of_level(level)) & 1 == 1;
-                let port = match mode {
+                let taken = match mode {
                     RoutingMode::Off => {
                         return Err(TestCaseError::fail(format!(
                             "home {home} crossed an off switch (level {level}, idx {idx})"
                         )))
                     }
-                    RoutingMode::Conventional => mot3d_mot::switch::Port::from_bit(bit),
-                    RoutingMode::UserDefined(p) => p,
+                    RoutingMode::Conventional => bit,
+                    RoutingMode::UserDefined(p) => p.bit(),
                 };
-                idx = (idx << 1) | port.bit() as usize;
+                idx = (idx << 1) | taken as usize;
             }
             prop_assert_eq!(idx, cfg.remap_bank(home));
         }
@@ -81,11 +81,11 @@ proptest! {
         let c = cfg.counts();
         prop_assert_eq!(
             c.routing_switches + c.gated_routing_switches,
-            topo.total_routing_switches()
+            topo.cores() * topo.routing_switches_per_tree()
         );
         prop_assert_eq!(
             c.arbitration_cells + c.gated_arbitration_cells,
-            topo.total_arbitration_cells()
+            topo.banks() * topo.arbitration_cells_per_tree()
         );
         let full = MotConfiguration::new(topo, PowerState::full()).unwrap().counts();
         prop_assert!(c.routing_switches <= full.routing_switches);

@@ -128,11 +128,6 @@ impl NocNetwork {
         self.bus_free.iter().filter(|&&free| free > now).count()
     }
 
-    /// Routers in the topology (the port table is `routers × routers`).
-    pub fn router_count(&self) -> usize {
-        self.routers
-    }
-
     fn push(&mut self, time: u64, loc: Loc, packet: Packet) {
         self.events.schedule(time, Event { loc, packet });
     }
@@ -487,7 +482,8 @@ mod tests {
                 }
             }
             let _ = collect_arrivals(&mut net, tag as usize, 10_000);
-            net.stats().mean_request_latency()
+            let s = net.stats();
+            s.total_request_latency as f64 / s.requests as f64
         };
         let mesh = run(NocTopologyKind::HybridBusMesh);
         let tree = run(NocTopologyKind::HybridBusTree);

@@ -325,7 +325,8 @@ mod tests {
         assert_eq!(bank.rows(), 256);
         assert_eq!(bank.cols(), 2048);
         // 64 KB at ~0.35 µm²/cell and 50 % efficiency: ~0.3–0.5 mm².
-        assert!(bank.area().mm2() > 0.2 && bank.area().mm2() < 0.6);
+        let mm2 = bank.area().value() * 1e6;
+        assert!(mm2 > 0.2 && mm2 < 0.6);
     }
 
     #[test]

@@ -186,10 +186,10 @@ mod tests {
     #[test]
     fn cycles_for_rounds_up() {
         let t = Technology::lp45();
-        assert_eq!(t.cycles_for(Seconds::from_ns(0.1)), 1);
-        assert_eq!(t.cycles_for(Seconds::from_ns(1.0)), 1);
-        assert_eq!(t.cycles_for(Seconds::from_ns(1.001)), 2);
-        assert_eq!(t.cycles_for(Seconds::from_ns(4.2)), 5);
+        assert_eq!(t.cycles_for(Seconds::new(0.1e-9)), 1);
+        assert_eq!(t.cycles_for(Seconds::new(1e-9)), 1);
+        assert_eq!(t.cycles_for(Seconds::new(1.001e-9)), 2);
+        assert_eq!(t.cycles_for(Seconds::new(4.2e-9)), 5);
     }
 
     #[test]

@@ -198,12 +198,6 @@ impl Seconds {
         Self(ps * 1e-12)
     }
 
-    /// Creates a duration from nanoseconds.
-    #[inline]
-    pub const fn from_ns(ns: f64) -> Self {
-        Self(ns * 1e-9)
-    }
-
     /// Creates a duration from microseconds.
     #[inline]
     pub const fn from_us(us: f64) -> Self {
@@ -357,14 +351,6 @@ impl Hertz {
     pub fn period(self) -> Seconds {
         assert!(self.0 > 0.0, "period of a zero frequency is undefined");
         Seconds(1.0 / self.0)
-    }
-}
-
-impl SquareMeters {
-    /// The area in square millimeters.
-    #[inline]
-    pub fn mm2(self) -> f64 {
-        self.0 * 1e6
     }
 }
 
@@ -527,7 +513,7 @@ mod tests {
 
     #[test]
     fn edp_units() {
-        let edp = Joules::from_pj(10.0) * Seconds::from_ns(5.0);
+        let edp = Joules::from_pj(10.0) * Seconds::new(5e-9);
         assert!((edp.value() - 50e-21).abs() < 1e-30);
     }
 
@@ -559,7 +545,7 @@ mod tests {
 
     #[test]
     fn ratio_is_dimensionless() {
-        let ratio = Seconds::from_ns(10.0) / Seconds::from_ns(2.0);
+        let ratio = Seconds::new(10e-9) / Seconds::new(2e-9);
         assert!((ratio - 5.0).abs() < 1e-12);
     }
 
@@ -586,9 +572,6 @@ mod tests {
     #[test]
     fn zero_and_negation() {
         assert_eq!(Seconds::ZERO.value(), 0.0);
-        assert_eq!(
-            -Seconds::from_ns(1.0) + Seconds::from_ns(1.0),
-            Seconds::ZERO
-        );
+        assert_eq!(-Seconds::new(1e-9) + Seconds::new(1e-9), Seconds::ZERO);
     }
 }

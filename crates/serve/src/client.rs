@@ -65,13 +65,23 @@ pub fn submit(addr: &str, request: &PlanRequest, out: &mut impl Write) -> io::Re
     let mut writer = stream.try_clone()?;
     writeln!(writer, "{}", request.to_line())?;
     writer.flush()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        match classify(&line) {
+    let mut reader = BufReader::new(stream);
+    // One buffer for every line; it is split like `BufRead::lines` does.
+    let mut line = Vec::new();
+    while reader.read_until(b'\n', &mut line)? > 0 {
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        match classify(text) {
             Ok(None) => {
-                out.write_all(line.as_bytes())?;
-                out.write_all(b"\n")?;
+                line.push(b'\n');
+                out.write_all(&line)?;
+                line.clear();
             }
             Ok(Some(outcome)) => {
                 out.flush()?;
@@ -309,6 +319,28 @@ mod tests {
             "the record reached `out` only with the summary"
         );
         assert_eq!((outcome.points, out.lines), (1, 2));
+    }
+
+    /// A stream line that is not UTF-8 fails the submission as
+    /// `InvalidData`, never reaching `out`.
+    #[test]
+    fn a_line_that_is_not_utf8_is_invalid_data() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            BufReader::new(&stream)
+                .read_line(&mut String::new())
+                .unwrap();
+            (&stream)
+                .write_all(b"{\"index\": 0, \"workload\": \"\xff\"}\n")
+                .unwrap();
+        });
+        let mut out = Vec::new();
+        let err = submit(&addr, &PlanRequest::new("sweep"), &mut out).unwrap_err();
+        server.join().unwrap();
+        assert_eq!((err.kind(), out.len()), (io::ErrorKind::InvalidData, 0));
     }
 
     #[test]

@@ -1258,11 +1258,6 @@ impl Cluster {
         }
         if self.run.now < limit {
             self.step_with(obs);
-            if O::ENABLED {
-                // Between steps, where a buffered observer may drain
-                // its ring (and allocate).
-                obs.maintain();
-            }
         }
     }
 
@@ -1280,8 +1275,7 @@ impl Cluster {
     }
 
     /// [`Cluster::run_to_completion`] with an [`Observer`]: samples the
-    /// pre-run state once, then after every executed step, and lets the
-    /// observer [`Observer::maintain`] itself between steps. With
+    /// pre-run state once, then after every executed step. With
     /// [`NullObserver`] every hook folds away and this is exactly
     /// `run_to_completion`.
     ///
@@ -1294,7 +1288,6 @@ impl Cluster {
             // Baseline sample: the cycle-zero state every timeline opens
             // with (all cores Ready, everything idle).
             obs.sample(self);
-            obs.maintain();
         }
         while !self.is_done() {
             if self.run.now >= self.config.max_cycles {
@@ -1662,7 +1655,6 @@ impl Cluster {
             ClusterNet::Noc(n) => InterconnectProbe::Noc(NocProbe {
                 busy_ports: n.busy_ports(self.run.now),
                 busy_buses: n.busy_buses(self.run.now),
-                routers: n.router_count(),
             }),
         }
     }

@@ -18,11 +18,6 @@
 //! ([`Cluster::core_activity`], [`Cluster::bank_busy`],
 //! [`Cluster::interconnect_probe`], …), which allocates nothing.
 //!
-//! [`Observer::maintain`] runs between steps, outside the step that
-//! `tests/no_alloc.rs` pins allocation-free; buffered observers such as
-//! `mot3d_trace`'s `TraceObserver` flush their pre-sized event ring
-//! there.
-//!
 //! [`Cluster::step_with`]: crate::Cluster::step_with
 //! [`Cluster::run_to_completion_with`]: crate::Cluster::run_to_completion_with
 //! [`Cluster::step`]: crate::Cluster::step
@@ -34,8 +29,8 @@ use crate::cluster::Cluster;
 
 /// A hook on the cluster step path, sampled at every executed step.
 ///
-/// Implementations with `ENABLED = false` must keep both methods empty:
-/// the run loop only *calls* them behind `if O::ENABLED` guards, so the
+/// Implementations with `ENABLED = false` must keep `sample` empty: the
+/// run loop only *calls* it behind `if O::ENABLED` guards, so the
 /// disabled case costs nothing at all.
 pub trait Observer {
     /// Whether this observer receives samples. Guards in the step path
@@ -47,15 +42,11 @@ pub trait Observer {
     /// `now` advances, with the cluster in its post-step state. Runs
     /// inside the step, which allocates nothing once the cluster has run
     /// the point before (`tests/no_alloc.rs`): implementations must not
-    /// allocate here either (buffer into pre-sized storage and flush
-    /// from [`Observer::maintain`] instead).
+    /// allocate here either (stage into storage sized up front, and
+    /// write it out from there when it fills).
     ///
     /// [`Cluster::step`]: crate::Cluster::step
     fn sample(&mut self, cluster: &Cluster);
-
-    /// Called between steps, where allocating is allowed. Buffered
-    /// observers drain their rings here; the default does nothing.
-    fn maintain(&mut self) {}
 }
 
 /// The default no-op observer: zero-sized, disabled, and guaranteed to
@@ -68,9 +59,6 @@ impl Observer for NullObserver {
 
     #[inline(always)]
     fn sample(&mut self, _cluster: &Cluster) {}
-
-    #[inline(always)]
-    fn maintain(&mut self) {}
 }
 
 /// What a core is doing this cycle, as seen by an observer.
@@ -176,8 +164,6 @@ pub struct NocProbe {
     pub busy_ports: usize,
     /// Vertical buses serialising a packet right now.
     pub busy_buses: usize,
-    /// Routers in the topology.
-    pub routers: usize,
 }
 
 #[cfg(test)]

@@ -102,7 +102,7 @@ impl Step {
         if outcome.is_ok() {
             cluster.verify_against_golden();
         }
-        let golden_lines = cluster.golden().map(|golden| golden.written_lines());
+        let golden_lines = cluster.golden().map(|golden| golden.iter().count());
         (outcome, cluster.metrics("step"), golden_lines)
     }
 }

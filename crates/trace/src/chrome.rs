@@ -7,10 +7,10 @@
 //! strips the trailing comma per line and parses each object
 //! independently.
 //!
-//! Events stage into an in-memory buffer; nothing touches the file
-//! between [`TraceWriter::flush`] calls, which is what lets the
-//! `TraceObserver` emit from inside the simulator's allocation-free hot
-//! path and drain outside it.
+//! Events stage into one buffer, allocated once at its full size; when
+//! it nears capacity the writer writes it out to the file and reuses
+//! it. The buffer never grows, so the `TraceObserver` can emit from
+//! inside the simulator's allocation-free step.
 //!
 //! No timestamps here come from the wall clock: `ts` is the simulated
 //! cycle (reported as microseconds, so one cycle of the 1 GHz cluster
@@ -20,44 +20,58 @@
 use mot3d_phys::json::escape_into;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{self, BufWriter, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+
+/// Bytes staged before a write-out. Smaller than the golden trace
+/// fixture (`tests/golden_trace.rs`), so its hash covers a write-out in
+/// the middle of a run.
+const BUF_CAPACITY: usize = 1 << 20;
+/// Room kept free for one more event line: `open` writes the buffer out
+/// once less than this is left, so no line makes it reallocate.
+const EVENT_HEADROOM: usize = 4 << 10;
 
 /// Buffered writer for one Chrome JSON trace file.
 #[derive(Debug)]
 pub struct TraceWriter {
-    out: BufWriter<File>,
+    file: File,
     path: PathBuf,
     /// Events staged + written so far (drives comma placement).
     emitted: u64,
-    /// Staged event lines, drained by [`TraceWriter::flush`].
+    /// Staged bytes, written out by `flush`; never grows past its
+    /// initial capacity.
     buf: String,
     /// Deferred I/O failure, surfaced by [`TraceWriter::finish`].
     err: Option<io::Error>,
 }
 
 impl TraceWriter {
-    /// Creates `path` (truncating any previous file) and writes the
+    /// Creates `path` (truncating any previous file) and stages the
     /// document preamble.
     ///
     /// # Errors
     ///
-    /// Fails when the file cannot be created or the preamble written.
+    /// Fails when the file cannot be created.
     pub fn create(path: impl AsRef<Path>) -> io::Result<TraceWriter> {
         let path = path.as_ref().to_path_buf();
-        let mut out = BufWriter::new(File::create(&path)?);
-        out.write_all(b"{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n")?;
+        let file = File::create(&path)?;
+        let mut buf = String::with_capacity(BUF_CAPACITY);
+        buf.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
         Ok(TraceWriter {
-            out,
+            file,
             path,
             emitted: 0,
-            buf: String::new(),
+            buf,
             err: None,
         })
     }
 
-    /// Opens a new event object line (comma discipline + shared prefix).
+    /// Opens a new event object line (comma discipline + shared prefix),
+    /// writing the buffer out first when it is nearly full.
     fn open(&mut self) {
+        if self.buf.len() > BUF_CAPACITY - EVENT_HEADROOM {
+            self.flush();
+        }
         if self.emitted > 0 {
             self.buf.push_str(",\n");
         }
@@ -143,35 +157,31 @@ impl TraceWriter {
         );
     }
 
-    /// Writes the staged events through to the file. Failures are
-    /// remembered and surfaced by [`TraceWriter::finish`]; after the
-    /// first failure further staging is silently dropped (the trace is
+    /// Writes the staged bytes to the file and empties the buffer.
+    /// Failures are remembered and surfaced by [`TraceWriter::finish`];
+    /// after the first one, staged bytes are discarded (the trace is
     /// already lost — the simulation must not be).
-    pub fn flush(&mut self) {
-        if self.err.is_some() {
-            self.buf.clear();
-            return;
-        }
-        if let Err(e) = self.out.write_all(self.buf.as_bytes()) {
-            self.err = Some(e);
+    fn flush(&mut self) {
+        if self.err.is_none() {
+            if let Err(e) = self.file.write_all(self.buf.as_bytes()) {
+                self.err = Some(e);
+            }
         }
         self.buf.clear();
     }
 
-    /// Flushes, closes the `traceEvents` array, and syncs the file.
+    /// Closes the `traceEvents` array and writes out what is staged.
     ///
     /// # Errors
     ///
-    /// Surfaces the first deferred write failure, or any failure while
-    /// closing the document.
+    /// Surfaces the first write failure of the trace's lifetime.
     pub fn finish(mut self) -> io::Result<(PathBuf, u64)> {
+        self.buf.push_str("\n]}\n");
         self.flush();
-        if let Some(e) = self.err.take() {
-            return Err(e);
+        match self.err {
+            Some(e) => Err(e),
+            None => Ok((self.path, self.emitted)),
         }
-        self.out.write_all(b"\n]}\n")?;
-        self.out.flush()?;
-        Ok((self.path, self.emitted))
     }
 }
 

@@ -12,12 +12,12 @@
 //! away entirely, so simulations without a tracer attached run the
 //! exact machine code they ran before this crate existed. With a
 //! [`TraceObserver`] attached, per-step samples diff the cluster's
-//! probe surface against shadow state and stage compact events into a
-//! pre-sized ring, drained through the buffered [`TraceWriter`] between
-//! steps — a traced step allocates nothing, as an untraced one does
-//! (pinned by `tests/no_alloc.rs` here and in `mot3d-sim`), and the
-//! traced run's metrics are bit-identical to the untraced run's (pinned
-//! by this crate's differential test suite).
+//! probe surface against shadow state and write each change into the
+//! [`TraceWriter`]'s one buffer, sized up front and written out to the
+//! file when it fills — a traced step allocates nothing, as an untraced
+//! one does (pinned by `tests/no_alloc.rs` here and in `mot3d-sim`),
+//! and the traced run's metrics are bit-identical to the untraced run's
+//! (pinned by this crate's differential test suite).
 //!
 //! Timestamps are simulated cycles (shown as microseconds: one cycle of
 //! the 1 GHz cluster displays as 1 µs). Wall-clock reads are banned
@@ -168,5 +168,23 @@ mod tests {
         );
         let odd = trace_file_name("a/b\\c:d e");
         assert!(!odd.contains('/') && !odd.contains('\\') && !odd.contains(':'));
+    }
+
+    /// A device that refuses every write: the trace of the golden
+    /// fixture's point outgrows the writer's buffer, so the first
+    /// failure comes in the middle of the run, and `finish` must still
+    /// report it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_write_is_reported_not_dropped() {
+        use mot3d_mot::PowerState;
+        use mot3d_workloads::SplashBenchmark;
+        let spec = SplashBenchmark::Fft.spec().scaled(0.002);
+        let config = SimConfig::date16().with_power_state(PowerState::pc16_mb8());
+        match trace_spec(&spec, &config, "/dev/full") {
+            // 28 is ENOSPC, what `/dev/full` answers.
+            Err(TraceError::Io(e)) => assert_eq!(e.raw_os_error(), Some(28), "{e}"),
+            other => panic!("expected a trace I/O error, got {other:?}"),
+        }
     }
 }

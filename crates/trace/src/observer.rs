@@ -3,11 +3,10 @@
 //!
 //! One observer traces one run into one file. It plugs into the
 //! simulator through [`mot3d_sim::observe::Observer`]; samples diff the
-//! cluster's probe surface against shadow state and append compact
-//! events to a pre-sized ring, so the sample path allocates nothing
-//! after the first sample registers the tracks (`tests/no_alloc.rs`
-//! counts it). The ring drains through the [`TraceWriter`] from
-//! [`Observer::maintain`], which the run loop calls *between* steps.
+//! cluster's probe surface against shadow state and write each change
+//! straight into the [`TraceWriter`]'s fixed-size buffer, so the sample
+//! path allocates nothing after the first sample registers the tracks
+//! (`tests/no_alloc.rs` counts it).
 
 use crate::chrome::TraceWriter;
 use mot3d_sim::cluster::Cluster;
@@ -22,34 +21,6 @@ const PID_FABRIC: u32 = 3;
 const PID_BUS: u32 = 4;
 const PID_DRAM: u32 = 5;
 const PID_COUNTERS: u32 = 6;
-
-/// Ring capacity in events. At ~24 bytes per event this is ~1.5 MiB of
-/// steady-state buffer.
-const RING_CAPACITY: usize = 1 << 16;
-/// Drain threshold for [`Observer::maintain`]. The gap to
-/// `RING_CAPACITY` comfortably exceeds the worst-case events appended by
-/// one sample (every core + bank + counter changing at once, ≈ 150), so
-/// the guarded pushes in [`TraceObserver::sample`] never actually drop.
-const FLUSH_WATERMARK: usize = RING_CAPACITY - 1024;
-
-/// One staged event; `&'static str` names keep the ring `Copy` and
-/// allocation-free.
-#[derive(Debug, Clone, Copy)]
-enum EvKind {
-    Begin(&'static str),
-    /// `B` carrying the DRAM row as an argument.
-    BeginRow(u64),
-    End,
-    CounterU(u64),
-    CounterF(f64),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Ev {
-    ts: u64,
-    track: u32,
-    kind: EvKind,
-}
 
 /// A registered track: where events on it land in the Chrome JSON.
 #[derive(Debug)]
@@ -83,10 +54,6 @@ pub struct TraceSummary {
 #[derive(Debug)]
 pub struct TraceObserver {
     writer: TraceWriter,
-    ring: Vec<Ev>,
-    /// Events pushed after the ring filled (writer failure kept
-    /// `maintain` from draining it); counted, never silently lost.
-    dropped: u64,
     tracks: Vec<Track>,
     /// Lazily initialised on the first sample (needs the cluster's
     /// shape); `true` once tracks are registered.
@@ -127,8 +94,6 @@ impl TraceObserver {
     pub fn create(path: impl AsRef<Path>) -> io::Result<TraceObserver> {
         Ok(TraceObserver {
             writer: TraceWriter::create(path)?,
-            ring: Vec::with_capacity(RING_CAPACITY),
-            dropped: 0,
             tracks: Vec::new(),
             ready: false,
             last_ts: 0,
@@ -149,7 +114,7 @@ impl TraceObserver {
         })
     }
 
-    /// Registers a track and returns its ring-event id.
+    /// Registers a track and returns its index in `tracks`.
     fn track(&mut self, pid: u32, tid: u32, name: String) -> u32 {
         let id = self.tracks.len() as u32;
         self.writer.thread_name(pid, tid, &name);
@@ -212,26 +177,22 @@ impl TraceObserver {
 
         // Open the cycle-zero core spans so every timeline starts at 0.
         let ts = c.now();
-        for (slot, state) in self.core_state.iter().enumerate() {
-            self.ring.push(Ev {
-                ts,
-                track: self.core_tracks[slot],
-                kind: EvKind::Begin(state.label()),
-            });
+        for slot in 0..self.core_tracks.len() {
+            self.begin(self.core_tracks[slot], ts, self.core_state[slot].label());
         }
         self.ready = true;
     }
 
-    /// Appends to the ring; drops (counted) when full — which only
-    /// happens once the writer has already failed and `maintain` cannot
-    /// drain (see `FLUSH_WATERMARK`).
-    #[inline]
-    fn push(&mut self, ev: Ev) {
-        if self.ring.len() < RING_CAPACITY {
-            self.ring.push(ev);
-        } else {
-            self.dropped += 1;
-        }
+    /// Opens a span named `name` on `track`.
+    fn begin(&mut self, track: u32, ts: u64, name: &str) {
+        let t = &self.tracks[track as usize];
+        self.writer.span_begin(t.pid, t.tid, ts, name);
+    }
+
+    /// Closes the innermost open span on `track`.
+    fn end(&mut self, track: u32, ts: u64) {
+        let t = &self.tracks[track as usize];
+        self.writer.span_end(t.pid, t.tid, ts);
     }
 
     /// Emits an integer counter event when the value changed.
@@ -239,11 +200,8 @@ impl TraceObserver {
     fn counter_u(&mut self, track: u32, ts: u64, value: u64) {
         if self.counter_last[track as usize] != Some(value) {
             self.counter_last[track as usize] = Some(value);
-            self.push(Ev {
-                ts,
-                track,
-                kind: EvKind::CounterU(value),
-            });
+            let t = &self.tracks[track as usize];
+            self.writer.counter_u64(t.pid, t.tid, ts, &t.name, value);
         }
     }
 
@@ -253,33 +211,9 @@ impl TraceObserver {
         let bits = value.to_bits();
         if self.counter_last[track as usize] != Some(bits) {
             self.counter_last[track as usize] = Some(bits);
-            self.push(Ev {
-                ts,
-                track,
-                kind: EvKind::CounterF(value),
-            });
+            let t = &self.tracks[track as usize];
+            self.writer.counter_f64(t.pid, t.tid, ts, &t.name, value);
         }
-    }
-
-    /// Encodes the staged ring through the writer and flushes the file
-    /// buffer. Runs outside the step loop.
-    fn drain(&mut self) {
-        for i in 0..self.ring.len() {
-            let ev = self.ring[i];
-            let track = &self.tracks[ev.track as usize];
-            let (pid, tid) = (track.pid, track.tid);
-            match ev.kind {
-                EvKind::Begin(name) => self.writer.span_begin(pid, tid, ev.ts, name),
-                EvKind::BeginRow(row) => self
-                    .writer
-                    .span_begin_arg(pid, tid, ev.ts, "row open", "row", row),
-                EvKind::End => self.writer.span_end(pid, tid, ev.ts),
-                EvKind::CounterU(v) => self.writer.counter_u64(pid, tid, ev.ts, &track.name, v),
-                EvKind::CounterF(v) => self.writer.counter_f64(pid, tid, ev.ts, &track.name, v),
-            }
-        }
-        self.ring.clear();
-        self.writer.flush();
     }
 
     /// Closes every open span at the final cycle, seals the document,
@@ -291,35 +225,16 @@ impl TraceObserver {
     pub fn finish(mut self) -> io::Result<TraceSummary> {
         let ts = self.last_ts;
         for slot in 0..self.core_tracks.len() {
-            self.push(Ev {
-                ts,
-                track: self.core_tracks[slot],
-                kind: EvKind::End,
-            });
+            self.end(self.core_tracks[slot], ts);
         }
         let mut open = self.bank_open;
         while open != 0 {
             let b = open.trailing_zeros() as usize;
             open &= open - 1;
-            self.push(Ev {
-                ts,
-                track: self.bank_tracks[b],
-                kind: EvKind::End,
-            });
+            self.end(self.bank_tracks[b], ts);
         }
         if self.dram_row.take().is_some() {
-            self.push(Ev {
-                ts,
-                track: self.dram_track,
-                kind: EvKind::End,
-            });
-        }
-        self.drain();
-        if self.dropped > 0 {
-            return Err(io::Error::other(format!(
-                "{} trace events dropped after a write failure",
-                self.dropped
-            )));
+            self.end(self.dram_track, ts);
         }
         let (path, events) = self.writer.finish()?;
         Ok(TraceSummary {
@@ -346,16 +261,8 @@ impl Observer for TraceObserver {
             if state != self.core_state[slot] {
                 self.core_state[slot] = state;
                 let track = self.core_tracks[slot];
-                self.push(Ev {
-                    ts,
-                    track,
-                    kind: EvKind::End,
-                });
-                self.push(Ev {
-                    ts,
-                    track,
-                    kind: EvKind::Begin(state.label()),
-                });
+                self.end(track, ts);
+                self.begin(track, ts, state.label());
             }
         }
 
@@ -365,15 +272,11 @@ impl Observer for TraceObserver {
             let busy = c.bank_busy(b);
             if busy != (self.bank_open & bit != 0) {
                 self.bank_open ^= bit;
-                self.push(Ev {
-                    ts,
-                    track: self.bank_tracks[b],
-                    kind: if busy {
-                        EvKind::Begin("busy")
-                    } else {
-                        EvKind::End
-                    },
-                });
+                if busy {
+                    self.begin(self.bank_tracks[b], ts, "busy");
+                } else {
+                    self.end(self.bank_tracks[b], ts);
+                }
             }
         }
 
@@ -403,18 +306,12 @@ impl Observer for TraceObserver {
         let row = c.dram_open_row();
         if row != self.dram_row {
             if self.dram_row.is_some() {
-                self.push(Ev {
-                    ts,
-                    track: self.dram_track,
-                    kind: EvKind::End,
-                });
+                self.end(self.dram_track, ts);
             }
             if let Some(r) = row {
-                self.push(Ev {
-                    ts,
-                    track: self.dram_track,
-                    kind: EvKind::BeginRow(r),
-                });
+                let t = &self.tracks[self.dram_track as usize];
+                self.writer
+                    .span_begin_arg(t.pid, t.tid, ts, "row open", "row", r);
             }
             self.dram_row = row;
         }
@@ -427,11 +324,5 @@ impl Observer for TraceObserver {
         }
         self.counter_u(self.inflight_track, ts, c.in_flight_transactions() as u64);
         self.counter_u(self.wheel_track, ts, c.event_queue_depth() as u64);
-    }
-
-    fn maintain(&mut self) {
-        if self.ring.len() >= FLUSH_WATERMARK {
-            self.drain();
-        }
     }
 }

@@ -1,15 +1,15 @@
 //! A traced re-run allocates nothing inside the step.
 //!
 //! [`TraceObserver::sample`] runs at the end of every executed step, so
-//! it must stage its events into the pre-sized ring and leave the writing
-//! to [`Observer::maintain`], which runs between steps. A counting global
+//! it must write its events into the trace writer's buffer, which is
+//! sized up front and written out when it fills. A counting global
 //! allocator (per thread, through a `const`-initialised thread local)
 //! checks this by measurement on a cluster re-running a point with the
 //! interconnect it kept across [`Cluster::retarget`]. The first step is
 //! not counted: its `sample` registers the tracks.
 
 use mot3d_noc::NocTopologyKind;
-use mot3d_sim::{Cluster, InterconnectChoice, Observer, SimConfig};
+use mot3d_sim::{Cluster, InterconnectChoice, SimConfig};
 use mot3d_trace::TraceObserver;
 use mot3d_workloads::{streams, CoreStream, SplashBenchmark};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,7 +83,6 @@ fn traced_steps_of_a_rerun_allocate_nothing() {
                 allocations += ALLOCATIONS.with(Cell::get) - before;
             }
             steps += 1;
-            obs.maintain();
         }
         let summary = obs.finish().unwrap();
         assert!(steps > 1_000 && summary.events > 0, "{interconnect}");

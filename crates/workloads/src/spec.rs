@@ -69,12 +69,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Whether the working set exceeds what `MB8` leaves powered
-    /// (8 × 64 KB).
-    pub fn needs_more_than_8_banks(&self) -> bool {
-        self.working_set_bytes > 8 * 64 * 1024
-    }
-
     /// Validates parameter ranges.
     ///
     /// # Panics
@@ -129,15 +123,6 @@ mod tests {
         let s = spec().scaled(0.1);
         assert_eq!(s.total_ops, 1000);
         assert_eq!(s.phases, 4);
-    }
-
-    #[test]
-    fn l2_demand_threshold_is_512kb() {
-        let mut s = spec();
-        s.working_set_bytes = 512 * 1024;
-        assert!(!s.needs_more_than_8_banks());
-        s.working_set_bytes = 512 * 1024 + 1;
-        assert!(s.needs_more_than_8_banks());
     }
 
     #[test]

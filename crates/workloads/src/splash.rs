@@ -252,9 +252,11 @@ mod tests {
 
     #[test]
     fn l2_demand_groups_match_the_paper() {
+        // What `MB8` leaves powered: 8 banks × 64 KB.
+        let mb8_bytes = 8 * 64 * 1024;
         for b in SplashBenchmark::small_l2_demand() {
             assert!(
-                !b.spec().needs_more_than_8_banks(),
+                b.spec().working_set_bytes <= mb8_bytes,
                 "{b} should fit 8 banks"
             );
         }
@@ -264,7 +266,7 @@ mod tests {
             SplashBenchmark::OceanContiguous,
         ] {
             assert!(
-                b.spec().needs_more_than_8_banks(),
+                b.spec().working_set_bytes > mb8_bytes,
                 "{b} should overflow 8 banks"
             );
         }
