@@ -1,30 +1,44 @@
-//! Golden trace fixture: a tiny fig7 point (the paper's power-state
+//! Golden trace fixtures: a tiny fig7 point (the paper's power-state
 //! sweep at 200 ns DRAM) must produce a structurally valid Chrome JSON
 //! trace with the expected track taxonomy, in a stable event order —
-//! pinned by an FNV-1a checksum of the file bytes. An intentional
-//! format change updates `GOLDEN_FNV` here; an accidental
-//! nondeterminism trips it.
+//! pinned by an FNV-1a checksum of the file bytes. Two tiny fig6 points
+//! pin the packet-switched branch the same way: the True 3-D Mesh and
+//! the Hybrid Bus-Tree. An intentional format change updates the pins
+//! here; an accidental nondeterminism trips them.
 
 use mot3d_mot::PowerState;
+use mot3d_noc::NocTopologyKind;
 use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
-use mot3d_sim::SimConfig;
+use mot3d_sim::{InterconnectChoice, SimConfig};
 use mot3d_trace::trace_spec;
 use mot3d_workloads::SplashBenchmark;
 
-/// Pinned checksum of the fixture's trace bytes (see
-/// `print_golden_checksum` below to refresh after an intentional
-/// format change).
+/// Pinned checksum of the fig7 fixture's trace bytes (the assertion
+/// message prints the new value to refresh after an intentional format
+/// change).
 const GOLDEN_FNV: u64 = 0x5b97_ac36_bc31_8a9f;
+/// Pinned checksums of the two NoC fixtures' trace bytes.
+const MESH_FNV: u64 = 0xe13d_f890_6acb_2349;
+const BUS_TREE_FNV: u64 = 0x5544_2b22_0560_db37;
 
-fn fixture_trace(tag: &str) -> Vec<u8> {
+/// The fig7 fixture: MoT interconnect, gated power state, 200 ns DRAM
+/// (the date16 default).
+fn fig7_config() -> SimConfig {
+    SimConfig::date16().with_power_state(PowerState::pc16_mb8())
+}
+
+/// A fig6 fixture: one packet-switched baseline at Full power.
+fn noc_config(kind: NocTopologyKind) -> SimConfig {
+    SimConfig::date16().with_interconnect(InterconnectChoice::Noc(kind))
+}
+
+/// The trace bytes of a tiny fft point on `config`.
+fn fixture_trace(tag: &str, config: &SimConfig) -> Vec<u8> {
     let dir = std::env::temp_dir().join(format!("mot3d-trace-golden-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("fig7_tiny.trace.json");
-    // A fig7 point: MoT interconnect, gated power state, 200 ns DRAM
-    // (the date16 default), tiny scale.
+    let path = dir.join("tiny.trace.json");
     let spec = SplashBenchmark::Fft.spec().scaled(0.002);
-    let config = SimConfig::date16().with_power_state(PowerState::pc16_mb8());
-    let (metrics, summary) = trace_spec(&spec, &config, &path).unwrap();
+    let (metrics, summary) = trace_spec(&spec, config, &path).unwrap();
     assert!(metrics.cycles > 0);
     assert!(summary.events > 0);
     let bytes = std::fs::read(&path).unwrap();
@@ -34,7 +48,7 @@ fn fixture_trace(tag: &str) -> Vec<u8> {
 
 #[test]
 fn fig7_point_trace_is_structurally_valid_with_expected_tracks() {
-    let bytes = fixture_trace("structure");
+    let bytes = fixture_trace("structure", &fig7_config());
     let text = std::str::from_utf8(&bytes).unwrap();
 
     // Valid document shape (the facade e2e suite runs a full JSON
@@ -86,13 +100,44 @@ fn fig7_point_trace_is_structurally_valid_with_expected_tracks() {
     assert!(last_ts > 0, "no timestamped events");
 }
 
+fn assert_checksum(bytes: &[u8], want: u64, pin: &str) {
+    let got = fnv1a64_fold(FNV_OFFSET, bytes);
+    assert_eq!(
+        got, want,
+        "trace bytes drifted: got 0x{got:016x}, want 0x{want:016x} \
+         (refresh {pin} if the format change is intentional)"
+    );
+}
+
 #[test]
 fn fig7_point_trace_bytes_match_the_golden_checksum() {
-    let bytes = fixture_trace("checksum");
-    let got = fnv1a64_fold(FNV_OFFSET, &bytes);
-    assert_eq!(
-        got, GOLDEN_FNV,
-        "trace bytes drifted: got 0x{got:016x}, want 0x{GOLDEN_FNV:016x} \
-         (refresh GOLDEN_FNV if the format change is intentional)"
-    );
+    let bytes = fixture_trace("checksum", &fig7_config());
+    assert_checksum(&bytes, GOLDEN_FNV, "GOLDEN_FNV");
+}
+
+#[test]
+fn noc_point_traces_match_their_checksums_and_carry_the_noc_tracks() {
+    for (kind, want, pin) in [
+        (NocTopologyKind::Mesh3d, MESH_FNV, "MESH_FNV"),
+        (NocTopologyKind::HybridBusTree, BUS_TREE_FNV, "BUS_TREE_FNV"),
+    ] {
+        let bytes = fixture_trace(pin, &noc_config(kind));
+        let text = std::str::from_utf8(&bytes).unwrap();
+        for needle in [
+            "\"thread_name\", \"ph\": \"M\", \"pid\": 3, \"tid\": 1, \"args\": {\"name\": \"noc busy ports\"}",
+            "\"name\": \"noc busy buses\"",
+            // A packet-switched fabric has no MoT transit queues: the
+            // counter shows a single zero and never moves.
+            "{\"name\": \"transit requests\", \"ph\": \"C\", \"pid\": 3, \"tid\": 20, \"ts\": 0, \"args\": {\"value\": 0}}",
+        ] {
+            assert!(text.contains(needle), "{kind}: missing {needle}");
+        }
+        assert_eq!(
+            text.matches("\"pid\": 3, \"tid\": 20, \"ts\"").count(),
+            1,
+            "{kind}"
+        );
+        assert!(!text.contains("mot level"), "{kind}");
+        assert_checksum(&bytes, want, pin);
+    }
 }
