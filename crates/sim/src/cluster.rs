@@ -62,7 +62,7 @@
 use crate::config::{InterconnectChoice, SimConfig};
 use crate::error::SimError;
 use crate::metrics::{LatencyStats, Metrics};
-use crate::observe::{CoreActivity, InterconnectProbe, MotProbe, NocProbe, NullObserver, Observer};
+use crate::observe::{InterconnectProbe, MotProbe, NocProbe, NullObserver, Observer};
 use mot3d_mem::addr::{AddressMap, LineAddr};
 use mot3d_mem::bus::{MissBus, Transfer};
 use mot3d_mem::cache::{CacheConfig, EvictedLine, SetAssocCache, SlotHandle};
@@ -1584,15 +1584,16 @@ impl Cluster {
         self.run.cores[idx].physical
     }
 
-    /// What active core `idx` is doing this cycle.
-    pub fn core_activity(&self, idx: usize) -> CoreActivity {
+    /// What active core `idx` is doing this cycle, as a short stable
+    /// label for trace tracks.
+    pub fn core_label(&self, idx: usize) -> &'static str {
         match self.run.statuses[idx] {
-            CoreStatus::Ready => CoreActivity::Ready,
-            CoreStatus::Computing { .. } => CoreActivity::Computing,
-            CoreStatus::WaitingMem => CoreActivity::WaitingMem,
-            CoreStatus::WaitingIFetch => CoreActivity::WaitingIFetch,
-            CoreStatus::AtBarrier { .. } => CoreActivity::AtBarrier,
-            CoreStatus::Finished => CoreActivity::Finished,
+            CoreStatus::Ready => "Ready",
+            CoreStatus::Computing { .. } => "Computing",
+            CoreStatus::WaitingMem => "Stalled (mem)",
+            CoreStatus::WaitingIFetch => "Stalled (ifetch)",
+            CoreStatus::AtBarrier { .. } => "Barrier",
+            CoreStatus::Finished => "Finished",
         }
     }
 

@@ -15,13 +15,13 @@
 //! every executed step therefore sees *every* state transition — there is
 //! nothing to observe in the skipped cycles. Samples receive `&Cluster`
 //! and read component state through the read-only probe surface
-//! ([`Cluster::core_activity`], [`Cluster::bank_busy`],
+//! ([`Cluster::core_label`], [`Cluster::bank_busy`],
 //! [`Cluster::interconnect_probe`], …), which allocates nothing.
 //!
 //! [`Cluster::step_with`]: crate::Cluster::step_with
 //! [`Cluster::run_to_completion_with`]: crate::Cluster::run_to_completion_with
 //! [`Cluster::step`]: crate::Cluster::step
-//! [`Cluster::core_activity`]: crate::Cluster::core_activity
+//! [`Cluster::core_label`]: crate::Cluster::core_label
 //! [`Cluster::bank_busy`]: crate::Cluster::bank_busy
 //! [`Cluster::interconnect_probe`]: crate::Cluster::interconnect_probe
 
@@ -59,41 +59,6 @@ impl Observer for NullObserver {
 
     #[inline(always)]
     fn sample(&mut self, _cluster: &Cluster) {}
-}
-
-/// What a core is doing this cycle, as seen by an observer.
-///
-/// A public mirror of the cluster's internal per-core status (which
-/// carries scheduling payloads — compute deadlines, barrier ids — that
-/// observers do not need).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreActivity {
-    /// Ready to issue an instruction this cycle.
-    Ready,
-    /// Executing a multi-cycle compute burst.
-    Computing,
-    /// Stalled on a data-memory round trip.
-    WaitingMem,
-    /// Stalled on an instruction refill.
-    WaitingIFetch,
-    /// Parked at a synchronisation barrier.
-    AtBarrier,
-    /// Retired its whole stream.
-    Finished,
-}
-
-impl CoreActivity {
-    /// A short stable label for trace tracks.
-    pub fn label(self) -> &'static str {
-        match self {
-            CoreActivity::Ready => "Ready",
-            CoreActivity::Computing => "Computing",
-            CoreActivity::WaitingMem => "Stalled (mem)",
-            CoreActivity::WaitingIFetch => "Stalled (ifetch)",
-            CoreActivity::AtBarrier => "Barrier",
-            CoreActivity::Finished => "Finished",
-        }
-    }
 }
 
 /// A read-only snapshot of the interconnect's occupancy, shaped by which
@@ -204,12 +169,5 @@ mod tests {
         for level in 1..=5 {
             assert_eq!(probe.level_occupancy(level), 0);
         }
-    }
-
-    #[test]
-    fn activity_labels_are_stable() {
-        assert_eq!(CoreActivity::Ready.label(), "Ready");
-        assert_eq!(CoreActivity::Computing.label(), "Computing");
-        assert_eq!(CoreActivity::AtBarrier.label(), "Barrier");
     }
 }

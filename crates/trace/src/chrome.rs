@@ -100,28 +100,29 @@ impl TraceWriter {
         self.buf.push_str("\"}}");
     }
 
-    /// Opens a duration span named `name` on track (`pid`, `tid`).
-    pub fn span_begin(&mut self, pid: u32, tid: u32, ts: u64, name: &str) {
+    /// Opens a duration span named `name` on track (`pid`, `tid`),
+    /// carrying one integer argument if `arg` is given (e.g. a DRAM row).
+    pub fn span_begin(
+        &mut self,
+        pid: u32,
+        tid: u32,
+        ts: u64,
+        name: &str,
+        arg: Option<(&str, u64)>,
+    ) {
         self.open();
         self.buf.push_str("{\"name\": \"");
         escape_into(&mut self.buf, name);
         let _ = write!(
             self.buf,
-            "\", \"cat\": \"state\", \"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}}}"
+            "\", \"cat\": \"state\", \"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}"
         );
-    }
-
-    /// Opens a span carrying one integer argument (e.g. a DRAM row).
-    pub fn span_begin_arg(&mut self, pid: u32, tid: u32, ts: u64, name: &str, key: &str, val: u64) {
-        self.open();
-        self.buf.push_str("{\"name\": \"");
-        escape_into(&mut self.buf, name);
-        let _ = write!(
-            self.buf,
-            "\", \"cat\": \"state\", \"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\""
-        );
-        escape_into(&mut self.buf, key);
-        let _ = write!(self.buf, "\": {val}}}}}");
+        if let Some((key, val)) = arg {
+            self.buf.push_str(", \"args\": {\"");
+            escape_into(&mut self.buf, key);
+            let _ = write!(self.buf, "\": {val}}}");
+        }
+        self.buf.push('}');
     }
 
     /// Closes the innermost open span on track (`pid`, `tid`).
@@ -197,11 +198,11 @@ mod tests {
         let mut w = TraceWriter::create(&path).unwrap();
         w.process_name(1, "cores");
         w.thread_name(1, 0, "core 0");
-        w.span_begin(1, 0, 0, "Ready");
+        w.span_begin(1, 0, 0, "Ready", None);
         w.span_end(1, 0, 5);
         w.counter_u64(6, 0, 5, "in-flight", 3);
         w.counter_f64(6, 1, 5, "rate", 0.5);
-        w.span_begin_arg(5, 0, 7, "row open", "row", 42);
+        w.span_begin(5, 0, 7, "row open", Some(("row", 42)));
         let (got_path, events) = w.finish().unwrap();
         assert_eq!(got_path, path);
         assert_eq!(events, 7);

@@ -2,27 +2,58 @@
 //! timeline tracks.
 //!
 //! One observer traces one run into one file. It plugs into the
-//! simulator through [`mot3d_sim::observe::Observer`]; samples diff the
-//! cluster's probe surface against shadow state and write each change
-//! straight into the [`TraceWriter`]'s fixed-size buffer, so the sample
-//! path allocates nothing after the first sample registers the tracks
+//! simulator through [`mot3d_sim::observe::Observer`]. Every track
+//! follows one rule: a sample walks the cluster's probe surface, shows
+//! each track's current value, and writes an event only where the value
+//! changed since the last sample — a span ends and the next begins, or
+//! a counter takes its new value. Events go straight into the
+//! [`TraceWriter`]'s fixed-size buffer, so the sample path allocates
+//! nothing after the first sample registers the tracks
 //! (`tests/no_alloc.rs` counts it).
 
 use crate::chrome::TraceWriter;
 use mot3d_sim::cluster::Cluster;
-use mot3d_sim::observe::{CoreActivity, InterconnectProbe, Observer};
+use mot3d_sim::observe::{InterconnectProbe, Observer};
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Track-group (process) ids — the taxonomy README documents.
-const PID_CORES: u32 = 1;
-const PID_BANKS: u32 = 2;
-const PID_FABRIC: u32 = 3;
-const PID_BUS: u32 = 4;
-const PID_DRAM: u32 = 5;
-const PID_COUNTERS: u32 = 6;
+const CORES: u32 = 1;
+const BANKS: u32 = 2;
+const FABRIC: u32 = 3;
+const BUS: u32 = 4;
+const DRAM: u32 = 5;
+const COUNTERS: u32 = 6;
 
-/// A registered track: where events on it land in the Chrome JSON.
+/// The track groups, named in this order before any track.
+const PROCESSES: [(u32, &str); 6] = [
+    (CORES, "cores"),
+    (BANKS, "l2-banks"),
+    (FABRIC, "interconnect"),
+    (BUS, "miss-bus"),
+    (DRAM, "dram"),
+    (COUNTERS, "counters"),
+];
+
+/// A bank track's value while its SRAM array is occupied.
+const BUSY: Shown = Shown::Span("busy", None);
+
+/// What a track shows at one sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shown {
+    /// Nothing: no span open, or a counter with no value yet.
+    Idle,
+    /// An open span with this name and an optional integer argument.
+    Span(&'static str, Option<(&'static str, u64)>),
+    /// An integer counter.
+    Count(usize),
+    /// A float counter, as its bits (so equal means bit-equal).
+    Rate(u64),
+}
+
+/// A registered track: where its events land in the Chrome JSON, and
+/// the value it last showed.
 #[derive(Debug)]
 struct Track {
     pid: u32,
@@ -30,6 +61,7 @@ struct Track {
     /// Counter name (counter events carry the track's name; span events
     /// carry their own).
     name: String,
+    last: Shown,
 }
 
 /// What [`TraceObserver::finish`] reports back.
@@ -54,39 +86,17 @@ pub struct TraceSummary {
 #[derive(Debug)]
 pub struct TraceObserver {
     writer: TraceWriter,
+    /// Every track, in the order [`TraceObserver::walk`] visits them;
+    /// registered by the first sample, when the cluster's shape (active
+    /// cores, interconnect, gated banks) is known.
     tracks: Vec<Track>,
-    /// Lazily initialised on the first sample (needs the cluster's
-    /// shape); `true` once tracks are registered.
-    ready: bool,
+    /// The track the walk's next `show` belongs to.
+    cursor: usize,
     last_ts: u64,
-    // --- shadow state, diffed against each sample ---
-    /// Open span per active core.
-    core_state: Vec<CoreActivity>,
-    core_tracks: Vec<u32>,
-    /// Bit `b` set while bank `b`'s "busy" span is open.
-    bank_open: u64,
-    bank_tracks: Vec<u32>,
-    /// Last emitted value per counter track (`f64` bits for float
-    /// counters), indexed like `tracks`.
-    counter_last: Vec<Option<u64>>,
-    /// MoT per-level occupancy counter tracks (index = level - 1), or
-    /// NoC port/bus counter tracks; resolved at init.
-    fabric_tracks: Vec<u32>,
-    transit_req_track: u32,
-    transit_resp_track: u32,
-    bus_track: u32,
-    dram_track: u32,
-    /// Open DRAM row span.
-    dram_row: Option<u64>,
-    hit_rate_track: u32,
-    inflight_track: u32,
-    wheel_track: u32,
 }
 
 impl TraceObserver {
-    /// Opens `path` for writing and prepares an idle observer; tracks
-    /// are registered on the first sample, when the cluster's shape
-    /// (active cores, interconnect, gated banks) is known.
+    /// Opens `path` for writing and prepares an idle observer.
     ///
     /// # Errors
     ///
@@ -95,125 +105,110 @@ impl TraceObserver {
         Ok(TraceObserver {
             writer: TraceWriter::create(path)?,
             tracks: Vec::new(),
-            ready: false,
+            cursor: 0,
             last_ts: 0,
-            core_state: Vec::new(),
-            core_tracks: Vec::new(),
-            bank_open: 0,
-            bank_tracks: Vec::new(),
-            counter_last: Vec::new(),
-            fabric_tracks: Vec::new(),
-            transit_req_track: 0,
-            transit_resp_track: 0,
-            bus_track: 0,
-            dram_track: 0,
-            dram_row: None,
-            hit_rate_track: 0,
-            inflight_track: 0,
-            wheel_track: 0,
         })
     }
 
-    /// Registers a track and returns its index in `tracks`.
-    fn track(&mut self, pid: u32, tid: u32, name: String) -> u32 {
-        let id = self.tracks.len() as u32;
-        self.writer.thread_name(pid, tid, &name);
-        self.tracks.push(Track { pid, tid, name });
-        self.counter_last.push(None);
-        id
-    }
-
-    /// One-time track registration from the first sample's cluster.
-    /// Allocates freely — the run loop calls the first sample before
-    /// entering the stepping loop.
-    fn init(&mut self, c: &Cluster) {
-        self.writer.process_name(PID_CORES, "cores");
-        self.writer.process_name(PID_BANKS, "l2-banks");
-        self.writer.process_name(PID_FABRIC, "interconnect");
-        self.writer.process_name(PID_BUS, "miss-bus");
-        self.writer.process_name(PID_DRAM, "dram");
-        self.writer.process_name(PID_COUNTERS, "counters");
-
+    /// Visits every track in track order with its pid, tid, name and
+    /// current value. The first sample also runs the `REGISTER` instance,
+    /// which appends and names each track; every other walk only shows
+    /// values, and its instance builds no name.
+    fn walk<const REGISTER: bool>(&mut self, c: &Cluster) {
+        use Shown::{Count, Idle, Rate, Span};
+        self.cursor = 0;
         for idx in 0..c.active_core_count() {
-            let phys = c.core_physical_id(idx);
-            let id = self.track(PID_CORES, phys as u32, format!("core {phys}"));
-            self.core_tracks.push(id);
-            self.core_state.push(c.core_activity(idx));
+            let (phys, state) = (c.core_physical_id(idx), Span(c.core_label(idx), None));
+            self.show::<REGISTER>(CORES, phys as u32, format_args!("core {phys}"), state);
         }
         for b in 0..c.bank_count() {
-            let name = if c.bank_powered(b) {
-                format!("bank {b}")
-            } else {
-                format!("bank {b} (gated)")
-            };
-            let id = self.track(PID_BANKS, b as u32, name);
-            self.bank_tracks.push(id);
+            let gated = if c.bank_powered(b) { "" } else { " (gated)" };
+            let busy = if c.bank_busy(b) { BUSY } else { Idle };
+            self.show::<REGISTER>(BANKS, b as u32, format_args!("bank {b}{gated}"), busy);
         }
-        match c.interconnect_probe() {
-            InterconnectProbe::Mot(probe) => {
-                for level in 1..=probe.routing_levels {
-                    let id = self.track(
-                        PID_FABRIC,
+        let (requests, responses) = match c.interconnect_probe() {
+            InterconnectProbe::Mot(p) => {
+                for level in 1..=p.routing_levels {
+                    let active = Count(p.level_occupancy(level));
+                    self.show::<REGISTER>(
+                        FABRIC,
                         level,
-                        format!("mot level {level} active switches"),
+                        format_args!("mot level {level} active switches"),
+                        active,
                     );
-                    self.fabric_tracks.push(id);
                 }
+                (Count(p.transit_requests), Count(p.transit_responses))
             }
-            InterconnectProbe::Noc(_) => {
-                let ports = self.track(PID_FABRIC, 1, "noc busy ports".to_string());
-                let buses = self.track(PID_FABRIC, 2, "noc busy buses".to_string());
-                self.fabric_tracks.push(ports);
-                self.fabric_tracks.push(buses);
+            InterconnectProbe::Noc(p) => {
+                let (ports, buses) = (Count(p.busy_ports), Count(p.busy_buses));
+                self.show::<REGISTER>(FABRIC, 1, format_args!("noc busy ports"), ports);
+                self.show::<REGISTER>(FABRIC, 2, format_args!("noc busy buses"), buses);
+                (Count(0), Count(0))
             }
-        }
-        self.transit_req_track = self.track(PID_FABRIC, 20, "transit requests".to_string());
-        self.transit_resp_track = self.track(PID_FABRIC, 21, "transit responses".to_string());
-        self.bus_track = self.track(PID_BUS, 0, "queued transfers".to_string());
-        self.dram_track = self.track(PID_DRAM, 0, "row buffer".to_string());
-        self.hit_rate_track = self.track(PID_COUNTERS, 0, "L2 hit rate".to_string());
-        self.inflight_track = self.track(PID_COUNTERS, 1, "in-flight transactions".to_string());
-        self.wheel_track = self.track(PID_COUNTERS, 2, "event-wheel occupancy".to_string());
-
-        // Open the cycle-zero core spans so every timeline starts at 0.
-        let ts = c.now();
-        for slot in 0..self.core_tracks.len() {
-            self.begin(self.core_tracks[slot], ts, self.core_state[slot].label());
-        }
-        self.ready = true;
+        };
+        self.show::<REGISTER>(FABRIC, 20, format_args!("transit requests"), requests);
+        self.show::<REGISTER>(FABRIC, 21, format_args!("transit responses"), responses);
+        let queued = Count(c.bus_queue_depth());
+        self.show::<REGISTER>(BUS, 0, format_args!("queued transfers"), queued);
+        let row = c
+            .dram_open_row()
+            .map_or(Idle, |r| Span("row open", Some(("row", r))));
+        self.show::<REGISTER>(DRAM, 0, format_args!("row buffer"), row);
+        let (hits, misses) = c.l2_hit_counts();
+        let rate = Rate((hits as f64 / (hits + misses) as f64).to_bits());
+        let rate = if hits + misses > 0 { rate } else { Idle };
+        self.show::<REGISTER>(COUNTERS, 0, format_args!("L2 hit rate"), rate);
+        let txs = Count(c.in_flight_transactions());
+        self.show::<REGISTER>(COUNTERS, 1, format_args!("in-flight transactions"), txs);
+        let wheel = Count(c.event_queue_depth());
+        self.show::<REGISTER>(COUNTERS, 2, format_args!("event-wheel occupancy"), wheel);
     }
 
-    /// Opens a span named `name` on `track`.
-    fn begin(&mut self, track: u32, ts: u64, name: &str) {
-        let t = &self.tracks[track as usize];
-        self.writer.span_begin(t.pid, t.tid, ts, name);
-    }
-
-    /// Closes the innermost open span on `track`.
-    fn end(&mut self, track: u32, ts: u64) {
-        let t = &self.tracks[track as usize];
-        self.writer.span_end(t.pid, t.tid, ts);
-    }
-
-    /// Emits an integer counter event when the value changed.
-    #[inline]
-    fn counter_u(&mut self, track: u32, ts: u64, value: u64) {
-        if self.counter_last[track as usize] != Some(value) {
-            self.counter_last[track as usize] = Some(value);
-            let t = &self.tracks[track as usize];
-            self.writer.counter_u64(t.pid, t.tid, ts, &t.name, value);
+    /// Shows `value` on the walk's next track: writes the events that
+    /// turn the track's last value into `value`, if they differ. A
+    /// registering walk appends the track instead, showing nothing yet.
+    #[inline(always)]
+    fn show<const REGISTER: bool>(
+        &mut self,
+        pid: u32,
+        tid: u32,
+        name: fmt::Arguments<'_>,
+        value: Shown,
+    ) {
+        if REGISTER {
+            return self.register(pid, tid, name);
         }
+        let track = &mut self.tracks[self.cursor];
+        self.cursor += 1;
+        if track.last == value {
+            return;
+        }
+        let (w, ts, name) = (&mut self.writer, self.last_ts, &track.name);
+        if let Shown::Span(..) = track.last {
+            w.span_end(pid, tid, ts);
+        }
+        match value {
+            Shown::Idle => {}
+            Shown::Span(label, arg) => w.span_begin(pid, tid, ts, label, arg),
+            Shown::Count(v) => w.counter_u64(pid, tid, ts, name, v as u64),
+            Shown::Rate(bits) => w.counter_f64(pid, tid, ts, name, f64::from_bits(bits)),
+        }
+        track.last = value;
     }
 
-    /// Emits a float counter event when the value's bits changed.
-    #[inline]
-    fn counter_f(&mut self, track: u32, ts: u64, value: f64) {
-        let bits = value.to_bits();
-        if self.counter_last[track as usize] != Some(bits) {
-            self.counter_last[track as usize] = Some(bits);
-            let t = &self.tracks[track as usize];
-            self.writer.counter_f64(t.pid, t.tid, ts, &t.name, value);
-        }
+    /// Appends an idle track and names it in the trace — the one place
+    /// the observer allocates.
+    #[cold]
+    fn register(&mut self, pid: u32, tid: u32, name: fmt::Arguments<'_>) {
+        let name = name.to_string();
+        self.writer.thread_name(pid, tid, &name);
+        let last = Shown::Idle;
+        self.tracks.push(Track {
+            pid,
+            tid,
+            name,
+            last,
+        });
     }
 
     /// Closes every open span at the final cycle, seals the document,
@@ -224,17 +219,10 @@ impl TraceObserver {
     /// Surfaces any write failure from the whole trace's lifetime.
     pub fn finish(mut self) -> io::Result<TraceSummary> {
         let ts = self.last_ts;
-        for slot in 0..self.core_tracks.len() {
-            self.end(self.core_tracks[slot], ts);
-        }
-        let mut open = self.bank_open;
-        while open != 0 {
-            let b = open.trailing_zeros() as usize;
-            open &= open - 1;
-            self.end(self.bank_tracks[b], ts);
-        }
-        if self.dram_row.take().is_some() {
-            self.end(self.dram_track, ts);
+        for track in &self.tracks {
+            if let Shown::Span(..) = track.last {
+                self.writer.span_end(track.pid, track.tid, ts);
+            }
         }
         let (path, events) = self.writer.finish()?;
         Ok(TraceSummary {
@@ -249,80 +237,13 @@ impl Observer for TraceObserver {
     const ENABLED: bool = true;
 
     fn sample(&mut self, c: &Cluster) {
-        if !self.ready {
-            self.init(c);
-        }
-        let ts = c.now();
-        self.last_ts = ts;
-
-        // Core state spans: close + reopen on every transition.
-        for slot in 0..self.core_tracks.len() {
-            let state = c.core_activity(slot);
-            if state != self.core_state[slot] {
-                self.core_state[slot] = state;
-                let track = self.core_tracks[slot];
-                self.end(track, ts);
-                self.begin(track, ts, state.label());
+        if self.tracks.is_empty() {
+            for (pid, name) in PROCESSES {
+                self.writer.process_name(pid, name);
             }
+            self.walk::<true>(c);
         }
-
-        // Bank occupancy spans.
-        for b in 0..self.bank_tracks.len() {
-            let bit = 1u64 << b;
-            let busy = c.bank_busy(b);
-            if busy != (self.bank_open & bit != 0) {
-                self.bank_open ^= bit;
-                if busy {
-                    self.begin(self.bank_tracks[b], ts, "busy");
-                } else {
-                    self.end(self.bank_tracks[b], ts);
-                }
-            }
-        }
-
-        // Interconnect occupancy counters.
-        match c.interconnect_probe() {
-            InterconnectProbe::Mot(probe) => {
-                for i in 0..self.fabric_tracks.len() {
-                    let track = self.fabric_tracks[i];
-                    let level = i as u32 + 1;
-                    self.counter_u(track, ts, probe.level_occupancy(level) as u64);
-                }
-                self.counter_u(self.transit_req_track, ts, probe.transit_requests as u64);
-                self.counter_u(self.transit_resp_track, ts, probe.transit_responses as u64);
-            }
-            InterconnectProbe::Noc(probe) => {
-                self.counter_u(self.fabric_tracks[0], ts, probe.busy_ports as u64);
-                self.counter_u(self.fabric_tracks[1], ts, probe.busy_buses as u64);
-                self.counter_u(self.transit_req_track, ts, 0);
-                self.counter_u(self.transit_resp_track, ts, 0);
-            }
-        }
-
-        // Miss-bus queue depth.
-        self.counter_u(self.bus_track, ts, c.bus_queue_depth() as u64);
-
-        // DRAM row-buffer phase spans.
-        let row = c.dram_open_row();
-        if row != self.dram_row {
-            if self.dram_row.is_some() {
-                self.end(self.dram_track, ts);
-            }
-            if let Some(r) = row {
-                let t = &self.tracks[self.dram_track as usize];
-                self.writer
-                    .span_begin_arg(t.pid, t.tid, ts, "row open", "row", r);
-            }
-            self.dram_row = row;
-        }
-
-        // Cluster-wide counters.
-        let (hits, misses) = c.l2_hit_counts();
-        if hits + misses > 0 {
-            let rate = hits as f64 / (hits + misses) as f64;
-            self.counter_f(self.hit_rate_track, ts, rate);
-        }
-        self.counter_u(self.inflight_track, ts, c.in_flight_transactions() as u64);
-        self.counter_u(self.wheel_track, ts, c.event_queue_depth() as u64);
+        self.last_ts = c.now();
+        self.walk::<false>(c);
     }
 }
