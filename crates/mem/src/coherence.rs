@@ -50,21 +50,9 @@ impl Directory {
         self.sharers |= 1 << core;
     }
 
-    /// Records an exclusive (write) grant to `core`, returning the cores
-    /// whose copies must be invalidated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line has a different exclusive owner — recall first.
-    pub fn grant_exclusive(&mut self, core: usize) -> Vec<usize> {
-        let mut victims = Vec::new();
-        self.grant_exclusive_into(core, &mut victims);
-        victims
-    }
-
-    /// [`Directory::grant_exclusive`] that appends the victims to a
-    /// caller-provided buffer instead of allocating one — the simulator's
-    /// store path calls this with a reused scratch vector.
+    /// Records an exclusive (write) grant to `core`, appending the cores
+    /// whose copies must be invalidated to `victims` — the simulator's
+    /// store path passes a reused scratch vector.
     ///
     /// # Panics
     ///
@@ -72,7 +60,7 @@ impl Directory {
     pub fn grant_exclusive_into(&mut self, core: usize, victims: &mut Vec<usize>) {
         assert!(
             self.owner.is_none() || self.owner == Some(core as u8),
-            "grant_exclusive({core}) while owned by {:?}: recall first",
+            "grant_exclusive_into({core}) while owned by {:?}: recall first",
             self.owner
         );
         victims.extend(self.sharers().filter(|&c| c != core));
@@ -128,7 +116,8 @@ mod tests {
         d.add_sharer(1);
         d.add_sharer(2);
         d.add_sharer(3);
-        let victims = d.grant_exclusive(2);
+        let mut victims = Vec::new();
+        d.grant_exclusive_into(2, &mut victims);
         assert_eq!(victims, vec![1, 3]);
         assert_eq!(d.owner(), Some(2));
         assert_eq!(d.sharers().count(), 0);
@@ -137,12 +126,12 @@ mod tests {
     #[test]
     fn owner_writeback_can_keep_shared_copy() {
         let mut d = Directory::default();
-        d.grant_exclusive(4);
+        d.grant_exclusive_into(4, &mut Vec::new());
         d.owner_writeback(true);
         assert_eq!(d.owner(), None);
         assert!(d.holds(4));
         let mut d2 = Directory::default();
-        d2.grant_exclusive(4);
+        d2.grant_exclusive_into(4, &mut Vec::new());
         d2.owner_writeback(false);
         assert_eq!(d2, Directory::default());
     }
@@ -150,7 +139,7 @@ mod tests {
     #[test]
     fn owner_rereading_keeps_single_copy() {
         let mut d = Directory::default();
-        d.grant_exclusive(7);
+        d.grant_exclusive_into(7, &mut Vec::new());
         d.add_sharer(7); // owner downgrades itself via a read
         assert_eq!(d.owner(), None);
         assert!(d.holds(7));
@@ -161,7 +150,7 @@ mod tests {
     #[should_panic(expected = "recall first")]
     fn reading_an_owned_line_without_recall_is_a_protocol_bug() {
         let mut d = Directory::default();
-        d.grant_exclusive(1);
+        d.grant_exclusive_into(1, &mut Vec::new());
         d.add_sharer(2);
     }
 
@@ -171,7 +160,7 @@ mod tests {
         d.add_sharer(3);
         d.drop_core(3);
         assert_eq!(d, Directory::default());
-        d.grant_exclusive(6);
+        d.grant_exclusive_into(6, &mut Vec::new());
         d.drop_core(6);
         assert_eq!(d, Directory::default());
     }

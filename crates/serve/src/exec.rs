@@ -65,7 +65,7 @@ use mot3d_bench::plan::{ExperimentPlan, RunPoint};
 use mot3d_bench::pool::{self, Claim};
 use mot3d_bench::sink::{record_json_head, record_json_tail};
 use mot3d_phys::fnv::FnvHashMap;
-use mot3d_sim::{run_spec, Metrics, SimError};
+use mot3d_sim::{run_spec, Metrics};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -346,9 +346,9 @@ impl CachedExecutor {
             armed: true,
         };
         let result = if self.faults.should_fail(FaultSite::PointRun) {
-            Err(SimError::Injected(format!("point run {}", point.label())))
+            Err(format!("injected fault: point run {}", point.label()))
         } else {
-            run_spec(&point.spec, &point.config)
+            run_spec(&point.spec, &point.config).map_err(|e| e.to_string())
         };
         guard.armed = false;
         match result {

@@ -42,11 +42,6 @@ pub enum SimError {
         /// Cores requested.
         to: usize,
     },
-    /// An injected fault from the serve crate's deterministic
-    /// fault-injection harness. A real simulation never produces this
-    /// variant; it exists so chaos tests exercise the same typed
-    /// failure path production errors take.
-    Injected(String),
 }
 
 impl fmt::Display for SimError {
@@ -78,7 +73,6 @@ impl fmt::Display for SimError {
                 f,
                 "runtime transition cannot change core count ({from} → {to})"
             ),
-            SimError::Injected(what) => write!(f, "injected fault: {what}"),
         }
     }
 }

@@ -11,13 +11,14 @@
 //! the `Cluster` step path whose default `NullObserver` monomorphizes
 //! away entirely, so simulations without a tracer attached run the
 //! exact machine code they ran before this crate existed. With a
-//! [`TraceObserver`] attached, per-step samples diff the cluster's
-//! probe surface against shadow state and write each change into the
-//! [`TraceWriter`]'s one buffer, sized up front and written out to the
-//! file when it fills — a traced step allocates nothing, as an untraced
-//! one does (pinned by `tests/no_alloc.rs` here and in `mot3d-sim`),
-//! and the traced run's metrics are bit-identical to the untraced run's
-//! (pinned by this crate's differential test suite).
+//! [`TraceObserver`] attached, each step's sample walks the cluster's
+//! probe surface once, track by track, and writes an event for each
+//! track whose value changed into the [`TraceWriter`]'s one buffer,
+//! sized up front and written out to the file when it fills — a traced
+//! step allocates nothing, as an untraced one does (pinned by
+//! `tests/no_alloc.rs` here and in `mot3d-sim`), and the traced run's
+//! metrics are bit-identical to the untraced run's (pinned by this
+//! crate's differential test suite).
 //!
 //! Timestamps are simulated cycles (shown as microseconds: one cycle of
 //! the 1 GHz cluster displays as 1 µs). Wall-clock reads are banned
