@@ -202,12 +202,11 @@ impl TraceObserver {
     fn register(&mut self, pid: u32, tid: u32, name: fmt::Arguments<'_>) {
         let name = name.to_string();
         self.writer.thread_name(pid, tid, &name);
-        let last = Shown::Idle;
         self.tracks.push(Track {
             pid,
             tid,
             name,
-            last,
+            last: Shown::Idle,
         });
     }
 
